@@ -11,8 +11,19 @@ Images and feature maps are (N, C, H, W), C-contiguous. conv2d uses zero
 padding k//2 per side, so stride 1 with an odd kernel preserves H and W, and
 stride s gives H_out = (H + 2*(k//2) - k)//s + 1 (H/2 for even H, k=3, s=2).
 transposed-conv2d with stride s, padding k//2 and implicit output padding s-1
-maps H to exactly H*s for odd kernels. dense flattens all trailing axes of its
-input to (N, K) before the matrix product.
+maps H to exactly H*s; it takes odd kernels only. dense flattens all trailing
+axes of its input to (N, K) before the matrix product.
+
+Kernels
+-------
+Both convolutions run on zero-padded NHWC copies of their operands, so each
+kernel offset (i, j) reads or writes one strided (N*ho*wo, C) block of rows,
+and the work is one GEMM per offset against that offset's (C_in, C_out) tap
+matrix. No k*k-wide column matrix is ever built. Three helpers do all of it:
+_correlate (conv2d forward), its adjoint _scatter_add (conv2d's input
+gradient) and _weight_grad. transposed-conv2d is the adjoint of a strided
+conv2d, so it reuses them with the roles swapped: its forward is a scatter-add,
+its input gradient a correlation.
 """
 
 from __future__ import annotations
@@ -54,12 +65,6 @@ def _softmax(x):
     shifted = x - x.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def _pad_hw(x, ph, pw):
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
 def _contig(a, dtype):
@@ -109,85 +114,111 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _conv2d_fwd(attrs, x, w, *rest):
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"conv2d wants 4-d input/weight, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
-    s = attrs["stride"]
-    kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    xp = _pad_hw(x, ph, pw)
-    ho = (x.shape[2] + 2 * ph - kh) // s + 1
-    wo = (x.shape[3] + 2 * pw - kw) // s + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::s, ::s]  # (N, Cin, ho, wo, kh, kw)
-    out = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))  # (N, ho, wo, Cout)
-    out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
-    if rest:
-        out += rest[0].reshape(1, -1, 1, 1)
-    assert out.shape[2:] == (ho, wo)
+def _nhwc(a, ph=0, pw=0):
+    """(N, C, H, W) -> contiguous (N, H + 2*ph, W + 2*pw, C), zero-padded."""
+    n, c, h, w = a.shape
+    out = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=a.dtype)
+    out[:, ph:ph + h, pw:pw + w] = a.transpose(0, 2, 3, 1)
     return out
 
 
-def _conv2d_bwd(attrs, g, inputs, out):
+def _nchw(a):
+    """(N, H, W, C) -> contiguous (N, C, H, W)."""
+    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
+
+
+def _taps(w):
+    """Conv weight (B, A, kh, kw) -> (kh, kw, A, B): per offset, A channels to B."""
+    return np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+
+
+def _blocks(ho, wo, kh, kw, s):
+    """Per kernel offset (i, j): the stride-s (ho, wo) block it reads in padded NHWC."""
+    return [(i, j, np.s_[:, i:i + s * ho:s, j:j + s * wo:s]) for i in range(kh) for j in range(kw)]
+
+
+def _correlate(xp, taps, s):
+    """Stride-s correlation of padded NHWC xp with (kh, kw, A, B) taps -> NHWC, B channels."""
+    kh, kw, a, b = taps.shape
+    n, hp, wp, _ = xp.shape
+    ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
+    out = np.zeros((n * ho * wo, b), dtype=xp.dtype)
+    for i, j, blk in _blocks(ho, wo, kh, kw, s):
+        out += xp[blk].reshape(-1, a) @ taps[i, j]
+    return out.reshape(n, ho, wo, b)
+
+
+def _scatter_add(rows, taps, s, h, w):
+    """Adjoint of _correlate: NHWC rows (B channels) -> (N, h, w, A), padding cropped."""
+    n, ho, wo, b = rows.shape
+    kh, kw, a, _ = taps.shape
+    ph, pw = kh // 2, kw // 2
+    buf = np.zeros((n, h + 2 * ph, w + 2 * pw, a), dtype=rows.dtype)
+    flat = rows.reshape(-1, b)
+    for i, j, blk in _blocks(ho, wo, kh, kw, s):
+        buf[blk] += (flat @ taps[i, j].T).reshape(n, ho, wo, a)
+    return buf[:, ph:ph + h, pw:pw + w]
+
+
+def _weight_grad(xp, rows, kh, kw, s):
+    """Gradient of _correlate's taps for upstream NHWC rows, in (B, A, kh, kw) layout."""
+    n, ho, wo, b = rows.shape
+    a = xp.shape[3]
+    flat = rows.reshape(-1, b)
+    gw = np.empty((kh, kw, a, b), dtype=xp.dtype)
+    for i, j, blk in _blocks(ho, wo, kh, kw, s):
+        gw[i, j] = xp[blk].reshape(-1, a).T @ flat
+    return np.ascontiguousarray(gw.transpose(3, 2, 0, 1))
+
+
+def _check_conv(kind, x, w, cin_axis):
+    if x.ndim != 4 or w.ndim != 4:
+        raise ShapeError(f"{kind} wants 4-d input/weight, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[cin_axis]:
+        raise ShapeError(f"{kind} channel mismatch: input {x.shape} vs weight {w.shape}")
+
+
+def _conv2d(attrs, x, w, *rest):
+    _check_conv("conv2d", x, w, 1)
+    out = _correlate(_nhwc(x, w.shape[2] // 2, w.shape[3] // 2), _taps(w), attrs["stride"])
+    if rest:
+        out += rest[0]
+    return _nchw(out)
+
+
+def _conv2d_grad(attrs, g, inputs, out):
     x, w = inputs[0], inputs[1]
     s = attrs["stride"]
     kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    ho, wo = g.shape[2], g.shape[3]
-    xp = _pad_hw(x, ph, pw)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    gw = np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3]))  # (Cout, Cin, kh, kw)
-    gxp = np.zeros_like(xp)
-    for ki in range(kh):
-        for kj in range(kw):
-            patch = np.tensordot(g, w[:, :, ki, kj], axes=([1], [0]))  # (N, ho, wo, Cin)
-            gxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += patch.transpose(0, 3, 1, 2)
-    gx = gxp[:, :, ph:ph + x.shape[2], pw:pw + x.shape[3]]
-    grads = [np.ascontiguousarray(gx), gw]
+    g_rows = _nhwc(g)
+    grads = [
+        _nchw(_scatter_add(g_rows, _taps(w), s, x.shape[2], x.shape[3])),
+        _weight_grad(_nhwc(x, kh // 2, kw // 2), g_rows, kh, kw, s),
+    ]
     if len(inputs) == 3:
         grads.append(g.sum(axis=(0, 2, 3)))
     return grads
 
 
-def _tconv2d_fwd(attrs, x, w, *rest):
-    # weight layout (Cin, Cout, kh, kw); output spatial size = input * stride
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError(f"transposed-conv2d wants 4-d input/weight, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"transposed-conv2d channel mismatch: input {x.shape} vs weight {w.shape}")
+def _tconv2d(attrs, x, w, *rest):
+    # weight layout (Cin, Cout, kh, kw); the adjoint of the stride-s conv2d
+    # that maps (N, Cout, H*s, W*s) to x's (N, Cin, H, W)
+    _check_conv("transposed-conv2d", x, w, 0)
+    if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
+        raise ShapeError(f"transposed-conv2d needs an odd kernel, got weight {w.shape}")
     s = attrs["stride"]
-    n, _, h, ww_ = x.shape
-    kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    ho, wo = h * s, ww_ * s
-    buf = np.zeros((n, w.shape[1], ho + 2 * ph, wo + 2 * pw), dtype=x.dtype)
-    for ki in range(kh):
-        for kj in range(kw):
-            patch = np.tensordot(x, w[:, :, ki, kj], axes=([1], [0]))  # (N, h, w, Cout)
-            buf[:, :, ki:ki + s * h:s, kj:kj + s * ww_:s] += patch.transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(buf[:, :, ph:ph + ho, pw:pw + wo])
+    out = _scatter_add(_nhwc(x), _taps(w), s, x.shape[2] * s, x.shape[3] * s)
     if rest:
-        out += rest[0].reshape(1, -1, 1, 1)
-    return out
+        out += rest[0]
+    return _nchw(out)
 
 
-def _tconv2d_bwd(attrs, g, inputs, out):
+def _tconv2d_grad(attrs, g, inputs, out):
     x, w = inputs[0], inputs[1]
     s = attrs["stride"]
-    n, _, h, ww_ = x.shape
     kh, kw = w.shape[2], w.shape[3]
-    ph, pw = kh // 2, kw // 2
-    gp = _pad_hw(g, ph, pw)
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(w)
-    for ki in range(kh):
-        for kj in range(kw):
-            sl = gp[:, :, ki:ki + s * h:s, kj:kj + s * ww_:s]  # (N, Cout, h, w)
-            gx += np.tensordot(sl, w[:, :, ki, kj], axes=([1], [1])).transpose(0, 3, 1, 2)
-            gw[:, :, ki, kj] = np.tensordot(x, sl, axes=([0, 2, 3], [0, 2, 3]))
-    grads = [gx, gw]
+    gp = _nhwc(g, kh // 2, kw // 2)
+    grads = [_nchw(_correlate(gp, _taps(w), s)), _weight_grad(gp, _nhwc(x), kh, kw, s)]
     if len(inputs) == 3:
         grads.append(g.sum(axis=(0, 2, 3)))
     return grads
@@ -240,7 +271,7 @@ def _mean_pool_fwd(attrs, x):
     n, c, h, w = x.shape
     if h % k or w % k:
         raise ShapeError(f"mean-pool needs H,W divisible by {k}, got {x.shape}")
-    return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
+    return sum(x[:, :, i::k, j::k] for i in range(k) for j in range(k)) * (1.0 / (k * k))
 
 
 def _mean_pool_bwd(attrs, g, inputs, out):
@@ -358,8 +389,8 @@ _OPS = {
         lambda at, a: 1.0 / a,
         lambda at, g, ins, out: [-g * out * out],
     ),
-    "conv2d": (_conv2d_fwd, _conv2d_bwd),
-    "transposed-conv2d": (_tconv2d_fwd, _tconv2d_bwd),
+    "conv2d": (_conv2d, _conv2d_grad),
+    "transposed-conv2d": (_tconv2d, _tconv2d_grad),
     "dense": (_dense_fwd, _dense_bwd),
     "mean-pool": (_mean_pool_fwd, _mean_pool_bwd),
     "global-mean-pool": (

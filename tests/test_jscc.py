@@ -6,6 +6,7 @@ import pytest
 from spjscc.channel import ChannelConfig, awgn_transmit
 from spjscc.jscc import (
     CodecConfig,
+    _encoder_features,
     decode,
     encode,
     init_decoder,
@@ -222,3 +223,83 @@ def test_end_to_end_gradients_finite_and_nonzero(codec):
     for name in enc_names:
         assert np.isfinite(grads[name]).all(), name
     assert all(np.abs(grads[n]).sum() > 0 for n in enc_names if n.endswith(".w")), "zero grad on a weight"
+
+
+# ---------------------------------------------------------------------------
+# finite-difference oracle over the composed codec (64-bit)
+# ---------------------------------------------------------------------------
+
+
+def _sampled_fd_errors(params, prefix, names, loss_of, grads, rng):
+    """Worst relative error per weight of tape gradients against central differences.
+
+    `loss_of(params)` rebuilds the graph and returns the scalar loss; three
+    sampled entries of each named weight are perturbed in place and restored.
+    `grads` holds the tape gradients under their on-tape names, prefix.name.
+    """
+    h = 1e-5
+    errs = {}
+    for name in names:
+        w = params[name]
+        for idx in rng.choice(w.size, size=3, replace=False):
+            pos = np.unravel_index(idx, w.shape)
+            orig = w[pos]
+            w[pos] = orig + h
+            fp = loss_of(params)
+            w[pos] = orig - h
+            fm = loss_of(params)
+            w[pos] = orig
+            fd = (fp - fm) / (2 * h)
+            an = grads[f"{prefix}.{name}"][pos]
+            err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+            errs[name] = max(errs.get(name, 0.0), err)
+    return errs
+
+
+def _float64(model):
+    return type(model)(params={k: v.astype(np.float64) for k, v in model.params.items()}, config=model.config)
+
+
+def test_composed_codec_decoder_gradients_match_finite_differences(codec):
+    """Decoder conv and transposed-conv weights through encode, channel, decode."""
+    cfg, enc, dec = codec
+    enc, dec = _float64(enc), _float64(dec)
+    x = _images(2, seed=21)
+    snr = 7.0
+
+    def mse(params):
+        tape = Tape(dtype=np.float64)
+        r = encode(enc, x, snr, mode="eval", tape=tape)
+        ep = awgn_transmit(r.e, ChannelConfig(snr_db=snr, seed=5))
+        xh = decode(type(dec)(params=params, config=cfg), ep, r.mask, snr)
+        diff = tape.add(xh, tape.scalar_mul(r.x, -1.0))
+        return tape, tape.reduce_mean(tape.mul(diff, diff))
+
+    names = ["dc0.w", "dc1.w", "ds0.w", "ds1.w", "ds2.w"]
+    tape, loss = mse(dec.params)
+    grads = tape.grad_by_name(loss, names=[f"dec.{n}" for n in names])
+    errs = _sampled_fd_errors(dec.params, "dec", names, lambda p: float(mse(p)[1].value), grads, np.random.default_rng(0))
+    assert max(errs.values()) < 1e-4, errs
+
+
+def test_composed_encoder_gradients_match_finite_differences(codec):
+    """Encoder conv weights through the conv stack and its SNR adapters.
+
+    The full encoder is not differenced: the straight-through mask passes
+    gradient that a finite difference of the hard threshold cannot see.
+    """
+    cfg, enc, _ = codec
+    enc = _float64(enc)
+    x = _images(2, seed=22)
+    weights = np.random.default_rng(1).uniform(0.5, 1.5, size=(2, cfg.f_s + cfg.f_n, *cfg.grid_hw))
+
+    def score(params):
+        tape = Tape(dtype=np.float64)
+        feats = _encoder_features(tape, params, tape.leaf(x), 11.0)
+        return tape, tape.reduce_sum(tape.mul(feats, tape.leaf(weights)))
+
+    names = ["es0.w", "es1.w", "es2.w", "es3.w", "ec0.w", "ec1.w"]
+    tape, out = score(enc.params)
+    grads = tape.grad_by_name(out, names=[f"enc.{n}" for n in names])
+    errs = _sampled_fd_errors(enc.params, "enc", names, lambda p: float(score(p)[1].value), grads, np.random.default_rng(2))
+    assert max(errs.values()) < 1e-4, errs

@@ -303,6 +303,134 @@ def test_conv2d_parameter_gradient_vs_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# conv kernels against their direct definitions (64-bit)
+# ---------------------------------------------------------------------------
+
+
+def ref_conv2d(x, w, b, s, g):
+    """conv2d by its definition, looping over output positions.
+
+    Returns the output and, for upstream gradient g, the gradients of
+    sum(g * output) with respect to x, w and b.
+    """
+    k = w.shape[2]
+    p = k // 2
+    n, cin, h, wd = x.shape
+    xp = np.zeros((n, cin, h + 2 * p, wd + 2 * p))
+    xp[:, :, p:p + h, p:p + wd] = x
+    ho, wo = (h + 2 * p - k) // s + 1, (wd + 2 * p - k) // s + 1
+    out = np.empty((n, w.shape[0], ho, wo))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for y in range(ho):
+        for z in range(wo):
+            win = (slice(None), slice(None), slice(y * s, y * s + k), slice(z * s, z * s + k))
+            out[:, :, y, z] = np.einsum("ncij,ocij->no", xp[win], w) + b
+            gxp[win] += np.einsum("no,ocij->ncij", g[:, :, y, z], w)
+            gw += np.einsum("no,ncij->ocij", g[:, :, y, z], xp[win])
+    return out, gxp[:, :, p:p + h, p:p + wd], gw, g.sum(axis=(0, 2, 3))
+
+
+def ref_tconv2d(x, w, b, s, g):
+    """transposed-conv2d by its definition, looping over output positions.
+
+    Input position y feeds output row y*s + i - k//2 through kernel row i;
+    each output position gathers every (input, kernel) pair that lands on it.
+    """
+    k = w.shape[2]
+    p = k // 2
+    n, _, h, wd = x.shape
+
+    def sources(o, size):
+        pairs = [(i, (o + p - i) // s) for i in range(k)
+                 if (o + p - i) % s == 0 and 0 <= (o + p - i) // s < size]
+        return np.array([i for i, _ in pairs]), np.array([y for _, y in pairs])
+
+    out = np.empty((n, w.shape[1], h * s, wd * s))
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for y in range(h * s):
+        ki, ys = sources(y, h)
+        for z in range(wd * s):
+            kj, zs = sources(z, wd)
+            xi = (slice(None), slice(None), ys[:, None], zs[None, :])
+            wi = (slice(None), slice(None), ki[:, None], kj[None, :])
+            out[:, :, y, z] = np.einsum("ncij,coij->no", x[xi], w[wi]) + b
+            gx[xi] += np.einsum("no,coij->ncij", g[:, :, y, z], w[wi])
+            gw[wi] += np.einsum("no,ncij->coij", g[:, :, y, z], x[xi])
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+# (op, input shape, weight shape, stride): every codec and classifier layer at
+# batch 2, plus odd H with stride 2 and 5x5 kernels
+KERNEL_GEOMETRIES = [
+    ("conv2d", (2, 3, 32, 32), (32, 3, 3, 3), 2),  # encoder es0
+    ("conv2d", (2, 32, 16, 16), (32, 32, 3, 3), 1),  # encoder es1, es2
+    ("conv2d", (2, 32, 16, 16), (32, 32, 3, 3), 2),  # encoder es3
+    ("conv2d", (2, 32, 8, 8), (32, 32, 3, 3), 1),  # ec0, ec1, dc0, dc1
+    ("conv2d", (2, 16, 32, 32), (3, 16, 3, 3), 1),  # decoder ds2
+    ("conv2d", (2, 32, 32, 32), (3, 32, 3, 3), 1),
+    ("conv2d", (2, 3, 32, 32), (32, 3, 3, 3), 1),  # classifier conv0
+    ("conv2d", (2, 32, 16, 16), (64, 32, 3, 3), 1),  # classifier conv1
+    ("conv2d", (2, 64, 8, 8), (128, 64, 3, 3), 1),  # classifier conv2
+    ("conv2d", (2, 3, 7, 9), (4, 3, 3, 3), 2),
+    ("conv2d", (2, 3, 9, 7), (4, 3, 5, 5), 1),
+    ("conv2d", (2, 3, 9, 7), (4, 3, 5, 5), 2),
+    ("transposed-conv2d", (2, 32, 8, 8), (32, 32, 3, 3), 2),  # decoder ds0
+    ("transposed-conv2d", (2, 32, 16, 16), (32, 16, 3, 3), 2),  # decoder ds1
+    ("transposed-conv2d", (2, 3, 5, 7), (3, 4, 3, 3), 2),
+    ("transposed-conv2d", (2, 3, 5, 7), (3, 4, 5, 5), 2),
+    ("transposed-conv2d", (2, 3, 5, 7), (3, 4, 5, 5), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,x_shape,w_shape,stride", KERNEL_GEOMETRIES,
+    ids=["{}-x{}-w{}-s{}".format(g[0], "x".join(map(str, g[1])), "x".join(map(str, g[2])), g[3])
+         for g in KERNEL_GEOMETRIES],
+)
+def test_conv_kernels_match_direct_definition(kind, x_shape, w_shape, stride):
+    rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + stride)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    b = rng.normal(size=(w_shape[0] if kind == "conv2d" else w_shape[1],))
+    t = Tape(dtype=np.float64)
+    leaves = [t.leaf(x), t.leaf(w), t.leaf(b)]
+    if kind == "conv2d":
+        y = t.conv2d(*leaves, stride=stride)
+        ref = ref_conv2d
+    else:
+        y = t.tconv2d(*leaves, stride=stride)
+        ref = ref_tconv2d
+    g = rng.normal(size=y.shape)
+    want = ref(x, w, b, stride, g)
+    got = [y.value] + t.backward(y, seed=g, wrt=leaves)
+    for name, a, e in zip(("output", "grad x", "grad w", "grad b"), got, want):
+        assert a.shape == e.shape, name
+        np.testing.assert_allclose(a, e, rtol=0, atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["conv2d", "transposed-conv2d"])
+def test_conv_shape_errors(kind):
+    t = Tape()
+    op = t.conv2d if kind == "conv2d" else t.tconv2d
+    x = t.leaf(np.zeros((1, 3, 8, 8)))
+    with pytest.raises(ShapeError, match=r"channel mismatch.*\(1, 3, 8, 8\).*\(4, 4, 3, 3\)"):
+        op(x, t.leaf(np.zeros((4, 4, 3, 3))))
+    with pytest.raises(ShapeError, match=r"4-d.*\(3, 8, 8\)"):
+        op(t.leaf(np.zeros((3, 8, 8))), t.leaf(np.zeros((3, 3, 3, 3))))
+    with pytest.raises(ShapeError, match=r"4-d.*\(3, 3, 3\)"):
+        op(x, t.leaf(np.zeros((3, 3, 3))))
+
+
+def test_tconv2d_rejects_even_kernel():
+    t = Tape()
+    x = t.leaf(np.zeros((1, 2, 3, 3)))
+    with pytest.raises(ShapeError, match=r"odd kernel.*\(2, 2, 2, 2\)"):
+        t.tconv2d(x, t.leaf(np.zeros((2, 2, 2, 2))), stride=2)
+
+
+# ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
 

@@ -5,8 +5,6 @@ from .tape import (
     ShapeError,
     Tape,
     Tensor,
-    backward,
-    forward,
 )
 from .optim import AdamState, adam_step
 
@@ -17,8 +15,6 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Tensor",
-    "backward",
-    "forward",
     "AdamState",
     "adam_step",
 ]

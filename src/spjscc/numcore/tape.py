@@ -2,7 +2,8 @@
 
 A Tape records every operation as it runs (define-by-run). Each node stores
 its op kind, input node ids and forward value; backward() walks the records in
-reverse and accumulates gradients with hand-written per-op rules. Training
+reverse and accumulates gradients with hand-written per-op rules, only along
+paths from the requested tensors to the output. Training
 uses float32 tapes; the gradient-check suite runs the same graphs in float64.
 
 Shape conventions
@@ -110,7 +111,9 @@ class Tensor:
 
 # ---------------------------------------------------------------------------
 # op kernels: forward(attrs, *input_arrays) -> array
-#             backward(attrs, grad, input_arrays, out_array) -> per-input grads
+#             backward(attrs, grad, input_arrays, out_array, need) -> per-input
+#             grads; need[i] is False when input i's gradient is never read,
+#             and a rule may return None for it instead of computing it
 # ---------------------------------------------------------------------------
 
 
@@ -186,17 +189,17 @@ def _conv2d(attrs, x, w, *rest):
     return _nchw(out)
 
 
-def _conv2d_grad(attrs, g, inputs, out):
+def _conv2d_grad(attrs, g, inputs, out, need):
     x, w = inputs[0], inputs[1]
     s = attrs["stride"]
     kh, kw = w.shape[2], w.shape[3]
     g_rows = _nhwc(g)
     grads = [
-        _nchw(_scatter_add(g_rows, _taps(w), s, x.shape[2], x.shape[3])),
-        _weight_grad(_nhwc(x, kh // 2, kw // 2), g_rows, kh, kw, s),
+        _nchw(_scatter_add(g_rows, _taps(w), s, x.shape[2], x.shape[3])) if need[0] else None,
+        _weight_grad(_nhwc(x, kh // 2, kw // 2), g_rows, kh, kw, s) if need[1] else None,
     ]
     if len(inputs) == 3:
-        grads.append(g.sum(axis=(0, 2, 3)))
+        grads.append(g.sum(axis=(0, 2, 3)) if need[2] else None)
     return grads
 
 
@@ -213,14 +216,17 @@ def _tconv2d(attrs, x, w, *rest):
     return _nchw(out)
 
 
-def _tconv2d_grad(attrs, g, inputs, out):
+def _tconv2d_grad(attrs, g, inputs, out, need):
     x, w = inputs[0], inputs[1]
     s = attrs["stride"]
     kh, kw = w.shape[2], w.shape[3]
     gp = _nhwc(g, kh // 2, kw // 2)
-    grads = [_nchw(_correlate(gp, _taps(w), s)), _weight_grad(gp, _nhwc(x), kh, kw, s)]
+    grads = [
+        _nchw(_correlate(gp, _taps(w), s)) if need[0] else None,
+        _weight_grad(gp, _nhwc(x), kh, kw, s) if need[1] else None,
+    ]
     if len(inputs) == 3:
-        grads.append(g.sum(axis=(0, 2, 3)))
+        grads.append(g.sum(axis=(0, 2, 3)) if need[2] else None)
     return grads
 
 
@@ -234,14 +240,14 @@ def _dense_fwd(attrs, x, w, *rest):
     return out
 
 
-def _dense_bwd(attrs, g, inputs, out):
+def _dense_bwd(attrs, g, inputs, out, need):
     x, w = inputs[0], inputs[1]
-    x2 = x.reshape(x.shape[0], -1)
-    gx = (g @ w.T).reshape(x.shape)
-    gw = x2.T @ g
-    grads = [gx, gw]
+    grads = [
+        (g @ w.T).reshape(x.shape) if need[0] else None,
+        x.reshape(x.shape[0], -1).T @ g if need[1] else None,
+    ]
     if len(inputs) == 3:
-        grads.append(g.sum(axis=0))
+        grads.append(g.sum(axis=0) if need[2] else None)
     return grads
 
 
@@ -249,15 +255,16 @@ def _prelu_fwd(attrs, x, slope):
     if slope.ndim not in (0, 1):
         raise ShapeError(f"prelu slope must be scalar or per-channel, got {slope.shape}")
     s = slope if slope.ndim == 0 else slope.reshape((1, -1) + (1,) * (x.ndim - 2))
-    return np.where(x > 0, x, x * s)
+    # equals np.where(x > 0, x, x * s) exactly; np.where is about 4x slower here
+    return np.maximum(x, 0) + s * np.minimum(x, 0)
 
 
-def _prelu_bwd(attrs, g, inputs, out):
+def _prelu_bwd(attrs, g, inputs, out, need):
     x, slope = inputs
-    neg = x <= 0
     s = slope if slope.ndim == 0 else slope.reshape((1, -1) + (1,) * (x.ndim - 2))
-    gx = g * np.where(neg, s, np.asarray(1.0, dtype=x.dtype))
-    gs_full = g * x * neg
+    # per-element factor 1 where x > 0 and s elsewhere, exact (1 + s*0, 0 + s*1)
+    gx = g * ((x > 0) + s * (x <= 0))
+    gs_full = g * np.minimum(x, 0)
     if slope.ndim == 0:
         gs = gs_full.sum()
     else:
@@ -274,13 +281,13 @@ def _mean_pool_fwd(attrs, x):
     return sum(x[:, :, i::k, j::k] for i in range(k) for j in range(k)) * (1.0 / (k * k))
 
 
-def _mean_pool_bwd(attrs, g, inputs, out):
+def _mean_pool_bwd(attrs, g, inputs, out, need):
     k = attrs["k"]
     g = g / (k * k)
     return [np.repeat(np.repeat(g, k, axis=2), k, axis=3)]
 
 
-def _softmax_bwd(attrs, g, inputs, out):
+def _softmax_bwd(attrs, g, inputs, out, need):
     dot = (g * out).sum(axis=-1, keepdims=True)
     return [out * (g - dot)]
 
@@ -295,7 +302,7 @@ def _ce_fwd(attrs, logits):
     return np.asarray((lse - picked).mean(), dtype=logits.dtype)
 
 
-def _ce_bwd(attrs, g, inputs, out):
+def _ce_bwd(attrs, g, inputs, out, need):
     logits = inputs[0]
     labels = attrs["labels"]
     p = _softmax(logits)
@@ -303,7 +310,7 @@ def _ce_bwd(attrs, g, inputs, out):
     return [p * (g / logits.shape[0])]
 
 
-def _concat_bwd(attrs, g, inputs, out):
+def _concat_bwd(attrs, g, inputs, out, need):
     axis = attrs["axis"]
     sizes = [a.shape[axis] for a in inputs]
     return list(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
@@ -339,7 +346,7 @@ def _slice_fwd(attrs, x):
     return np.ascontiguousarray(x[tuple(idx)])
 
 
-def _slice_bwd(attrs, g, inputs, out):
+def _slice_bwd(attrs, g, inputs, out, need):
     x = inputs[0]
     gx = np.zeros_like(x)
     idx = [slice(None)] * x.ndim
@@ -358,36 +365,36 @@ def _binary_shape_check(kind, a, b):
 _OPS = {
     "add": (
         lambda at, a, b: (_binary_shape_check("add", a, b), a + b)[1],
-        lambda at, g, ins, out: [_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)],
+        lambda at, g, ins, out, need: [_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)],
     ),
     "mul": (
         lambda at, a, b: (_binary_shape_check("mul", a, b), a * b)[1],
-        lambda at, g, ins, out: [
+        lambda at, g, ins, out, need: [
             _unbroadcast(g * ins[1], ins[0].shape),
             _unbroadcast(g * ins[0], ins[1].shape),
         ],
     ),
     "scalar-mul": (
         lambda at, a: a * at["c"],
-        lambda at, g, ins, out: [g * at["c"]],
+        lambda at, g, ins, out, need: [g * at["c"]],
     ),
     "relu": (
         lambda at, a: np.maximum(a, 0),
-        lambda at, g, ins, out: [g * (ins[0] > 0)],
+        lambda at, g, ins, out, need: [g * (ins[0] > 0)],
     ),
     "prelu": (_prelu_fwd, _prelu_bwd),
     "sigmoid": (
         lambda at, a: _stable_sigmoid(a),
-        lambda at, g, ins, out: [g * out * (1.0 - out)],
+        lambda at, g, ins, out, need: [g * out * (1.0 - out)],
     ),
     "softmax": (lambda at, a: _softmax(a), _softmax_bwd),
     "sqrt": (
         lambda at, a: np.sqrt(a),
-        lambda at, g, ins, out: [g / (2.0 * out)],
+        lambda at, g, ins, out, need: [g / (2.0 * out)],
     ),
     "reciprocal": (
         lambda at, a: 1.0 / a,
-        lambda at, g, ins, out: [-g * out * out],
+        lambda at, g, ins, out, need: [-g * out * out],
     ),
     "conv2d": (_conv2d, _conv2d_grad),
     "transposed-conv2d": (_tconv2d, _tconv2d_grad),
@@ -395,7 +402,7 @@ _OPS = {
     "mean-pool": (_mean_pool_fwd, _mean_pool_bwd),
     "global-mean-pool": (
         lambda at, a: a.mean(axis=(2, 3)),
-        lambda at, g, ins, out: [
+        lambda at, g, ins, out, need: [
             np.broadcast_to(
                 g[:, :, None, None] / (ins[0].shape[2] * ins[0].shape[3]), ins[0].shape
             ).copy()
@@ -407,22 +414,22 @@ _OPS = {
     ),
     "sum": (
         lambda at, a: _reduce_fwd(at, a, mean=False),
-        lambda at, g, ins, out: _reduce_bwd(at, g, ins, out, mean=False),
+        lambda at, g, ins, out, need: _reduce_bwd(at, g, ins, out, mean=False),
     ),
     "mean": (
         lambda at, a: _reduce_fwd(at, a, mean=True),
-        lambda at, g, ins, out: _reduce_bwd(at, g, ins, out, mean=True),
+        lambda at, g, ins, out, need: _reduce_bwd(at, g, ins, out, mean=True),
     ),
     "cross-entropy-with-logits": (_ce_fwd, _ce_bwd),
     "reshape": (
         lambda at, a: a.reshape(at["shape"]),
-        lambda at, g, ins, out: [g.reshape(ins[0].shape)],
+        lambda at, g, ins, out, need: [g.reshape(ins[0].shape)],
     ),
     "slice": (_slice_fwd, _slice_bwd),
     # forward: hard threshold; backward: straight-through identity
     "ste-threshold": (
         lambda at, a: (a > at["threshold"]).astype(a.dtype),
-        lambda at, g, ins, out: [g.copy()],
+        lambda at, g, ins, out, need: [g.copy()],
     ),
 }
 
@@ -546,21 +553,20 @@ class Tape:
 
     # -- execution ----------------------------------------------------------
 
-    def replay(self):
-        """Recompute every non-leaf value in record order (bit-identical)."""
-        for node in self.nodes:
-            if node.kind == "leaf":
-                continue
-            arrays = [self.nodes[i].value for i in node.inputs]
-            out = _OPS[node.kind][0](node.attrs, *arrays)
-            node.value = _contig(out, self.dtype)
-
     def backward(self, output, seed=None, wrt=()):
         """Gradients of `output` w.r.t. each tensor in `wrt`.
 
         `seed` defaults to 1.0 for scalar outputs and must otherwise match the
         output shape. Gradients accumulate across all paths; tensors that do
-        not feed `output` get zeros.
+        not feed `output` get zeros. A `wrt` tensor may be an intermediate
+        node: it gets the gradient of `output` w.r.t. its value, summed over
+        every path from it to `output`.
+
+        The sweep is pruned: one forward pass over the nodes first marks each
+        node that depends on a `wrt` tensor, and gradients are computed,
+        stored and accumulated only for those. So an input-gradient query
+        computes no conv or dense weight gradient, and a parameter query
+        computes no input gradient for a layer whose input is a constant.
         """
         out_node = self.nodes[output.nid]
         if seed is None:
@@ -575,27 +581,37 @@ class Tape:
             if t.tape is not self:
                 raise ValueError("wrt tensor not on this tape")
 
+        wanted = {t.nid for t in wrt}
+        need = []  # need[nid]: node nid lies downstream of some wrt tensor
+        for nid in range(output.nid + 1):
+            need.append(nid in wanted or any(need[i] for i in self.nodes[nid].inputs))
+
         grads = {output.nid: seed.astype(self.dtype, copy=True)}
+        kept = {}
         for nid in range(output.nid, -1, -1):
             g = grads.pop(nid, None)
             if g is None:
                 continue
+            if nid in wanted:
+                kept[nid] = g  # complete: every consumer has a larger id
             node = self.nodes[nid]
             if node.kind == "leaf":
-                grads[nid] = g  # keep for wrt lookup
                 continue
             if self.check_finite and not np.isfinite(g).all():
                 raise NonFiniteError(f"non-finite gradient flowing into op {node.kind!r}")
+            flags = [need[i] for i in node.inputs]
+            if not any(flags):
+                continue
             arrays = [self.nodes[i].value for i in node.inputs]
-            in_grads = _OPS[node.kind][1](node.attrs, g, arrays, node.value)
-            for iid, ig in zip(node.inputs, in_grads):
+            in_grads = _OPS[node.kind][1](node.attrs, g, arrays, node.value, flags)
+            for iid, ig, flag in zip(node.inputs, in_grads, flags):
+                if not flag:
+                    continue
                 if iid in grads:
                     grads[iid] = grads[iid] + ig
                 else:
                     grads[iid] = ig.astype(self.dtype, copy=False)
-        return [
-            grads.get(t.nid, np.zeros_like(self.nodes[t.nid].value)) for t in wrt
-        ]
+        return [kept.get(t.nid, np.zeros_like(self.nodes[t.nid].value)) for t in wrt]
 
     def grad_by_name(self, output, seed=None, names=None):
         """backward() keyed by parameter name; `names` defaults to all."""
@@ -605,12 +621,3 @@ class Tape:
         gs = self.backward(output, seed=seed, wrt=tensors)
         return dict(zip(names, gs))
 
-
-def forward(tape, op_kind, inputs, **attrs):
-    """Record one op on `tape`; functional alias for Tape.apply."""
-    return tape.apply(op_kind, inputs, **attrs)
-
-
-def backward(tape, output, seed=None, wrt=()):
-    """Functional alias for Tape.backward."""
-    return tape.backward(output, seed=seed, wrt=wrt)

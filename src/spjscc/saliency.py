@@ -2,8 +2,12 @@
 
 For each training image: take the gradient of every class logit with respect
 to the pixels, average the per-class maps, rectify, and normalize to unit L2
-norm. The maps are computed once against the clean images with the frozen
-classifier and cached to disk keyed by the classifier's parameter hash.
+norm. The gradient is linear in the logit it differentiates, so the mean over
+classes of d logit_c / dx equals d(mean_c logit_c) / dx: one backward pass
+seeded with 1/C on every logit gives the class-averaged map for a whole batch,
+where the per-class definition (`class_gradient`) takes C passes. The maps are
+computed once against the clean images with the frozen classifier and cached
+to disk keyed by the classifier's parameter hash.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import numpy as np
 
 from .classifier import ClassifierModel, perceive_with_tape
 from .dataio import LabeledImageDataset
-from .numcore import ShapeError
 
 _CACHE_MAGIC = "spjscc-weights v1"
 ZERO_GRAD_EPS = 1e-12
@@ -23,14 +26,6 @@ ZERO_GRAD_EPS = 1e-12
 
 class WeightCacheMismatch(ValueError):
     """Cache file does not match the requesting classifier/dataset."""
-
-
-@dataclass
-class SemanticWeightMap:
-    weights: np.ndarray  # (3, H, W), nonnegative, unit L2 norm
-    image_index: int
-    classifier_hash: str
-    uniform_fallback: bool = False
 
 
 @dataclass
@@ -55,34 +50,6 @@ def class_gradient(model: ClassifierModel, image: np.ndarray, c: int, dtype=np.f
     return grad[0] if np.asarray(image).ndim == 3 else grad
 
 
-def batch_class_gradients(model: ClassifierModel, images: np.ndarray, dtype=np.float32) -> np.ndarray:
-    """All C per-class input gradients for a batch: (C, N, 3, H, W).
-
-    One forward pass, then one backward per class; rows are independent, so
-    each image's slice equals its single-image class_gradient.
-    """
-    tape, x, logits = perceive_with_tape(model, images, dtype=dtype)
-    out = np.empty((model.class_count,) + x.shape, dtype=dtype)
-    for c in range(model.class_count):
-        seed = np.zeros(logits.shape, dtype=dtype)
-        seed[:, c] = 1.0
-        (grad,) = tape.backward(logits, seed=seed, wrt=(x,))
-        out[c] = grad
-    return out
-
-
-def average_gradients(per_class_maps) -> np.ndarray:
-    """Elementwise mean of the per-class gradient maps."""
-    maps = [np.asarray(m) for m in per_class_maps]
-    if not maps:
-        raise ValueError("need at least one gradient map")
-    shape = maps[0].shape
-    for m in maps[1:]:
-        if m.shape != shape:
-            raise ShapeError(f"gradient map shapes differ: {shape} vs {m.shape}")
-    return np.mean(np.stack(maps), axis=0)
-
-
 def normalize_weights(w: np.ndarray) -> tuple[np.ndarray, bool]:
     """Rectify and scale to unit L2 norm: |w| / ||w||.
 
@@ -101,15 +68,19 @@ def normalize_weights(w: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def compute_weight_maps(model: ClassifierModel, images: np.ndarray, batch: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Weight map per image: per-class gradients -> mean -> rectified unit norm."""
+    """Weight map per image: mean-over-classes input gradient -> rectified unit norm.
+
+    One forward and one backward pass per batch, the backward seeded with 1/C
+    on every logit (see the module docstring).
+    """
     n = len(images)
     maps = np.empty((n,) + images.shape[1:], dtype=np.float32)
     fallback = np.zeros(n, dtype=bool)
     for start in range(0, n, batch):
-        chunk = images[start : start + batch]
-        per_class = batch_class_gradients(model, chunk)  # (C, n, 3, H, W)
-        for j in range(len(chunk)):
-            w = average_gradients(per_class[:, j])
+        tape, x, logits = perceive_with_tape(model, images[start : start + batch])
+        seed = np.full(logits.shape, 1.0 / model.class_count, dtype=np.float32)
+        (grad,) = tape.backward(logits, seed=seed, wrt=(x,))
+        for j, w in enumerate(grad):
             maps[start + j], fallback[start + j] = normalize_weights(w)
     return maps, fallback
 

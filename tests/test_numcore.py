@@ -11,9 +11,8 @@ from spjscc.numcore import (
     ShapeError,
     Tape,
     adam_step,
-    backward,
-    forward,
 )
+from spjscc.numcore import tape as tape_mod
 
 
 def central_diff(f, x, h=1e-5):
@@ -94,16 +93,6 @@ def test_nonfinite_output_rejected():
         t.reciprocal(x)
 
 
-def test_functional_aliases():
-    t = Tape()
-    a = t.leaf([1.0, 2.0])
-    y = forward(t, "scalar-mul", (a,), c=3.0)
-    np.testing.assert_array_equal(y.value, [3.0, 6.0])
-    s = t.reduce_sum(y)
-    (g,) = backward(t, s, wrt=(a,))
-    np.testing.assert_array_equal(g, [3.0, 3.0])
-
-
 # ---------------------------------------------------------------------------
 # backward fixtures
 # ---------------------------------------------------------------------------
@@ -146,16 +135,28 @@ def test_fanout_accumulates_both_paths():
     np.testing.assert_allclose(g, [2 * 1.0 + 3, 2 * -2.0 + 3, 2 * 0.5 + 3])
 
 
-def test_replay_is_bit_identical():
-    rng = np.random.default_rng(3)
+def test_nonleaf_wrt_gets_its_gradient():
     t = Tape()
-    x = t.leaf(rng.normal(size=(2, 3, 8, 8)))
-    w = t.leaf(rng.normal(size=(4, 3, 3, 3)) * 0.2)
-    y = t.sigmoid(t.conv2d(x, w, stride=2))
-    before = y.value.copy()
-    t.replay()
-    assert np.array_equal(before, y.value)
-    assert before.tobytes() == y.value.tobytes()
+    x = t.leaf([1.0, 2.0])
+    y = t.scalar_mul(x, 3.0)
+    z = t.reduce_sum(t.mul(y, y))
+    gy, gx = t.backward(z, wrt=(y, x))
+    np.testing.assert_array_equal(gy, [6.0, 12.0])  # 2y
+    np.testing.assert_array_equal(gx, [18.0, 36.0])  # 2y * 3
+    (gz,) = t.backward(z, wrt=(z,))
+    assert gz == 1.0
+
+
+def test_wrt_that_does_not_feed_output_gets_zeros():
+    t = Tape()
+    x = t.leaf([1.0, 2.0])
+    unused = t.leaf(np.ones((2, 3)))
+    z = t.reduce_sum(t.mul(x, x))
+    later = t.relu(x)  # recorded after the output
+    gx, gu, gl = t.backward(z, wrt=(x, unused, later))
+    np.testing.assert_array_equal(gx, [2.0, 4.0])
+    np.testing.assert_array_equal(gu, np.zeros((2, 3)))
+    np.testing.assert_array_equal(gl, np.zeros(2))
 
 
 def test_backward_seed_shape_checked():
@@ -184,6 +185,99 @@ def test_softmax_properties_hypothesis(vals):
     y = t.softmax(t.leaf(vals))
     assert np.all(y.value > 0)
     assert abs(y.value.sum() - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_channel", [False, True])
+def test_prelu_matches_where_definition_exactly(dtype, per_channel):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 3, 4, 4)).astype(dtype)
+    x[0, :, 0, :] = 0.0
+    x[1, 1, :, 1] = -0.0
+    slope = np.array([0.25, -0.5, 0.0], dtype=dtype) if per_channel else np.asarray(0.3, dtype=dtype)
+    s = slope.reshape(1, 3, 1, 1) if per_channel else slope
+    t = Tape(dtype=dtype)
+    xt, st_ = t.leaf(x), t.leaf(slope)
+    y = t.prelu(xt, st_)
+    assert np.array_equal(y.value, np.where(x > 0, x, x * s))
+    g = rng.normal(size=x.shape).astype(dtype)
+    gx, gs = t.backward(y, seed=g, wrt=(xt, st_))
+    neg = x <= 0
+    assert np.array_equal(gx, g * np.where(neg, s, np.asarray(1.0, dtype=dtype)))
+    axes = (0, 2, 3) if per_channel else None
+    assert np.array_equal(gs, (g * x * neg).sum(axis=axes))
+
+
+# ---------------------------------------------------------------------------
+# backward pruning: only gradients on a path from wrt to the output
+# ---------------------------------------------------------------------------
+
+
+def _classifier_tape(batch=2):
+    from spjscc.classifier import init_classifier, perceive_with_tape
+
+    model = init_classifier(10, (32, 32), seed=8)
+    imgs = np.random.default_rng(8).uniform(size=(batch, 3, 32, 32))
+    tape, x, logits = perceive_with_tape(model, imgs)
+    seed = np.random.default_rng(9).normal(size=logits.shape)
+    return tape, x, logits, seed
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(tape_mod, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tape_mod, name, wrapped)
+    return calls
+
+
+def test_pruned_input_gradient_equals_full_query_bitwise():
+    tape, x, logits, seed = _classifier_tape()
+    params = [tape_mod.Tensor(tape, nid) for nid in tape.params.values()]
+    (alone,) = tape.backward(logits, seed=seed, wrt=(x,))
+    full = tape.backward(logits, seed=seed, wrt=(x, *params))
+    assert alone.tobytes() == full[0].tobytes()
+
+
+def test_pruned_codec_parameter_gradients_ignore_image_leaf():
+    from spjscc.jscc import CodecConfig, init_decoder, init_encoder
+    from spjscc.training import TrainConfig, _step_loss
+
+    cfg = CodecConfig()
+    enc, dec = init_encoder(cfg, 3), init_decoder(cfg, 4)
+    imgs = np.random.default_rng(3).uniform(size=(2, 3, 32, 32)).astype(np.float32)
+    rng = np.random.default_rng(4)
+    tape, total, _, _ = _step_loss(enc, dec, imgs, None, 10.0, "train", rng, 1.0,
+                                   TrainConfig(loss_mode="mse", lambda_rate=0.1), rng)
+    names = sorted(tape.params)
+    by_name = tape.grad_by_name(total)
+    x_leaf = tape_mod.Tensor(tape, 0)  # encode records the image first
+    assert x_leaf.shape == imgs.shape
+    with_x = tape.backward(total, wrt=[x_leaf] + [tape_mod.Tensor(tape, tape.params[n]) for n in names])
+    assert np.abs(with_x[0]).sum() > 0
+    for n, g in zip(names, with_x[1:]):
+        assert by_name[n].tobytes() == g.tobytes(), n
+
+
+def test_pruned_queries_skip_unneeded_conv_products(monkeypatch):
+    from spjscc.classifier import CONV_CHANNELS
+
+    weight_grads = _counting(monkeypatch, "_weight_grad")
+    scatters = _counting(monkeypatch, "_scatter_add")
+    tape, x, logits, seed = _classifier_tape()
+    tape.backward(logits, seed=seed, wrt=(x,))
+    assert len(weight_grads) == 0
+    assert len(scatters) == len(CONV_CHANNELS)
+    scatters.clear()
+    tape.grad_by_name(logits, seed=seed)
+    assert len(weight_grads) == len(CONV_CHANNELS)
+    # the first conv reads the image leaf: no input gradient for it
+    assert len(scatters) == len(CONV_CHANNELS) - 1
+    assert all(taps.shape[2] != 3 for _, taps, *_ in scatters)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Semantic weight maps: gradients, averaging, normalization, caching."""
+"""Semantic weight maps: gradients, the one-pass class average, normalization, caching."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from spjscc.classifier import ClassifierModel, TrainClassifierConfig, init_classifier, pretrain_classifier
 from spjscc.dataio import generate_shapes
-from spjscc.numcore import ShapeError
+from spjscc.numcore import Tape
 from spjscc.saliency import (
     WeightCacheMismatch,
-    average_gradients,
-    batch_class_gradients,
     class_gradient,
     compute_weight_maps,
     extract_weight_cache,
@@ -84,18 +82,6 @@ def test_doubling_head_weights_doubles_class_gradient():
     np.testing.assert_allclose(g2, 2 * g1, rtol=1e-4, atol=1e-8)
 
 
-def test_average_gradients_fixtures():
-    a = np.arange(12.0).reshape(3, 2, 2)
-    np.testing.assert_array_equal(average_gradients([a]), a)  # C=1
-    np.testing.assert_array_equal(average_gradients([a, -a]), np.zeros_like(a))  # cancellation
-    rng = np.random.default_rng(2)
-    maps = [rng.normal(size=(3, 4, 4)) for _ in range(3)]
-    expect = (maps[0] + maps[1] + maps[2]) / 3.0  # independent recomputation
-    np.testing.assert_allclose(average_gradients(maps), expect, rtol=1e-12)
-    with pytest.raises(ShapeError):
-        average_gradients([np.zeros((3, 2, 2)), np.zeros((3, 2, 3))])
-
-
 def test_normalize_345_fixture():
     w, flagged = normalize_weights(np.array([3.0, -4.0]))
     np.testing.assert_allclose(w, [0.6, 0.8], rtol=1e-6)
@@ -130,21 +116,37 @@ def test_normalize_rejects_nonfinite():
 @given(st.floats(0.01, 1000.0))
 @settings(max_examples=30, deadline=None)
 def test_scaling_all_class_maps_leaves_weights_unchanged(k):
+    # scaling every class map by k scales their mean by k; the weights ignore it
     rng = np.random.default_rng(17)
-    maps = [rng.normal(size=(3, 4, 4)) for _ in range(5)]
-    w1, _ = normalize_weights(average_gradients(maps))
-    w2, _ = normalize_weights(average_gradients([k * m for m in maps]))
+    w = rng.normal(size=(3, 4, 4))
+    w1, _ = normalize_weights(w)
+    w2, _ = normalize_weights(k * w)
     np.testing.assert_allclose(w1, w2, rtol=1e-5, atol=1e-7)
 
 
-def test_batch_class_gradients_match_single_image_calls():
+def test_weight_maps_match_per_class_oracle():
     model = init_classifier(10, (32, 32), seed=6)
-    imgs = generate_shapes(5, 12, 32, 32).images[:3]
-    per_class = batch_class_gradients(model, imgs)
-    for c in (0, 7):
-        for j in range(3):
-            single = class_gradient(model, imgs[j], c)
-            np.testing.assert_allclose(per_class[c, j], single, rtol=1e-5, atol=1e-7)
+    imgs = generate_shapes(5, 12, 32, 32).images[[0, 4, 7, 9, 11]]
+    maps, fallback = compute_weight_maps(model, imgs, batch=2)  # two full batches and a partial one
+    for j, img in enumerate(imgs):
+        mean = np.mean([class_gradient(model, img, c) for c in range(model.class_count)], axis=0)
+        expect, flagged = normalize_weights(mean)
+        np.testing.assert_allclose(maps[j], expect, rtol=0, atol=1e-5)
+        assert fallback[j] == flagged
+
+
+def test_weight_maps_take_one_backward_per_batch(monkeypatch):
+    calls = []
+    real = Tape.backward
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    model = init_classifier(10, (32, 32), seed=6)
+    compute_weight_maps(model, generate_shapes(5, 12, 32, 32).images[:5], batch=2)
+    assert len(calls) == 3
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,10 @@ The shapes generator keeps every test offline: 10 classes = five geometries
 outline), drawn in a random bright color over per-pixel background noise.
 The generator also returns the foreground pixel mask of each image, which
 downstream checks use as ground truth for "where the object is".
+
+A dataset is cached as one artifact container file (`harness.checkpoint`):
+labels (int64), pixels (float32) and masks (bool) as tensors, its split, id
+and class count as meta, plus whatever provenance the caller records.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .harness.checkpoint import load_checkpoint, save_checkpoint
+
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 SHAPE_KINDS = ("circle", "square", "triangle", "cross", "ring")
 FILL_STYLES = ("solid", "outline")
-_CACHE_MAGIC = "spjscc-dataset v1"
 
 
 class DataError(ValueError):
@@ -206,56 +211,26 @@ def batch_iter(dataset: LabeledImageDataset, batch_size: int, shuffle_seed: int 
 
 
 # ---------------------------------------------------------------------------
-# cache format: manifest line + raw little-endian payload
+# cache: one artifact container file per split
 # ---------------------------------------------------------------------------
 
 
-def save_cache(dataset: LabeledImageDataset, path: str | Path) -> None:
-    """manifest line, then int32-LE labels, float32-LE pixels, uint8 masks."""
-    has_fg = dataset.foreground is not None
-    manifest = (
-        f"{_CACHE_MAGIC} count={len(dataset)} classes={dataset.class_count} "
-        f"height={dataset.height} width={dataset.width} split={dataset.split} "
-        f"id={dataset.dataset_id} masks={int(has_fg)}\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(manifest.encode("ascii"))
-        fh.write(dataset.labels.astype("<i4").tobytes())
-        fh.write(dataset.images.astype("<f4").tobytes())
-        if has_fg:
-            fh.write(dataset.foreground.astype(np.uint8).tobytes())
+def save_cache(dataset: LabeledImageDataset, path: str | Path, meta: dict[str, str] | None = None) -> None:
+    """Labels, pixels and masks as tensors; `meta` records the dataset's provenance."""
+    tensors = {"labels": dataset.labels, "images": dataset.images}
+    if dataset.foreground is not None:
+        tensors["foreground"] = dataset.foreground
+    info = {"class_count": dataset.class_count, "split": dataset.split, "dataset_id": dataset.dataset_id}
+    save_checkpoint(tensors, "dataset", path, meta={**(meta or {}), **info})
 
 
-def load_cache(path: str | Path) -> LabeledImageDataset:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        if not header.startswith(_CACHE_MAGIC):
-            raise DataError(f"{path}: bad cache header {header[:40]!r}")
-        fields = dict(kv.split("=", 1) for kv in header[len(_CACHE_MAGIC):].split())
-        count = int(fields["count"])
-        h, w = int(fields["height"]), int(fields["width"])
-        payload = fh.read()
-    label_bytes = count * 4
-    pixel_bytes = count * 3 * h * w * 4
-    mask_bytes = count * h * w if fields["masks"] == "1" else 0
-    expect = label_bytes + pixel_bytes + mask_bytes
-    if len(payload) != expect:
-        raise DataError(f"{path}: payload is {len(payload)} bytes, expected {expect}")
-    labels = np.frombuffer(payload[:label_bytes], dtype="<i4").astype(np.int64)
-    images = np.frombuffer(payload[label_bytes : label_bytes + pixel_bytes], dtype="<f4")
-    images = images.reshape(count, 3, h, w).copy()
-    foreground = None
-    if mask_bytes:
-        foreground = (
-            np.frombuffer(payload[label_bytes + pixel_bytes :], dtype=np.uint8)
-            .reshape(count, h, w)
-            .astype(bool)
-        )
+def load_cache(path: str | Path, expected_meta: dict[str, str] | None = None) -> LabeledImageDataset:
+    tensors, _, meta = load_checkpoint(path, expected_kind="dataset", expected_meta=expected_meta)
     return LabeledImageDataset(
-        images=images,
-        labels=labels,
-        class_count=int(fields["classes"]),
-        split=fields["split"],
-        dataset_id=fields["id"],
-        foreground=foreground,
+        images=tensors["images"],
+        labels=tensors["labels"],
+        class_count=int(meta["class_count"]),
+        split=meta["split"],
+        dataset_id=meta["dataset_id"],
+        foreground=tensors.get("foreground"),
     )

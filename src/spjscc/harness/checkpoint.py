@@ -1,16 +1,23 @@
-"""Model checkpoints: text manifest plus raw little-endian float32 blob.
+"""The artifact container: text manifest plus raw little-endian blob.
 
-Layout (single file):
+Every binary artifact of the pipeline is one of these files: the dataset
+caches, the classifier, the weight cache and the codec checkpoints.
 
-    spjscc-checkpoint v1
-    kind <model kind>
-    meta <key> <value>            # zero or more
-    hash <sha256 of blob>
-    tensor <name> <d0,d1,...> <offset> <nbytes>   # one per tensor, sorted
+Layout (single file, the manifest is UTF-8):
+
+    spjscc-checkpoint v2
+    kind <artifact kind>
+    meta <key> <value>            # zero or more, sorted; a value is the rest of the line
+    tensor <name> <dtype> <d0,d1,...> <offset> <nbytes>   # one per tensor, sorted
     blob <total bytes>
+    hash <sha256 of every byte above this line, then of the blob>
     <raw bytes>
 
-The blob hash is verified on load; save -> load -> save is byte-identical.
+A dtype is one of `<f4`, `<i8` or `|b1`. The hash covers the whole file
+except its own line, so an edited manifest fails like a damaged blob. The
+`meta` lines also carry an artifact's provenance: the config values it was
+built from, which `load_checkpoint` compares against `expected_meta`.
+save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -20,82 +27,102 @@ from pathlib import Path
 
 import numpy as np
 
-FORMAT_LINE = "spjscc-checkpoint v1"
+FORMAT_LINE = "spjscc-checkpoint v2"
+DTYPES = ("<f4", "<i8", "|b1")
 
 
 class CheckpointError(ValueError):
-    """Unreadable, truncated, or corrupted checkpoint."""
+    """Unreadable, truncated, corrupted or malformed artifact file."""
+
+
+class StaleArtifactError(CheckpointError):
+    """Intact artifact whose recorded provenance differs from what the caller expects."""
 
 
 def save_checkpoint(params: dict[str, np.ndarray], kind: str, path: str | Path, meta: dict[str, str] | None = None) -> None:
-    names = sorted(params)
-    blobs = [np.ascontiguousarray(params[n], dtype="<f4").tobytes() for n in names]
-    offsets = np.cumsum([0] + [len(b) for b in blobs])
-    blob = b"".join(blobs)
     lines = [FORMAT_LINE, f"kind {kind}"]
     for key in sorted(meta or {}):
-        value = str((meta or {})[key])
-        if any(c.isspace() for c in value):
-            raise CheckpointError(f"meta value for {key!r} must not contain whitespace")
+        value = str(meta[key])
+        if "\n" in value or "\r" in value:
+            raise CheckpointError(f"meta value for {key!r} must not contain a line break")
         lines.append(f"meta {key} {value}")
-    lines.append(f"hash {hashlib.sha256(blob).hexdigest()}")
-    for i, name in enumerate(names):
-        dims = ",".join(str(d) for d in params[name].shape)
-        lines.append(f"tensor {name} {dims} {offsets[i]} {len(blobs[i])}")
-    lines.append(f"blob {len(blob)}")
+    blobs, offset = [], 0
+    for name in sorted(params):
+        arr = np.asarray(params[name])
+        dtype = arr.dtype.newbyteorder("<").str
+        if dtype not in DTYPES:
+            raise CheckpointError(f"tensor {name} has dtype {arr.dtype}; the container holds only {', '.join(DTYPES)}")
+        blobs.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        dims = ",".join(str(d) for d in arr.shape)
+        lines.append(f"tensor {name} {dtype} {dims} {offset} {len(blobs[-1])}")
+        offset += len(blobs[-1])
+    lines.append(f"blob {offset}")
+    manifest = ("\n".join(lines) + "\n").encode("utf-8")
+    blob = b"".join(blobs)
+    digest = hashlib.sha256(manifest)
+    digest.update(blob)
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(manifest)
+        fh.write(f"hash {digest.hexdigest()}\n".encode("ascii"))
         fh.write(blob)
 
 
-def load_checkpoint(path: str | Path, expected_kind: str | None = None):
-    """Returns (params, kind, meta). Verifies format version and blob hash."""
+def load_checkpoint(
+    path: str | Path, expected_kind: str | None = None, expected_meta: dict[str, str] | None = None
+):
+    """Returns (params, kind, meta).
+
+    Verifies, in order: the format version, the blob length, the hash over
+    manifest and blob, the kind, and that every `expected_meta` value equals
+    the recorded one (StaleArtifactError names the key and both values).
+    """
     raw = Path(path).read_bytes()
-    header_end = 0
-    lines = []
-    while True:
-        nl = raw.find(b"\n", header_end)
-        if nl < 0:
-            raise CheckpointError(f"{path}: header never terminated")
-        line = raw[header_end:nl].decode("ascii")
-        header_end = nl + 1
-        lines.append(line)
-        if line.startswith("blob "):
-            break
-    if lines[0] != FORMAT_LINE:
-        raise CheckpointError(f"{path}: format version mismatch: {lines[0]!r} (want {FORMAT_LINE!r})")
+    first = raw[: raw.find(b"\n")]
+    if first != FORMAT_LINE.encode("ascii"):
+        raise CheckpointError(f"{path}: format version mismatch: {first[:40]!r} (want {FORMAT_LINE!r})")
+    hash_start = raw.find(b"\nhash ") + 1  # meta values hold no line break, so this is the hash line
+    blob_start = raw.find(b"\n", hash_start) + 1
+    if hash_start == 0 or blob_start == 0:
+        raise CheckpointError(f"{path}: header never terminated")
     kind = None
     meta: dict[str, str] = {}
-    blob_hash = None
     tensors = []
-    for line in lines[1:]:
-        tag, _, rest = line.partition(" ")
-        if tag == "kind":
-            kind = rest
-        elif tag == "meta":
-            key, _, value = rest.partition(" ")
-            meta[key] = value
-        elif tag == "hash":
-            blob_hash = rest
-        elif tag == "tensor":
-            fields = rest.split(" ")
-            if len(fields) != 4:
-                raise CheckpointError(f"{path}: malformed tensor line {line!r}")
-            name, dims, offset, nbytes = fields
-            tensors.append((name, dims, int(offset), int(nbytes)))
-        elif tag == "blob":
-            blob_len = int(rest)
-    blob = raw[header_end:]
-    if len(blob) != blob_len:
-        raise CheckpointError(f"{path}: blob truncated at byte {header_end + len(blob)} (expected {blob_len} blob bytes, got {len(blob)})")
-    if blob_hash != hashlib.sha256(blob).hexdigest():
-        raise CheckpointError(f"{path}: blob hash mismatch")
+    blob_len = None
+    for line in raw[: hash_start - 1].split(b"\n")[1:]:
+        try:
+            tag, _, rest = line.decode("utf-8").partition(" ")
+            if tag == "kind":
+                kind = rest
+            elif tag == "meta":
+                key, _, value = rest.partition(" ")
+                meta[key] = value
+            elif tag == "tensor":
+                name, dtype, dims, offset, nbytes = rest.split(" ")
+                if dtype not in DTYPES:
+                    raise ValueError(f"dtype {dtype!r}")
+                shape = tuple(int(d) for d in dims.split(",") if d)
+                tensors.append((name, dtype, shape, int(offset), int(nbytes)))
+            elif tag == "blob":
+                blob_len = int(rest)
+            else:
+                raise ValueError(f"tag {tag!r}")
+        except ValueError:  # also UnicodeDecodeError
+            raise CheckpointError(f"{path}: malformed manifest line {line!r}") from None
+    blob = memoryview(raw)[blob_start:]
+    if blob_len is None or len(blob) != blob_len:
+        raise CheckpointError(f"{path}: blob truncated at byte {len(raw)} (expected {blob_len} blob bytes, got {len(blob)})")
+    digest = hashlib.sha256(raw[:hash_start])
+    digest.update(blob)
+    if raw[hash_start : blob_start - 1] != f"hash {digest.hexdigest()}".encode("ascii"):
+        raise CheckpointError(f"{path}: hash mismatch; the file is damaged or was edited")
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r} is not {expected_kind!r}")
+    for key, want in (expected_meta or {}).items():
+        if meta.get(key) != str(want):
+            raise StaleArtifactError(f"{path}: {key} differs (artifact has {meta.get(key)!r}, expected {str(want)!r})")
     params = {}
-    for name, dims, offset, nbytes in tensors:
-        shape = tuple(int(d) for d in dims.split(","))
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype="<f4")
+    for name, dtype, shape, offset, nbytes in tensors:
+        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=dtype)
         if arr.size != int(np.prod(shape)):
             raise CheckpointError(f"{path}: tensor {name} has {arr.size} values for shape {shape}")
         params[name] = arr.reshape(shape).copy()

@@ -19,7 +19,7 @@ from ..jscc import CodecConfig, DecoderModel, EncoderModel
 from ..metrics import evaluate, mean_over_seeds
 from ..saliency import extract_weight_cache, load_weight_cache
 from ..training import TrainConfig, train_jscc
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
 from .config import ConfigError, ExperimentConfig, load_config
 from .plots import RESULTS_COLUMNS, emit_plots
 
@@ -48,11 +48,23 @@ def _paths(out: Path) -> dict[str, Path]:
     }
 
 
+def _provenance(cfg: ExperimentConfig, *sections: str) -> dict[str, str]:
+    """The config values of `sections` as artifact meta, e.g. {"dataset.seed": "7"}."""
+    return {k: str(v) for k, v in cfg.values.items() if k.partition(".")[0] in sections}
+
+
 def _load_datasets(cfg: ExperimentConfig, out: Path) -> tuple[LabeledImageDataset, LabeledImageDataset]:
     """Build (or reuse from cache) the train/test datasets the config names."""
     paths = _paths(out)
+    provenance = _provenance(cfg, "dataset")
     if paths["train_cache"].exists() and paths["test_cache"].exists():
-        return load_cache(paths["train_cache"]), load_cache(paths["test_cache"])
+        try:
+            return (
+                load_cache(paths["train_cache"], expected_meta=provenance),
+                load_cache(paths["test_cache"], expected_meta=provenance),
+            )
+        except StaleArtifactError:
+            pass  # built from other dataset.* values: rebuild below
     kind = cfg["dataset.kind"]
     if kind == "synthetic":
         train = generate_shapes(
@@ -74,8 +86,8 @@ def _load_datasets(cfg: ExperimentConfig, out: Path) -> tuple[LabeledImageDatase
     else:
         raise StageError(f"unknown dataset.kind {kind!r}")
     out.mkdir(parents=True, exist_ok=True)
-    save_cache(train, paths["train_cache"])
-    save_cache(test, paths["test_cache"])
+    save_cache(train, paths["train_cache"], meta=provenance)
+    save_cache(test, paths["test_cache"], meta=provenance)
     return train, test
 
 
@@ -93,7 +105,10 @@ def _load_classifier(cfg: ExperimentConfig, out: Path) -> ClassifierModel:
     path = _paths(out)["classifier"]
     if not path.exists():
         raise StageError(f"missing classifier checkpoint {path}; run pretrain-classifier first")
-    params, _, meta = load_checkpoint(path, expected_kind="classifier")
+    try:
+        params, _, meta = load_checkpoint(path, expected_kind="classifier", expected_meta=_provenance(cfg, "dataset"))
+    except StaleArtifactError as exc:
+        raise StageError(f"{exc}; run pretrain-classifier") from None
     return ClassifierModel(
         params=params,
         class_count=int(meta["class_count"]),
@@ -105,17 +120,14 @@ def _load_codec(cfg: ExperimentConfig, out: Path, mode: str) -> tuple[EncoderMod
     path = _paths(out)[f"codec_{mode}"]
     if not path.exists():
         raise StageError(f"missing codec checkpoint {path}; run train --loss {mode} first")
-    params, _, meta = load_checkpoint(path, expected_kind=f"codec-{mode}")
-    codec_cfg = CodecConfig(
-        height=int(meta["height"]),
-        width=int(meta["width"]),
-        f_s=int(meta["f_s"]),
-        f_n=int(meta["f_n"]),
-        width_es=int(meta["width_es"]),
-    )
-    enc = {k[len("enc.") :]: v for k, v in params.items() if k.startswith("enc.")}
-    dec = {k[len("dec.") :]: v for k, v in params.items() if k.startswith("dec.")}
-    return EncoderModel(params=enc, config=codec_cfg), DecoderModel(params=dec, config=codec_cfg)
+    try:
+        params, _, _ = load_checkpoint(
+            path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, "dataset", "codec")
+        )
+    except StaleArtifactError as exc:
+        raise StageError(f"{exc}; run train --loss {mode}") from None
+    codec_cfg = _codec_config(cfg)
+    return EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
 
 
 def _write_results_csv(path: Path, mode_reports, config_hash: str) -> None:
@@ -153,6 +165,7 @@ def cmd_pretrain_classifier(cfg, out, args):
             "width": str(model.in_hw[1]),
             "config_hash": cfg.config_hash(),
             "theta_hash": model.theta_hash(),
+            **_provenance(cfg, "dataset"),
         },
     )
     print(f"wrote {_paths(out)['classifier']} (theta {model.theta_hash()[:12]})")
@@ -195,21 +208,11 @@ def cmd_train(cfg, out, args):
         patience=cfg["train.patience"],
     )
     enc, dec, log = train_jscc(tcfg, train, weight_cache, classifier, _codec_config(cfg))
-    merged = {f"enc.{k}": v for k, v in enc.params.items()}
-    merged.update({f"dec.{k}": v for k, v in dec.params.items()})
-    c = enc.config
     save_checkpoint(
-        merged,
+        {**enc.params, **dec.params},
         f"codec-{mode}",
         _paths(out)[f"codec_{mode}"],
-        meta={
-            "height": str(c.height),
-            "width": str(c.width),
-            "f_s": str(c.f_s),
-            "f_n": str(c.f_n),
-            "width_es": str(c.width_es),
-            "config_hash": cfg.config_hash(),
-        },
+        meta={"config_hash": cfg.config_hash(), **_provenance(cfg, "dataset", "codec")},
     )
     log.to_csv(_paths(out)[f"trainlog_{mode}"], config_hash=cfg.config_hash())
     final = log.epoch_mean_loss(log.last_epoch())

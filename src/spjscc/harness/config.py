@@ -72,7 +72,7 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode("ascii")).hexdigest()
+        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -97,7 +97,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)

@@ -74,13 +74,13 @@ class CodecConfig:
 
 @dataclass
 class EncoderModel:
-    params: dict[str, np.ndarray]
+    params: dict[str, np.ndarray]  # keyed by tape name: "enc.es0.w", ...
     config: CodecConfig
 
 
 @dataclass
 class DecoderModel:
-    params: dict[str, np.ndarray]
+    params: dict[str, np.ndarray]  # keyed by tape name: "dec.dc0.w", ...
     config: CodecConfig
 
 
@@ -89,7 +89,6 @@ class RateMask:
     """Per-selective-channel gate; evaluation values are exactly 0 or 1."""
 
     node: Tensor  # (N, f_s) hard forward values, straight-through backward
-    soft: Tensor | None = None  # training-mode surrogate probabilities
 
     @property
     def hard(self) -> np.ndarray:
@@ -138,22 +137,22 @@ def init_encoder(config: CodecConfig, seed: int) -> EncoderModel:
     for i, (cin, cout, _stride) in enumerate(
         [(3, w, 2), (w, w, 1), (w, w, 1), (w, w, 2)]
     ):
-        p[f"es{i}.w"] = _conv_init(rng, cout, cin)
-        p[f"es{i}.b"] = np.zeros(cout, np.float32)
-        p[f"es{i}.slope"] = np.full(cout, 0.25, np.float32)
-    _adapter_params(rng, p, "adapt_es0", w)
-    _adapter_params(rng, p, "adapt_es1", w)
-    p["ec0.w"] = _conv_init(rng, w, w)
-    p["ec0.b"] = np.zeros(w, np.float32)
-    p["ec0.slope"] = np.full(w, 0.25, np.float32)
-    _adapter_params(rng, p, "adapt_ec", w)
-    p["ec1.w"] = _conv_init(rng, config.f_s + config.f_n, w)
-    p["ec1.b"] = np.zeros(config.f_s + config.f_n, np.float32)
-    p["policy.w1"] = _dense_init(rng, config.f_s + 1, config.policy_hidden)
-    p["policy.b1"] = np.zeros(config.policy_hidden, np.float32)
-    p["policy.w2"] = _dense_init(rng, config.policy_hidden, config.f_s)
+        p[f"enc.es{i}.w"] = _conv_init(rng, cout, cin)
+        p[f"enc.es{i}.b"] = np.zeros(cout, np.float32)
+        p[f"enc.es{i}.slope"] = np.full(cout, 0.25, np.float32)
+    _adapter_params(rng, p, "enc.adapt_es0", w)
+    _adapter_params(rng, p, "enc.adapt_es1", w)
+    p["enc.ec0.w"] = _conv_init(rng, w, w)
+    p["enc.ec0.b"] = np.zeros(w, np.float32)
+    p["enc.ec0.slope"] = np.full(w, 0.25, np.float32)
+    _adapter_params(rng, p, "enc.adapt_ec", w)
+    p["enc.ec1.w"] = _conv_init(rng, config.f_s + config.f_n, w)
+    p["enc.ec1.b"] = np.zeros(config.f_s + config.f_n, np.float32)
+    p["enc.policy.w1"] = _dense_init(rng, config.f_s + 1, config.policy_hidden)
+    p["enc.policy.b1"] = np.zeros(config.policy_hidden, np.float32)
+    p["enc.policy.w2"] = _dense_init(rng, config.policy_hidden, config.f_s)
     # gates open by default; rate pressure (lambda > 0) has to close them
-    p["policy.b2"] = np.full(config.f_s, 2.0, np.float32)
+    p["enc.policy.b2"] = np.full(config.f_s, 2.0, np.float32)
     return EncoderModel(params=p, config=config)
 
 
@@ -161,40 +160,39 @@ def init_decoder(config: CodecConfig, seed: int) -> DecoderModel:
     rng = np.random.default_rng(np.random.PCG64(seed))
     w = config.width_es
     p: dict[str, np.ndarray] = {}
-    p["dc0.w"] = _conv_init(rng, w, config.f_s + config.f_n)
-    p["dc0.b"] = np.zeros(w, np.float32)
-    p["dc0.slope"] = np.full(w, 0.25, np.float32)
-    _adapter_params(rng, p, "adapt_dc", w)
-    p["dc1.w"] = _conv_init(rng, w, w)
-    p["dc1.b"] = np.zeros(w, np.float32)
-    p["dc1.slope"] = np.full(w, 0.25, np.float32)
-    p["ds0.w"] = _tconv_init(rng, w, w)
-    p["ds0.b"] = np.zeros(w, np.float32)
-    p["ds0.slope"] = np.full(w, 0.25, np.float32)
-    _adapter_params(rng, p, "adapt_ds", w)
-    p["ds1.w"] = _tconv_init(rng, w, w // 2)
-    p["ds1.b"] = np.zeros(w // 2, np.float32)
-    p["ds1.slope"] = np.full(w // 2, 0.25, np.float32)
-    p["ds2.w"] = _conv_init(rng, 3, w // 2)
-    p["ds2.b"] = np.zeros(3, np.float32)
+    p["dec.dc0.w"] = _conv_init(rng, w, config.f_s + config.f_n)
+    p["dec.dc0.b"] = np.zeros(w, np.float32)
+    p["dec.dc0.slope"] = np.full(w, 0.25, np.float32)
+    _adapter_params(rng, p, "dec.adapt_dc", w)
+    p["dec.dc1.w"] = _conv_init(rng, w, w)
+    p["dec.dc1.b"] = np.zeros(w, np.float32)
+    p["dec.dc1.slope"] = np.full(w, 0.25, np.float32)
+    p["dec.ds0.w"] = _tconv_init(rng, w, w)
+    p["dec.ds0.b"] = np.zeros(w, np.float32)
+    p["dec.ds0.slope"] = np.full(w, 0.25, np.float32)
+    _adapter_params(rng, p, "dec.adapt_ds", w)
+    p["dec.ds1.w"] = _tconv_init(rng, w, w // 2)
+    p["dec.ds1.b"] = np.zeros(w // 2, np.float32)
+    p["dec.ds1.slope"] = np.full(w // 2, 0.25, np.float32)
+    p["dec.ds2.w"] = _conv_init(rng, 3, w // 2)
+    p["dec.ds2.b"] = np.zeros(3, np.float32)
     return DecoderModel(params=p, config=config)
 
 
-def _param(tape, params, prefix, name):
-    full = f"{prefix}.{name}"
-    if full in tape.params:
-        return Tensor(tape, tape.params[full])
-    return tape.parameter(full, params[name])
+def _param(tape, params, name):
+    if name in tape.params:
+        return Tensor(tape, tape.params[name])
+    return tape.parameter(name, params[name])
 
 
-def snr_adapt(tape: Tape, params: dict[str, np.ndarray], name: str, features: Tensor, snr_db: float, prefix: str) -> Tensor:
+def snr_adapt(tape: Tape, params: dict[str, np.ndarray], name: str, features: Tensor, snr_db: float) -> Tensor:
     """Rescale each channel by a sigmoid factor from (pooled features, snr)."""
     n, c = features.shape[0], features.shape[1]
     pooled = tape.global_mean_pool(features)
     snr_col = tape.leaf(np.full((n, 1), snr_db / 20.0, dtype=np.float32))
     inp = tape.concat([pooled, snr_col], axis=1)
-    h = tape.relu(tape.dense(inp, _param(tape, params, prefix, f"{name}.w1"), _param(tape, params, prefix, f"{name}.b1")))
-    scale = tape.sigmoid(tape.dense(h, _param(tape, params, prefix, f"{name}.w2"), _param(tape, params, prefix, f"{name}.b2")))
+    h = tape.relu(tape.dense(inp, _param(tape, params, f"{name}.w1"), _param(tape, params, f"{name}.b1")))
+    scale = tape.sigmoid(tape.dense(h, _param(tape, params, f"{name}.w2"), _param(tape, params, f"{name}.b2")))
     scale4 = tape.reshape(scale, (n, c, 1, 1))
     return tape.mul(features, scale4)
 
@@ -207,9 +205,8 @@ def policy_mask(
     temperature: float,
     mode: str,
     rng: np.random.Generator | None = None,
-    prefix: str = "enc",
 ) -> RateMask:
-    """Gate logits from (pooled g_s, snr); sample or threshold into bits.
+    """Gate logits from (pooled g_s, snr) through the `enc.policy.*` MLP; sample or threshold into bits.
 
     Train mode draws logistic noise and applies a Gumbel-sigmoid at the given
     temperature, hard-thresholded at 0.5 with a straight-through gradient.
@@ -218,8 +215,8 @@ def policy_mask(
     n = gs_stats.shape[0]
     snr_col = tape.leaf(np.full((n, 1), snr_db / 20.0, dtype=np.float32))
     inp = tape.concat([gs_stats, snr_col], axis=1)
-    h = tape.relu(tape.dense(inp, _param(tape, params, prefix, "policy.w1"), _param(tape, params, prefix, "policy.b1")))
-    logits = tape.dense(h, _param(tape, params, prefix, "policy.w2"), _param(tape, params, prefix, "policy.b2"))
+    h = tape.relu(tape.dense(inp, _param(tape, params, "enc.policy.w1"), _param(tape, params, "enc.policy.b1")))
+    logits = tape.dense(h, _param(tape, params, "enc.policy.w2"), _param(tape, params, "enc.policy.b2"))
     if mode == "train":
         if temperature <= 0:
             raise ValueError(f"train-mode temperature must be positive, got {temperature}")
@@ -232,8 +229,7 @@ def policy_mask(
         soft = tape.sigmoid(logits)
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    node = tape.ste_threshold(soft, 0.5)
-    return RateMask(node=node, soft=soft)
+    return RateMask(node=tape.ste_threshold(soft, 0.5))
 
 
 def _encoder_features(tape, params, x, snr_db):
@@ -241,18 +237,18 @@ def _encoder_features(tape, params, x, snr_db):
     strides = (2, 1, 1, 2)
     for i in range(4):
         h = tape.prelu(
-            tape.conv2d(h, _param(tape, params, "enc", f"es{i}.w"), _param(tape, params, "enc", f"es{i}.b"), stride=strides[i]),
-            _param(tape, params, "enc", f"es{i}.slope"),
+            tape.conv2d(h, _param(tape, params, f"enc.es{i}.w"), _param(tape, params, f"enc.es{i}.b"), stride=strides[i]),
+            _param(tape, params, f"enc.es{i}.slope"),
         )
         if i == 0:
-            h = snr_adapt(tape, params, "adapt_es0", h, snr_db, prefix="enc")
-    h = snr_adapt(tape, params, "adapt_es1", h, snr_db, prefix="enc")
+            h = snr_adapt(tape, params, "enc.adapt_es0", h, snr_db)
+    h = snr_adapt(tape, params, "enc.adapt_es1", h, snr_db)
     h = tape.prelu(
-        tape.conv2d(h, _param(tape, params, "enc", "ec0.w"), _param(tape, params, "enc", "ec0.b"), stride=1),
-        _param(tape, params, "enc", "ec0.slope"),
+        tape.conv2d(h, _param(tape, params, "enc.ec0.w"), _param(tape, params, "enc.ec0.b"), stride=1),
+        _param(tape, params, "enc.ec0.slope"),
     )
-    h = snr_adapt(tape, params, "adapt_ec", h, snr_db, prefix="enc")
-    return tape.conv2d(h, _param(tape, params, "enc", "ec1.w"), _param(tape, params, "enc", "ec1.b"), stride=1)
+    h = snr_adapt(tape, params, "enc.adapt_ec", h, snr_db)
+    return tape.conv2d(h, _param(tape, params, "enc.ec1.w"), _param(tape, params, "enc.ec1.b"), stride=1)
 
 
 def encode(
@@ -290,7 +286,7 @@ def encode(
     g_n = tape.slice(feats, axis=1, start=cfg.f_s, stop=cfg.f_s + cfg.f_n)
 
     gs_stats = tape.global_mean_pool(g_s)
-    mask = policy_mask(tape, encoder.params, gs_stats, snr_db, temperature, mode, rng, prefix="enc")
+    mask = policy_mask(tape, encoder.params, gs_stats, snr_db, temperature, mode, rng)
 
     mask4 = tape.reshape(mask.node, (n, cfg.f_s, 1, 1))
     masked_gs = tape.mul(g_s, mask4)
@@ -333,10 +329,10 @@ def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, mask: RateMask, 
     h = tape.reshape(d, (n, cfg.f_s + cfg.f_n, gh, gw))
 
     p = decoder.params
-    h = tape.prelu(tape.conv2d(h, _param(tape, p, "dec", "dc0.w"), _param(tape, p, "dec", "dc0.b"), stride=1), _param(tape, p, "dec", "dc0.slope"))
-    h = snr_adapt(tape, p, "adapt_dc", h, snr_db, prefix="dec")
-    h = tape.prelu(tape.conv2d(h, _param(tape, p, "dec", "dc1.w"), _param(tape, p, "dec", "dc1.b"), stride=1), _param(tape, p, "dec", "dc1.slope"))
-    h = tape.prelu(tape.tconv2d(h, _param(tape, p, "dec", "ds0.w"), _param(tape, p, "dec", "ds0.b"), stride=2), _param(tape, p, "dec", "ds0.slope"))
-    h = snr_adapt(tape, p, "adapt_ds", h, snr_db, prefix="dec")
-    h = tape.prelu(tape.tconv2d(h, _param(tape, p, "dec", "ds1.w"), _param(tape, p, "dec", "ds1.b"), stride=2), _param(tape, p, "dec", "ds1.slope"))
-    return tape.sigmoid(tape.conv2d(h, _param(tape, p, "dec", "ds2.w"), _param(tape, p, "dec", "ds2.b"), stride=1))
+    h = tape.prelu(tape.conv2d(h, _param(tape, p, "dec.dc0.w"), _param(tape, p, "dec.dc0.b"), stride=1), _param(tape, p, "dec.dc0.slope"))
+    h = snr_adapt(tape, p, "dec.adapt_dc", h, snr_db)
+    h = tape.prelu(tape.conv2d(h, _param(tape, p, "dec.dc1.w"), _param(tape, p, "dec.dc1.b"), stride=1), _param(tape, p, "dec.dc1.slope"))
+    h = tape.prelu(tape.tconv2d(h, _param(tape, p, "dec.ds0.w"), _param(tape, p, "dec.ds0.b"), stride=2), _param(tape, p, "dec.ds0.slope"))
+    h = snr_adapt(tape, p, "dec.adapt_ds", h, snr_db)
+    h = tape.prelu(tape.tconv2d(h, _param(tape, p, "dec.ds1.w"), _param(tape, p, "dec.ds1.b"), stride=2), _param(tape, p, "dec.ds1.slope"))
+    return tape.sigmoid(tape.conv2d(h, _param(tape, p, "dec.ds2.w"), _param(tape, p, "dec.ds2.b"), stride=1))

@@ -7,7 +7,9 @@ classes of d logit_c / dx equals d(mean_c logit_c) / dx: one backward pass
 seeded with 1/C on every logit gives the class-averaged map for a whole batch,
 where the per-class definition (`class_gradient`) takes C passes. The maps are
 computed once against the clean images with the frozen classifier and cached
-to disk keyed by the classifier's parameter hash.
+to disk as one artifact container file (`harness.checkpoint`) that records
+the classifier's parameter hash and the dataset id; the container compares
+both on load.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ import numpy as np
 
 from .classifier import ClassifierModel, perceive_with_tape
 from .dataio import LabeledImageDataset
+from .harness.checkpoint import StaleArtifactError, load_checkpoint, save_checkpoint
 
-_CACHE_MAGIC = "spjscc-weights v1"
 ZERO_GRAD_EPS = 1e-12
 
-
-class WeightCacheMismatch(ValueError):
-    """Cache file does not match the requesting classifier/dataset."""
+WeightCacheMismatch = StaleArtifactError  # a cache built for another classifier or dataset
 
 
 @dataclass
@@ -91,8 +91,9 @@ def extract_weight_cache(
     """Compute (or reuse) the weight cache for every image in `dataset`.
 
     A cache file whose classifier hash and dataset id match is loaded as is;
-    anything else is recomputed and rewritten. Writing twice with the same
-    frozen classifier produces identical bytes.
+    a stale one is recomputed and rewritten, and a damaged one raises
+    CheckpointError naming the file. Writing twice with the same frozen
+    classifier produces identical bytes.
     """
     path = Path(path)
     chash = model.theta_hash()
@@ -108,41 +109,20 @@ def extract_weight_cache(
 
 
 def save_weight_cache(cache: WeightCache, path: str | Path) -> None:
-    c, ch, h, w = cache.maps.shape
-    manifest = (
-        f"{_CACHE_MAGIC} dataset={cache.dataset_id} classifier={cache.classifier_hash} "
-        f"count={c} shape={ch},{h},{w}\n"
-    )
-    with open(path, "wb") as fh:
-        fh.write(manifest.encode("ascii"))
-        fh.write(cache.fallback.astype(np.uint8).tobytes())
-        fh.write(cache.maps.astype("<f4").tobytes())
+    meta = {"dataset_id": cache.dataset_id, "classifier_hash": cache.classifier_hash}
+    save_checkpoint({"maps": cache.maps, "fallback": cache.fallback}, "weights", path, meta=meta)
 
 
 def load_weight_cache(
     path: str | Path, expected_classifier_hash: str | None = None, expected_dataset_id: str | None = None
 ) -> WeightCache:
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        if not header.startswith(_CACHE_MAGIC):
-            raise WeightCacheMismatch(f"{path}: bad magic {header[:40]!r}")
-        fields = dict(kv.split("=", 1) for kv in header[len(_CACHE_MAGIC):].split())
-        if expected_classifier_hash is not None and fields["classifier"] != expected_classifier_hash:
-            raise WeightCacheMismatch(
-                f"{path}: cache was built for classifier {fields['classifier'][:12]}..., "
-                f"current is {expected_classifier_hash[:12]}..."
-            )
-        if expected_dataset_id is not None and fields["dataset"] != expected_dataset_id:
-            raise WeightCacheMismatch(f"{path}: cache dataset {fields['dataset']!r} != {expected_dataset_id!r}")
-        count = int(fields["count"])
-        shape = tuple(int(v) for v in fields["shape"].split(","))
-        flags = np.frombuffer(fh.read(count), dtype=np.uint8).astype(bool)
-        maps = np.frombuffer(fh.read(), dtype="<f4")
-    if maps.size != count * int(np.prod(shape)):
-        raise WeightCacheMismatch(f"{path}: payload holds {maps.size} floats, expected {count}x{shape}")
+    expected = {"classifier_hash": expected_classifier_hash, "dataset_id": expected_dataset_id}
+    tensors, _, meta = load_checkpoint(
+        path, expected_kind="weights", expected_meta={k: v for k, v in expected.items() if v is not None}
+    )
     return WeightCache(
-        maps=maps.reshape((count,) + shape).copy(),
-        fallback=flags,
-        dataset_id=fields["dataset"],
-        classifier_hash=fields["classifier"],
+        maps=tensors["maps"],
+        fallback=tensors["fallback"],
+        dataset_id=meta["dataset_id"],
+        classifier_hash=meta["classifier_hash"],
     )

@@ -135,12 +135,6 @@ def total_loss(tape: Tape, distortion: Tensor, mask_node: Tensor, lambda_rate: f
     return tape.add(distortion, tape.scalar_mul(rate, lambda_rate))
 
 
-def _merged_params(enc: EncoderModel, dec: DecoderModel) -> dict[str, np.ndarray]:
-    out = {f"enc.{k}": v for k, v in enc.params.items()}
-    out.update({f"dec.{k}": v for k, v in dec.params.items()})
-    return out
-
-
 def _step_loss(enc, dec, imgs, weights, snr_db, mode, rng, temperature, config, chan_rng):
     """One encode/transmit/decode pass; returns (tape, total, distortion, mask)."""
     r = encode(enc, imgs, snr_db, mode=mode, rng=rng, temperature=temperature)
@@ -199,7 +193,7 @@ def train_jscc(
 
     enc = init_encoder(codec_config, seed=config.seed * 7 + 1)
     dec = init_decoder(codec_config, seed=config.seed * 7 + 2)
-    merged = _merged_params(enc, dec)
+    merged = {**enc.params, **dec.params}
     state = AdamState()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0DEC]))
 

@@ -12,6 +12,7 @@ from spjscc.dataio import (
     load_cifar10,
     save_cache,
 )
+from spjscc.harness.checkpoint import CheckpointError, StaleArtifactError
 
 
 def _record(label, pixel):
@@ -125,8 +126,8 @@ def test_cache_round_trip_bit_identical(tmp_path):
     save_cache(ds, path)
     back = load_cache(path)
     assert back.images.tobytes() == ds.images.tobytes()
-    assert np.array_equal(back.labels, ds.labels)
-    assert np.array_equal(back.foreground, ds.foreground)
+    assert back.labels.dtype == np.int64 and np.array_equal(back.labels, ds.labels)
+    assert back.foreground.dtype == bool and np.array_equal(back.foreground, ds.foreground)
     assert back.dataset_id == ds.dataset_id
     assert back.split == ds.split
     # writing again produces identical bytes
@@ -140,5 +141,27 @@ def test_cache_truncated_rejected(tmp_path):
     save_cache(ds, path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-10])
-    with pytest.raises(DataError, match="bytes"):
+    with pytest.raises(CheckpointError, match="bytes"):
         load_cache(path)
+
+
+def test_cache_flipped_payload_byte_names_the_file(tmp_path):
+    path = tmp_path / "dataset_train.cache"
+    save_cache(generate_shapes(21, 12, 32, 32), path)
+    blob = bytearray(path.read_bytes())
+    blob[-100] ^= 0x01  # one pixel bit
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="dataset_train.cache.*hash"):
+        load_cache(path)
+
+
+def test_cache_meta_with_spaces_and_non_ascii_round_trips(tmp_path):
+    ds = generate_shapes(21, 12, 32, 32)
+    meta = {"dataset.kind": "cifar10", "dataset.path": "/data/cifar 10/données été"}
+    save_cache(ds, tmp_path / "ds.cache", meta=meta)
+    back = load_cache(tmp_path / "ds.cache", expected_meta=meta)
+    assert back.images.tobytes() == ds.images.tobytes()
+    with pytest.raises(StaleArtifactError, match="dataset.path"):
+        load_cache(tmp_path / "ds.cache", expected_meta={"dataset.path": "/data/cifar 10"})
+    with pytest.raises(CheckpointError, match="line break"):
+        save_cache(ds, tmp_path / "bad.cache", meta={"dataset.path": "/data/a\nb"})

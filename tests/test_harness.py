@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from spjscc.harness.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from spjscc.classifier import init_classifier
+from spjscc.dataio import generate_shapes, load_cache, save_cache
+from spjscc.harness.checkpoint import FORMAT_LINE, CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
 from spjscc.harness.cli import main
 from spjscc.harness.config import ConfigError, default_config, parse_config
 from spjscc.harness.plots import PlotError, emit_plots, read_results_csv
+from spjscc.jscc import CodecConfig, init_decoder, init_encoder
+from spjscc.saliency import WeightCache, extract_weight_cache, load_weight_cache, save_weight_cache
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +88,7 @@ def test_checkpoint_truncated_blob_rejected_with_offset(tmp_path):
 def test_checkpoint_version_mismatch_rejected(tmp_path):
     save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt")
     blob = (tmp_path / "m.ckpt").read_bytes()
-    (tmp_path / "m.ckpt").write_bytes(blob.replace(b"spjscc-checkpoint v1", b"spjscc-checkpoint v9", 1))
+    (tmp_path / "m.ckpt").write_bytes(blob.replace(FORMAT_LINE.encode(), b"spjscc-checkpoint v9", 1))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(tmp_path / "m.ckpt")
 
@@ -102,6 +106,113 @@ def test_checkpoint_kind_check(tmp_path):
     save_checkpoint(_toy_params(), "classifier", tmp_path / "m.ckpt")
     with pytest.raises(CheckpointError, match="kind"):
         load_checkpoint(tmp_path / "m.ckpt", expected_kind="codec-sp")
+
+
+def test_checkpoint_int64_and_bool_round_trip_exactly(tmp_path):
+    params = {
+        "labels": np.array([0, 9, -1, 2**40, np.iinfo(np.int64).max], dtype=np.int64),
+        "mask": np.array([[True, False], [False, True]]),
+        "w": np.array([1.5, -0.0, np.inf], dtype=np.float32),
+    }
+    save_checkpoint(params, "toy", tmp_path / "m.ckpt")
+    loaded, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+    for name, arr in params.items():
+        assert loaded[name].dtype == arr.dtype and loaded[name].tobytes() == arr.tobytes(), name
+
+
+def test_checkpoint_other_dtypes_refused(tmp_path):
+    with pytest.raises(CheckpointError, match="float64"):
+        save_checkpoint({"w": np.zeros(3)}, "toy", tmp_path / "m.ckpt")
+    save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt")
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    (tmp_path / "m.ckpt").write_bytes(blob.replace(b"tensor layer.w <f4", b"tensor layer.w <f8", 1))
+    with pytest.raises(CheckpointError, match="malformed"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(b" 4,3 ", b" 3,4 "), (b"kind toy", b"kind classifier"), (b"meta note x", b"meta note y")],
+    ids=["swapped-dims", "kind", "meta"],
+)
+def test_checkpoint_edited_manifest_rejected_by_hash(tmp_path, old, new):
+    save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt", meta={"note": "x"})
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    assert blob.count(old) == 1
+    (tmp_path / "m.ckpt").write_bytes(blob.replace(old, new))
+    with pytest.raises(CheckpointError, match="hash"):
+        load_checkpoint(tmp_path / "m.ckpt", expected_kind="classifier", expected_meta={"note": "y"})
+
+
+def test_checkpoint_meta_values_keep_spaces_and_non_ascii(tmp_path):
+    meta = {"dataset.path": "/data/cifar 10/données", "empty": "", "note": " two  spaces "}
+    save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt", meta=meta)
+    assert load_checkpoint(tmp_path / "m.ckpt", expected_meta=meta)[2] == meta
+    for bad in ("a\nb", "a\rb"):
+        with pytest.raises(CheckpointError, match="line break"):
+            save_checkpoint(_toy_params(), "toy", tmp_path / "bad.ckpt", meta={"note": bad})
+
+
+def test_checkpoint_expected_meta_names_file_key_and_values(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(_toy_params(), "toy", path, meta={"dataset.seed": "7", "dataset.kind": "synthetic"})
+    load_checkpoint(path, expected_meta={"dataset.seed": 7})
+    with pytest.raises(StaleArtifactError, match=r"m\.ckpt: dataset\.seed .*'7'.*'99'"):
+        load_checkpoint(path, expected_meta={"dataset.kind": "synthetic", "dataset.seed": "99"})
+    with pytest.raises(StaleArtifactError, match="dataset.train_count .*None"):
+        load_checkpoint(path, expected_meta={"dataset.train_count": "20"})
+
+
+_PROVENANCE = {"dataset.seed": "3", "dataset.path": "/a b/é"}
+
+
+def _artifact(kind, path):
+    """Writes an artifact of `kind` (dataset, weights, classifier or codec) with the call its stage uses."""
+    ds = generate_shapes(3, 10, 32, 32)
+    if kind == "dataset":
+        save_cache(ds, path, meta=_PROVENANCE)
+    elif kind == "weights":
+        maps = np.random.default_rng(0).uniform(size=ds.images.shape).astype(np.float32)
+        fallback = np.arange(len(ds)) % 3 == 0
+        save_weight_cache(WeightCache(maps=maps, fallback=fallback, dataset_id=ds.dataset_id, classifier_hash="ab" * 32), path)
+    elif kind == "classifier":
+        model = init_classifier(10, (32, 32), seed=1)
+        save_checkpoint(model.params, "classifier", path, meta={"class_count": "10", "theta_hash": model.theta_hash()})
+    else:
+        cfg = CodecConfig()
+        enc, dec = init_encoder(cfg, 1), init_decoder(cfg, 2)
+        save_checkpoint({**enc.params, **dec.params}, "codec-sp", path, meta={"codec.f_s": "16"})
+
+
+def _reload_and_save(kind, src, dst):
+    if kind == "dataset":
+        save_cache(load_cache(src, expected_meta=_PROVENANCE), dst, meta=_PROVENANCE)
+    elif kind == "weights":
+        save_weight_cache(load_weight_cache(src), dst)
+    else:
+        params, ckind, meta = load_checkpoint(src)
+        save_checkpoint(params, ckind, dst, meta=meta)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "weights", "classifier", "codec"])
+def test_every_artifact_kind_save_load_save_byte_identical(tmp_path, kind):
+    _artifact(kind, tmp_path / "a")
+    _reload_and_save(kind, tmp_path / "a", tmp_path / "b")
+    assert (tmp_path / "a").read_bytes().startswith(FORMAT_LINE.encode() + b"\n")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def test_weight_cache_flipped_payload_byte_names_the_file(tmp_path):
+    path = tmp_path / "weights.cache"
+    _artifact("weights", path)
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="weights.cache.*hash"):
+        load_weight_cache(path)
+    ds = generate_shapes(3, 10, 32, 32)
+    with pytest.raises(CheckpointError, match="weights.cache.*hash"):  # damaged, not stale: not recomputed
+        extract_weight_cache(init_classifier(10, (32, 32), seed=1), ds, path)
 
 
 # ---------------------------------------------------------------------------
@@ -250,3 +361,68 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     assert main(["evaluate", "--loss", "sp", "--config", cfg, "--out", out, "--snr", "5"]) == 0
     res = read_results_csv(tmp_path / "run" / "results_sp.csv")
     assert {float(r["snr_db"]) for r in res} == {5.0}
+
+
+def _run(tmp_path, name, text, *argv):
+    cfg = tmp_path / name
+    cfg.write_text(text, encoding="utf-8")
+    return main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
+def test_cli_stale_dataset_rebuilt_and_stale_classifier_refused(tmp_path, capsys):
+    """pretrain at train_count 20; extract-weights at 40 images of seed 99 must not reuse either."""
+    small = "dataset.train_count = 20\ndataset.test_count = 20\nclassifier.epochs = 1\n"
+    assert _run(tmp_path, "a.cfg", small, "pretrain-classifier") == 0
+    capsys.readouterr()
+    changed = "dataset.train_count = 40\ndataset.seed = 99\ndataset.test_count = 20\nclassifier.epochs = 1\n"
+    assert _run(tmp_path, "b.cfg", changed, "extract-weights") == 1
+    captured = capsys.readouterr()
+    assert "20 maps" not in captured.out
+    assert "classifier.ckpt" in captured.err and "run pretrain-classifier" in captured.err
+    assert "dataset.seed" in captured.err or "dataset.train_count" in captured.err
+    train = load_cache(tmp_path / "run" / "dataset_train.cache")
+    assert len(train) == 40 and train.dataset_id == generate_shapes(99, 40, 32, 32).dataset_id
+    assert not (tmp_path / "run" / "weights.cache").exists()
+
+
+def test_cli_stale_codec_refused(tmp_path, capsys):
+    base = "dataset.train_count = 20\ndataset.test_count = 10\nclassifier.epochs = 1\ntrain.epochs = 1\neval.snr_grid = 5\neval.seeds = 1\n"
+    for argv in (["pretrain-classifier"], ["train", "--loss", "mse"], ["evaluate", "--loss", "mse"]):
+        assert _run(tmp_path, "a.cfg", base, *argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert _run(tmp_path, "b.cfg", base + "codec.f_s = 8\n", "evaluate", "--loss", "mse") == 1
+    err = capsys.readouterr().err
+    assert "codec_mse.ckpt" in err and "codec.f_s" in err and "run train --loss mse" in err
+
+
+def test_cli_damaged_dataset_cache_is_an_error_naming_the_file(tmp_path, capsys):
+    cfg = "dataset.train_count = 20\ndataset.test_count = 10\n"
+    assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1  # writes the caches, then stops: no classifier
+    path = tmp_path / "run" / "dataset_train.cache"
+    blob = bytearray(path.read_bytes())
+    blob[-200] ^= 0x01
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "hash" in err and "Traceback" not in err
+
+
+def test_cli_cifar_path_with_space_and_non_ascii_is_cached(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "cifar batches" / "données"
+    root.mkdir(parents=True)
+    records = b"".join(bytes([i % 10]) + bytes([25 * (i % 10)]) * 3072 for i in range(10))
+    for name in ("data_batch_1.bin", "test_batch.bin"):
+        (root / name).write_bytes(records)
+    cfg = f"dataset.kind = cifar10\ndataset.path = {root}\n"
+    assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1  # caches written, classifier missing
+    meta = load_checkpoint(tmp_path / "run" / "dataset_train.cache")[2]
+    assert meta["dataset.path"] == str(root)
+
+    def no_reload(*args, **kwargs):
+        raise AssertionError("cached dataset was rebuilt")
+
+    monkeypatch.setattr("spjscc.harness.cli.load_cifar10", no_reload)
+    capsys.readouterr()
+    assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1
+    assert "pretrain-classifier" in capsys.readouterr().err

@@ -30,12 +30,12 @@ def _images(n=4, seed=0):
 
 def _forced_mask_encode(enc, x, snr, bias):
     """Encode with the policy biased hard open/closed via its output bias."""
-    saved = enc.params["policy.b2"].copy()
-    enc.params["policy.b2"] = np.full_like(saved, bias)
+    saved = enc.params["enc.policy.b2"].copy()
+    enc.params["enc.policy.b2"] = np.full_like(saved, bias)
     try:
         return encode(enc, x, snr, mode="eval")
     finally:
-        enc.params["policy.b2"] = saved
+        enc.params["enc.policy.b2"] = saved
 
 
 def test_all_ones_mask_gives_full_coefficient_count(codec):
@@ -95,10 +95,10 @@ def test_masked_channel_identity(codec):
 def test_policy_mask_eval_binary_and_saturation():
     tape = Tape()
     params = {
-        "policy.w1": np.zeros((3, 4), np.float32),
-        "policy.b1": np.zeros(4, np.float32),
-        "policy.w2": np.zeros((4, 2), np.float32),
-        "policy.b2": np.array([10.0, -10.0], np.float32),
+        "enc.policy.w1": np.zeros((3, 4), np.float32),
+        "enc.policy.b1": np.zeros(4, np.float32),
+        "enc.policy.w2": np.zeros((4, 2), np.float32),
+        "enc.policy.b2": np.array([10.0, -10.0], np.float32),
     }
     stats = tape.leaf(np.zeros((1, 2), np.float32))
     m = policy_mask(tape, params, stats, snr_db=5.0, temperature=1.0, mode="eval")
@@ -121,10 +121,10 @@ def test_policy_mask_train_gradient_reaches_mlp(codec):
 def test_policy_mask_train_needs_temperature_and_rng():
     tape = Tape()
     params = {
-        "policy.w1": np.zeros((3, 4), np.float32),
-        "policy.b1": np.zeros(4, np.float32),
-        "policy.w2": np.zeros((4, 2), np.float32),
-        "policy.b2": np.zeros(2, np.float32),
+        "enc.policy.w1": np.zeros((3, 4), np.float32),
+        "enc.policy.b1": np.zeros(4, np.float32),
+        "enc.policy.w2": np.zeros((4, 2), np.float32),
+        "enc.policy.b2": np.zeros(2, np.float32),
     }
     stats = tape.leaf(np.zeros((1, 2), np.float32))
     with pytest.raises(ValueError):
@@ -173,7 +173,7 @@ def test_snr_adapt_shape_and_bounds():
         "a.b2": np.zeros(8, np.float32),
     }
     feats = tape.leaf(rng.normal(size=(2, 8, 4, 4)).astype(np.float32))
-    out = snr_adapt(tape, params, "a", feats, snr_db=10.0, prefix="t")
+    out = snr_adapt(tape, params, "a", feats, snr_db=10.0)
     assert out.shape == feats.shape
     scales = out.value / np.where(feats.value == 0, 1, feats.value)
     finite = np.isfinite(scales) & (feats.value != 0)
@@ -190,9 +190,9 @@ def test_snr_adapt_depends_on_snr():
         "a.b2": np.zeros(4, np.float32),
     }
     feats_arr = rng.normal(size=(1, 4, 2, 2)).astype(np.float32)
-    out0 = snr_adapt(tape, params, "a", tape.leaf(feats_arr), snr_db=0.0, prefix="t0")
+    out0 = snr_adapt(tape, params, "a", tape.leaf(feats_arr), snr_db=0.0)
     tape2 = Tape()
-    out20 = snr_adapt(tape2, params, "a", tape2.leaf(feats_arr), snr_db=20.0, prefix="t1")
+    out20 = snr_adapt(tape2, params, "a", tape2.leaf(feats_arr), snr_db=20.0)
     assert not np.allclose(out0.value, out20.value)
 
 
@@ -230,12 +230,12 @@ def test_end_to_end_gradients_finite_and_nonzero(codec):
 # ---------------------------------------------------------------------------
 
 
-def _sampled_fd_errors(params, prefix, names, loss_of, grads, rng):
+def _sampled_fd_errors(params, names, loss_of, grads, rng):
     """Worst relative error per weight of tape gradients against central differences.
 
     `loss_of(params)` rebuilds the graph and returns the scalar loss; three
     sampled entries of each named weight are perturbed in place and restored.
-    `grads` holds the tape gradients under their on-tape names, prefix.name.
+    `grads` holds the tape gradients under the same names as `params`.
     """
     h = 1e-5
     errs = {}
@@ -250,7 +250,7 @@ def _sampled_fd_errors(params, prefix, names, loss_of, grads, rng):
             fm = loss_of(params)
             w[pos] = orig
             fd = (fp - fm) / (2 * h)
-            an = grads[f"{prefix}.{name}"][pos]
+            an = grads[name][pos]
             err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
             errs[name] = max(errs.get(name, 0.0), err)
     return errs
@@ -275,10 +275,10 @@ def test_composed_codec_decoder_gradients_match_finite_differences(codec):
         diff = tape.add(xh, tape.scalar_mul(r.x, -1.0))
         return tape, tape.reduce_mean(tape.mul(diff, diff))
 
-    names = ["dc0.w", "dc1.w", "ds0.w", "ds1.w", "ds2.w"]
+    names = ["dec.dc0.w", "dec.dc1.w", "dec.ds0.w", "dec.ds1.w", "dec.ds2.w"]
     tape, loss = mse(dec.params)
-    grads = tape.grad_by_name(loss, names=[f"dec.{n}" for n in names])
-    errs = _sampled_fd_errors(dec.params, "dec", names, lambda p: float(mse(p)[1].value), grads, np.random.default_rng(0))
+    grads = tape.grad_by_name(loss, names=names)
+    errs = _sampled_fd_errors(dec.params, names, lambda p: float(mse(p)[1].value), grads, np.random.default_rng(0))
     assert max(errs.values()) < 1e-4, errs
 
 
@@ -298,8 +298,8 @@ def test_composed_encoder_gradients_match_finite_differences(codec):
         feats = _encoder_features(tape, params, tape.leaf(x), 11.0)
         return tape, tape.reduce_sum(tape.mul(feats, tape.leaf(weights)))
 
-    names = ["es0.w", "es1.w", "es2.w", "es3.w", "ec0.w", "ec1.w"]
+    names = ["enc.es0.w", "enc.es1.w", "enc.es2.w", "enc.es3.w", "enc.ec0.w", "enc.ec1.w"]
     tape, out = score(enc.params)
-    grads = tape.grad_by_name(out, names=[f"enc.{n}" for n in names])
-    errs = _sampled_fd_errors(enc.params, "enc", names, lambda p: float(score(p)[1].value), grads, np.random.default_rng(2))
+    grads = tape.grad_by_name(out, names=names)
+    errs = _sampled_fd_errors(enc.params, names, lambda p: float(score(p)[1].value), grads, np.random.default_rng(2))
     assert max(errs.values()) < 1e-4, errs

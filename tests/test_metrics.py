@@ -180,8 +180,7 @@ def overfit_setup():
 
     cfg = CodecConfig()
     enc, dec = init_encoder(cfg, 1), init_decoder(cfg, 2)
-    merged = {f"enc.{k}": v for k, v in enc.params.items()}
-    merged.update({f"dec.{k}": v for k, v in dec.params.items()})
+    merged = {**enc.params, **dec.params}
     state = AdamState()
     for _ in range(350):
         r = encode(enc, subset.images, 20.0, mode="eval")

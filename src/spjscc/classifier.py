@@ -15,6 +15,7 @@ import numpy as np
 
 from .dataio import LabeledImageDataset, batch_iter
 from .numcore import AdamState, NonFiniteError, ShapeError, Tape, adam_step
+from .numcore.tape import _softmax
 
 CONV_CHANNELS = (32, 64, 128)
 
@@ -97,11 +98,10 @@ def perceive_with_tape(model: ClassifierModel, images: np.ndarray, dtype=np.floa
 
 def perceive(model: ClassifierModel, images: np.ndarray) -> PerceptionResult:
     """Pure function of (theta0, images): logits, softmax, argmax per image."""
-    tape, _, logits = perceive_with_tape(model, images)
-    probs = tape.softmax(logits)
+    _, _, logits = perceive_with_tape(model, images)
     return PerceptionResult(
         logits=logits.value.copy(),
-        probabilities=probs.value.copy(),
+        probabilities=_softmax(logits.value),
         predicted=np.argmax(logits.value, axis=1),
     )
 

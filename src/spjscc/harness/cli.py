@@ -3,14 +3,16 @@
 Every command reads and writes only under --out. Stage order follows the
 method: the classifier is pretrained and frozen, semantic weights are
 extracted once from the clean training images, then a codec is trained per
-loss mode and evaluated over the SNR grid. Reruns with an unchanged config
-and seed reproduce every artifact byte for byte.
+loss mode and evaluated over the SNR grid. A stage rebuilds a stale dataset
+cache and refuses any other stale input. Reruns with an unchanged config
+reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from ..classifier import ClassifierModel, TrainClassifierConfig, pretrain_classifier
@@ -48,53 +50,66 @@ def _paths(out: Path) -> dict[str, Path]:
     }
 
 
-def _provenance(cfg: ExperimentConfig, *sections: str) -> dict[str, str]:
-    """The config values of `sections` as artifact meta, e.g. {"dataset.seed": "7"}."""
+# The config sections an artifact depends on: it records their values and is
+# checked against them. The weight cache records the classifier's parameter
+# hash and the dataset id instead (see saliency.py).
+_RECORDED_SECTIONS = {
+    "dataset": ("dataset",),
+    "classifier": ("dataset", "classifier"),
+    "codec": ("dataset", "classifier", "codec", "train"),
+}
+
+
+def _provenance(cfg: ExperimentConfig, artifact: str) -> dict[str, str]:
+    """The config values `artifact` records as meta, e.g. {"dataset.seed": "7"}."""
+    sections = _RECORDED_SECTIONS[artifact]
     return {k: str(v) for k, v in cfg.values.items() if k.partition(".")[0] in sections}
 
 
-def _load_datasets(cfg: ExperimentConfig, out: Path) -> tuple[LabeledImageDataset, LabeledImageDataset]:
-    """Build (or reuse from cache) the train/test datasets the config names."""
-    paths = _paths(out)
+@contextmanager
+def _checked(path: Path, rerun: str):
+    """Guards loading the artifact at `path`: missing or stale, it is a StageError that says to run `rerun`."""
+    if not path.exists():
+        raise StageError(f"missing {path}; run {rerun} first")
+    try:
+        yield path
+    except StaleArtifactError as exc:
+        raise StageError(f"{exc}; run {rerun}") from None
+
+
+def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> LabeledImageDataset:
+    """The `split` ("train" or "test") dataset the config names, rebuilt unless its cache is current."""
+    path = _paths(out)[f"{split}_cache"]
     provenance = _provenance(cfg, "dataset")
-    if paths["train_cache"].exists() and paths["test_cache"].exists():
+    if path.exists():
         try:
-            return (
-                load_cache(paths["train_cache"], expected_meta=provenance),
-                load_cache(paths["test_cache"], expected_meta=provenance),
-            )
+            return load_cache(path, expected_meta=provenance)
         except StaleArtifactError:
             pass  # built from other dataset.* values: rebuild below
     kind = cfg["dataset.kind"]
     if kind == "synthetic":
-        train = generate_shapes(
-            cfg["dataset.seed"], cfg["dataset.train_count"], cfg["dataset.height"], cfg["dataset.width"], split="train"
-        )
-        test = generate_shapes(
-            cfg["dataset.seed"] + 1, cfg["dataset.test_count"], cfg["dataset.height"], cfg["dataset.width"], split="test"
-        )
+        seed = cfg["dataset.seed"] + (1 if split == "test" else 0)
+        data = generate_shapes(seed, cfg[f"dataset.{split}_count"], cfg["dataset.height"], cfg["dataset.width"], split=split)
     elif kind == "cifar10":
         root = Path(cfg["dataset.path"])
         if not root.is_dir():
             raise StageError(f"dataset.path {root} is not a directory of CIFAR-10 binary batches")
-        train_files = sorted(root.glob("data_batch_*.bin"))
-        test_files = sorted(root.glob("test_batch.bin"))
-        if not train_files or not test_files:
-            raise StageError(f"no data_batch_*.bin / test_batch.bin under {root}")
-        train = load_cifar10(train_files, split="train")
-        test = load_cifar10(test_files, split="test")
+        pattern = "data_batch_*.bin" if split == "train" else "test_batch.bin"
+        files = sorted(root.glob(pattern))
+        if not files:
+            raise StageError(f"no {pattern} under {root}")
+        data = load_cifar10(files, split=split)
     else:
         raise StageError(f"unknown dataset.kind {kind!r}")
-    out.mkdir(parents=True, exist_ok=True)
-    save_cache(train, paths["train_cache"], meta=provenance)
-    save_cache(test, paths["test_cache"], meta=provenance)
-    return train, test
+    save_cache(data, path, meta=provenance)
+    return data
 
 
-def _codec_config(cfg: ExperimentConfig) -> CodecConfig:
+def _codec_config(cfg: ExperimentConfig, data: LabeledImageDataset) -> CodecConfig:
+    """Sized from the loaded images: CIFAR-10 is 32x32 whatever dataset.height/width say."""
     return CodecConfig(
-        height=cfg["dataset.height"],
-        width=cfg["dataset.width"],
+        height=data.height,
+        width=data.width,
         f_s=cfg["codec.f_s"],
         f_n=cfg["codec.f_n"],
         width_es=cfg["codec.width"],
@@ -102,32 +117,13 @@ def _codec_config(cfg: ExperimentConfig) -> CodecConfig:
 
 
 def _load_classifier(cfg: ExperimentConfig, out: Path) -> ClassifierModel:
-    path = _paths(out)["classifier"]
-    if not path.exists():
-        raise StageError(f"missing classifier checkpoint {path}; run pretrain-classifier first")
-    try:
-        params, _, meta = load_checkpoint(path, expected_kind="classifier", expected_meta=_provenance(cfg, "dataset"))
-    except StaleArtifactError as exc:
-        raise StageError(f"{exc}; run pretrain-classifier") from None
+    with _checked(_paths(out)["classifier"], "pretrain-classifier") as path:
+        params, _, meta = load_checkpoint(path, expected_kind="classifier", expected_meta=_provenance(cfg, "classifier"))
     return ClassifierModel(
         params=params,
         class_count=int(meta["class_count"]),
         in_hw=(int(meta["height"]), int(meta["width"])),
     )
-
-
-def _load_codec(cfg: ExperimentConfig, out: Path, mode: str) -> tuple[EncoderModel, DecoderModel]:
-    path = _paths(out)[f"codec_{mode}"]
-    if not path.exists():
-        raise StageError(f"missing codec checkpoint {path}; run train --loss {mode} first")
-    try:
-        params, _, _ = load_checkpoint(
-            path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, "dataset", "codec")
-        )
-    except StaleArtifactError as exc:
-        raise StageError(f"{exc}; run train --loss {mode}") from None
-    codec_cfg = _codec_config(cfg)
-    return EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
 
 
 def _write_results_csv(path: Path, mode_reports, config_hash: str) -> None:
@@ -145,14 +141,14 @@ def _write_results_csv(path: Path, mode_reports, config_hash: str) -> None:
 
 
 def cmd_pretrain_classifier(cfg, out, args):
-    train, _ = _load_datasets(cfg, out)
+    train = _load_split(cfg, out, "train")
     model = pretrain_classifier(
         train,
         TrainClassifierConfig(
             epochs=cfg["classifier.epochs"],
             lr=cfg["classifier.lr"],
             batch=cfg["classifier.batch"],
-            seed=args.seed if args.seed is not None else cfg["classifier.seed"],
+            seed=cfg["classifier.seed"],
         ),
     )
     save_checkpoint(
@@ -165,7 +161,7 @@ def cmd_pretrain_classifier(cfg, out, args):
             "width": str(model.in_hw[1]),
             "config_hash": cfg.config_hash(),
             "theta_hash": model.theta_hash(),
-            **_provenance(cfg, "dataset"),
+            **_provenance(cfg, "classifier"),
         },
     )
     print(f"wrote {_paths(out)['classifier']} (theta {model.theta_hash()[:12]})")
@@ -173,7 +169,7 @@ def cmd_pretrain_classifier(cfg, out, args):
 
 
 def cmd_extract_weights(cfg, out, args):
-    train, _ = _load_datasets(cfg, out)
+    train = _load_split(cfg, out, "train")
     model = _load_classifier(cfg, out)
     cache = extract_weight_cache(model, train, _paths(out)["weights"])
     n_fallback = int(cache.fallback.sum())
@@ -182,37 +178,34 @@ def cmd_extract_weights(cfg, out, args):
 
 
 def cmd_train(cfg, out, args):
-    train, _ = _load_datasets(cfg, out)
+    train = _load_split(cfg, out, "train")
     mode = args.loss
-    weight_cache = None
-    classifier = None
+    weight_cache = classifier = None
     if mode == "sp":
-        wpath = _paths(out)["weights"]
-        if not wpath.exists():
-            raise StageError(f"missing weight cache {wpath}; run extract-weights first")
-        classifier = _load_classifier(cfg, out)
-        weight_cache = load_weight_cache(
-            wpath, expected_classifier_hash=classifier.theta_hash(), expected_dataset_id=train.dataset_id
-        )
+        with _checked(_paths(out)["weights"], "extract-weights") as path:
+            classifier = _load_classifier(cfg, out)
+            weight_cache = load_weight_cache(
+                path, expected_classifier_hash=classifier.theta_hash(), expected_dataset_id=train.dataset_id
+            )
     tcfg = TrainConfig(
         loss_mode=mode,
         lambda_rate=cfg["train.lambda_rate"],
         epochs=cfg["train.epochs"],
         batch_size=cfg["train.batch"],
         lr=cfg["train.lr"],
-        seed=args.seed if args.seed is not None else cfg["train.seed"],
+        seed=cfg["train.seed"],
         snr_low=cfg["train.snr_low"],
         snr_high=cfg["train.snr_high"],
         temp_start=cfg["train.temp_start"],
         temp_end=cfg["train.temp_end"],
         patience=cfg["train.patience"],
     )
-    enc, dec, log = train_jscc(tcfg, train, weight_cache, classifier, _codec_config(cfg))
+    enc, dec, log = train_jscc(tcfg, train, weight_cache, classifier, _codec_config(cfg, train))
     save_checkpoint(
         {**enc.params, **dec.params},
         f"codec-{mode}",
         _paths(out)[f"codec_{mode}"],
-        meta={"config_hash": cfg.config_hash(), **_provenance(cfg, "dataset", "codec")},
+        meta={"config_hash": cfg.config_hash(), **_provenance(cfg, "codec")},
     )
     log.to_csv(_paths(out)[f"trainlog_{mode}"], config_hash=cfg.config_hash())
     final = log.epoch_mean_loss(log.last_epoch())
@@ -221,28 +214,34 @@ def cmd_train(cfg, out, args):
     return 0
 
 
-def _run_eval(cfg, out, mode, args):
-    test = _load_datasets(cfg, out)[1]
+def _evaluate_codecs(cfg, out, modes, snr):
+    """(mode, EvalReport) pairs for the codec of each loss mode, on one load of the test split and classifier."""
+    test = _load_split(cfg, out, "test")
     classifier = _load_classifier(cfg, out)
-    enc, dec = _load_codec(cfg, out, mode)
-    snr_grid = [args.snr] if args.snr is not None else cfg["eval.snr_grid"]
-    reports = evaluate(enc, dec, classifier, test, snr_grid, cfg["eval.seeds"], run_id=mode)
-    return [(mode, r) for r in reports]
+    codec_cfg = _codec_config(cfg, test)
+    codecs = []
+    for mode in modes:
+        with _checked(_paths(out)[f"codec_{mode}"], f"train --loss {mode}") as path:
+            params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, "codec"))
+        codecs.append((mode, EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)))
+    snr_grid = [snr] if snr is not None else cfg["eval.snr_grid"]
+    return [
+        (mode, r)
+        for mode, enc, dec in codecs
+        for r in evaluate(enc, dec, classifier, test, snr_grid, cfg["eval.seeds"], run_id=mode)
+    ]
 
 
 def cmd_evaluate(cfg, out, args):
-    mode = args.loss
-    mode_reports = _run_eval(cfg, out, mode, args)
-    path = _paths(out)[f"results_{mode}"]
+    mode_reports = _evaluate_codecs(cfg, out, (args.loss,), args.snr)
+    path = _paths(out)[f"results_{args.loss}"]
     _write_results_csv(path, mode_reports, cfg.config_hash())
     print(f"wrote {path} ({len(mode_reports)} rows)")
     return 0
 
 
 def cmd_compare(cfg, out, args):
-    all_reports = []
-    for mode in ("sp", "mse"):
-        all_reports.extend(_run_eval(cfg, out, mode, args))
+    all_reports = _evaluate_codecs(cfg, out, ("sp", "mse"), args.snr)
     path = _paths(out)["compare"]
     _write_results_csv(path, all_reports, cfg.config_hash())
     print(f"wrote {path} ({len(all_reports)} rows)")
@@ -291,12 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", required=True, help="artifact directory")
-        p.add_argument("--seed", type=int, default=None, help="override the stage seed")
-        p.add_argument("--snr", type=float, default=None, help="evaluate a single SNR (dB)")
-        if name == "train":
+        if name in ("train", "evaluate"):
             p.add_argument("--loss", choices=("sp", "mse"), required=True)
-        if name == "evaluate":
-            p.add_argument("--loss", choices=("sp", "mse"), required=True)
+        if name in ("evaluate", "compare"):
+            p.add_argument("--snr", type=float, default=None, help="evaluate a single SNR (dB)")
     return parser
 
 

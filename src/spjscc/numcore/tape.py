@@ -287,11 +287,6 @@ def _mean_pool_bwd(attrs, g, inputs, out, need):
     return [np.repeat(np.repeat(g, k, axis=2), k, axis=3)]
 
 
-def _softmax_bwd(attrs, g, inputs, out, need):
-    dot = (g * out).sum(axis=-1, keepdims=True)
-    return [out * (g - dot)]
-
-
 def _ce_fwd(attrs, logits):
     labels = attrs["labels"]
     if logits.ndim != 2 or len(labels) != logits.shape[0]:
@@ -387,7 +382,6 @@ _OPS = {
         lambda at, a: _stable_sigmoid(a),
         lambda at, g, ins, out, need: [g * out * (1.0 - out)],
     ),
-    "softmax": (lambda at, a: _softmax(a), _softmax_bwd),
     "sqrt": (
         lambda at, a: np.sqrt(a),
         lambda at, g, ins, out, need: [g / (2.0 * out)],
@@ -501,9 +495,6 @@ class Tape:
 
     def sigmoid(self, a):
         return self.apply("sigmoid", (a,))
-
-    def softmax(self, a):
-        return self.apply("softmax", (a,))
 
     def sqrt(self, a):
         return self.apply("sqrt", (a,))

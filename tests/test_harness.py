@@ -6,7 +6,8 @@ import pytest
 from spjscc.classifier import init_classifier
 from spjscc.dataio import generate_shapes, load_cache, save_cache
 from spjscc.harness.checkpoint import FORMAT_LINE, CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
-from spjscc.harness.cli import main
+from spjscc.harness import cli
+from spjscc.harness.cli import build_parser, main
 from spjscc.harness.config import ConfigError, default_config, parse_config
 from spjscc.harness.plots import PlotError, emit_plots, read_results_csv
 from spjscc.jscc import CodecConfig, init_decoder, init_encoder
@@ -390,9 +391,10 @@ def test_cli_stale_codec_refused(tmp_path, capsys):
     for argv in (["pretrain-classifier"], ["train", "--loss", "mse"], ["evaluate", "--loss", "mse"]):
         assert _run(tmp_path, "a.cfg", base, *argv) == 0, capsys.readouterr().err
     capsys.readouterr()
-    assert _run(tmp_path, "b.cfg", base + "codec.f_s = 8\n", "evaluate", "--loss", "mse") == 1
-    err = capsys.readouterr().err
-    assert "codec_mse.ckpt" in err and "codec.f_s" in err and "run train --loss mse" in err
+    for key, value in (("codec.f_s", "8"), ("train.lr", "0.5")):
+        assert _run(tmp_path, "b.cfg", base + f"{key} = {value}\n", "evaluate", "--loss", "mse") == 1
+        err = capsys.readouterr().err
+        assert "codec_mse.ckpt" in err and key in err and "run train --loss mse" in err
 
 
 def test_cli_damaged_dataset_cache_is_an_error_naming_the_file(tmp_path, capsys):
@@ -408,12 +410,17 @@ def test_cli_damaged_dataset_cache_is_an_error_naming_the_file(tmp_path, capsys)
     assert str(path) in err and "hash" in err and "Traceback" not in err
 
 
-def test_cli_cifar_path_with_space_and_non_ascii_is_cached(tmp_path, capsys, monkeypatch):
-    root = tmp_path / "cifar batches" / "données"
+def _cifar_batches(root, base=0):
+    """Ten 32x32 CIFAR-10 records, record i of class i filled with base + 25 i, as both the train and the test batch."""
     root.mkdir(parents=True)
-    records = b"".join(bytes([i % 10]) + bytes([25 * (i % 10)]) * 3072 for i in range(10))
+    records = b"".join(bytes([i % 10]) + bytes([base + 25 * (i % 10)]) * 3072 for i in range(10))
     for name in ("data_batch_1.bin", "test_batch.bin"):
         (root / name).write_bytes(records)
+
+
+def test_cli_cifar_path_with_space_and_non_ascii_is_cached(tmp_path, capsys, monkeypatch):
+    root = tmp_path / "cifar batches" / "données"
+    _cifar_batches(root)
     cfg = f"dataset.kind = cifar10\ndataset.path = {root}\n"
     assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1  # caches written, classifier missing
     meta = load_checkpoint(tmp_path / "run" / "dataset_train.cache")[2]
@@ -426,3 +433,83 @@ def test_cli_cifar_path_with_space_and_non_ascii_is_cached(tmp_path, capsys, mon
     capsys.readouterr()
     assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1
     assert "pretrain-classifier" in capsys.readouterr().err
+
+
+def test_cli_cifar_codec_is_sized_from_the_images_not_the_config(tmp_path, capsys):
+    """CIFAR-10 images are 32x32 whatever dataset.height/width say."""
+    root = tmp_path / "cifar"
+    # no all-black record: the freshly initialized codec encodes one to all zeros, which normalize_power refuses
+    _cifar_batches(root, base=5)
+    cfg = (
+        f"dataset.kind = cifar10\ndataset.path = {root}\ndataset.height = 64\ndataset.width = 64\n"
+        "classifier.epochs = 1\ntrain.epochs = 1\neval.snr_grid = 5\neval.seeds = 1\n"
+    )
+    for argv in (["pretrain-classifier"], ["train", "--loss", "mse"], ["evaluate", "--loss", "mse"]):
+        assert _run(tmp_path, "a.cfg", cfg, *argv) == 0, capsys.readouterr().err
+
+
+_SMALL = "dataset.train_count = 20\ndataset.test_count = 10\nclassifier.epochs = 1\ntrain.epochs = 1\neval.snr_grid = 5\neval.seeds = 1\n"
+
+
+def test_cli_classifier_built_with_other_classifier_keys_refused(tmp_path, capsys):
+    assert _run(tmp_path, "a.cfg", _SMALL, "pretrain-classifier") == 0
+    capsys.readouterr()
+    assert _run(tmp_path, "b.cfg", _SMALL + "classifier.epochs = 3\n", "extract-weights") == 1
+    err = capsys.readouterr().err
+    assert "classifier.ckpt" in err and "classifier.epochs" in err and "run pretrain-classifier" in err
+    assert not (tmp_path / "run" / "weights.cache").exists()
+
+
+def test_cli_weight_cache_of_another_classifier_refused_by_train(tmp_path, capsys):
+    for argv in (["pretrain-classifier"], ["extract-weights"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    assert _run(tmp_path, "b.cfg", _SMALL + "classifier.seed = 5\n", "pretrain-classifier") == 0
+    capsys.readouterr()
+    assert _run(tmp_path, "b.cfg", _SMALL + "classifier.seed = 5\n", "train", "--loss", "sp") == 1
+    err = capsys.readouterr().err
+    assert "weights.cache" in err and "classifier_hash" in err and "run extract-weights" in err
+
+
+def test_cli_training_stages_read_only_the_train_split(tmp_path, capsys):
+    assert _run(tmp_path, "a.cfg", _SMALL, "train", "--loss", "mse") == 0, capsys.readouterr().err
+    assert (tmp_path / "run" / "dataset_train.cache").exists()
+    assert not (tmp_path / "run" / "dataset_test.cache").exists()
+
+
+def test_cli_compare_loads_the_test_split_and_classifier_once(tmp_path, capsys, monkeypatch):
+    for argv in (["pretrain-classifier"], ["extract-weights"], ["train", "--loss", "sp"], ["train", "--loss", "mse"], ["compare"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    first = (tmp_path / "run" / "compare.csv").read_bytes()
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(path, *args, **kwargs):
+            calls.append((name, path.name))
+            return real(path, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("load_cache", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert _run(tmp_path, "a.cfg", _SMALL, "compare") == 0
+    assert sorted(calls) == [
+        ("load_cache", "dataset_test.cache"),
+        ("load_checkpoint", "classifier.ckpt"),
+        ("load_checkpoint", "codec_mse.ckpt"),
+        ("load_checkpoint", "codec_sp.ckpt"),
+    ]
+    assert (tmp_path / "run" / "compare.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("command", ["pretrain-classifier", "extract-weights", "train", "evaluate", "compare", "plot"])
+def test_cli_has_no_seed_option_and_snr_only_where_it_evaluates(command, capsys):
+    argv = [command, "--config", "exp.cfg", "--out", "run"] + (["--loss", "mse"] if command in ("train", "evaluate") else [])
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["--seed", "3"])
+    if command in ("evaluate", "compare"):
+        assert build_parser().parse_args(argv + ["--snr", "5"]).snr == 5.0
+    else:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--snr", "5"])

@@ -4,7 +4,9 @@ Coefficients are stored as flat real vectors; consecutive pairs (2k, 2k+1)
 are the in-phase/quadrature parts of complex symbol k. Power is normalized
 to unit mean energy per active symbol before transmission (SNR is defined
 against that convention), and the scale factor is recorded so the receiver
-can undo it. Everything stays on the autodiff tape: the normalization has a
+can undo it. A row with zero energy (an all-black image through a freshly
+initialized encoder) is sent with scale factor 1: it carries zeros, and only
+the channel noise arrives. Everything stays on the autodiff tape: the normalization has a
 gradient and the noise acts as an additive constant.
 """
 
@@ -36,20 +38,9 @@ class ComplexSymbolVector:
     active: np.ndarray  # (N, s) bool; inactive symbols carry exactly zero
     gamma: Tensor | None = None  # (N, 1) transmit scale, set by normalize_power
 
-    @property
-    def symbol_count(self) -> int:
-        return self.coeffs.shape[1] // 2
-
     def coefficient_mask(self) -> np.ndarray:
         """Per-real-coefficient activity: each symbol covers two entries."""
         return np.repeat(self.active, 2, axis=1)
-
-    def mean_active_power(self) -> np.ndarray:
-        """Mean |e_k|^2 over active symbols, per row."""
-        vals = self.coeffs.value.astype(np.float64)
-        msk = self.coefficient_mask()
-        energy = (vals * vals * msk).sum(axis=1)
-        return energy / np.maximum(self.active.sum(axis=1), 1)
 
 
 def noise_variance(snr_db: float) -> float:
@@ -61,8 +52,10 @@ def normalize_power(raw: Tensor, active: np.ndarray) -> ComplexSymbolVector:
     """Scale active symbols to unit mean power; zero the inactive ones.
 
     gamma = sqrt(s_active / sum_active |e_k|^2) per row, kept on the tape so
-    training gradients flow through the scaling. Rows whose active
-    coefficients are all zero are rejected (degenerate encoder output).
+    training gradients flow through the scaling. A row whose active
+    coefficients are all zero is sent with gamma = 1: a 0/1 leaf lifts its
+    power to 1 and 1 stands in for its s_active, so its gradients stay
+    finite. Other rows add exactly 0.0 and are unchanged.
     """
     tape = raw.tape
     n, width = raw.shape
@@ -78,8 +71,9 @@ def normalize_power(raw: Tensor, active: np.ndarray) -> ComplexSymbolVector:
 
     masked = tape.mul(raw, tape.leaf(coeff_mask))
     power = tape.reduce_sum(tape.mul(masked, masked), axis=(1,), keepdims=True)
-    if (power.value <= 0).any():
-        raise ValueError("all-zero active coefficients; cannot normalize power")
+    silent = power.value == 0
+    power = tape.add(power, tape.leaf(silent))
+    s_active = np.where(silent, 1, s_active)
     gamma = tape.sqrt(tape.mul(tape.leaf(s_active.astype(raw.value.dtype)), tape.reciprocal(power)))
     out = tape.mul(masked, gamma)
     return ComplexSymbolVector(coeffs=out, active=active.copy(), gamma=gamma)

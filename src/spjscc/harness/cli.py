@@ -259,14 +259,17 @@ def cmd_compare(cfg, out, args):
 
 
 def cmd_plot(cfg, out, args):
-    src = _paths(out)["compare"]
-    if not src.exists():
-        for alt in ("results_sp", "results_mse"):
-            if _paths(out)[alt].exists():
-                src = _paths(out)[alt]
-                break
-    if not src.exists():
+    for key, rerun in (("compare", "compare"), ("results_sp", "evaluate --loss sp"), ("results_mse", "evaluate --loss mse")):
+        src = _paths(out)[key]
+        if src.exists():
+            break
+    else:
         raise StageError(f"no results CSV under {out}; run evaluate or compare first")
+    with open(src, encoding="ascii") as fh:
+        first = fh.readline().rstrip("\n")
+    recorded = first.removeprefix("# config_hash=") if first.startswith("# config_hash=") else None
+    if recorded != cfg.config_hash():
+        raise StageError(f"{src}: config_hash differs (results have {recorded}, expected {cfg.config_hash()}); run {rerun}")
     written = emit_plots(src, _paths(out)["plots"], config_hash=cfg.config_hash())
     for p in written:
         print(f"wrote {p}")

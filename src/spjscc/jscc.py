@@ -17,7 +17,13 @@ error-free side information; they cost no channel uses.
 
 During training the mask is a Gumbel-sigmoid sample, hard-thresholded on the
 forward path with a straight-through gradient; at evaluation it is the
-deterministic threshold of the policy logits.
+deterministic threshold of the policy logits; either way the mask is the
+(N, f_s) Tensor of 0/1 gate bits.
+
+Each layer is written once: `_conv_params` (init) and `_layer` (forward) for a
+3x3 conv or transposed conv with optional PReLU, `_mlp_params` and `_mlp` for
+the dense -> ReLU -> dense over [pooled stats, snr/20] that the SNR adapters
+and the policy share.
 """
 
 from __future__ import annotations
@@ -85,74 +91,46 @@ class DecoderModel:
 
 
 @dataclass
-class RateMask:
-    """Per-selective-channel gate; evaluation values are exactly 0 or 1."""
-
-    node: Tensor  # (N, f_s) hard forward values, straight-through backward
-
-    @property
-    def hard(self) -> np.ndarray:
-        return self.node.value
-
-    def active_fraction(self) -> float:
-        return float(self.node.value.mean())
-
-
-@dataclass
 class EncodeResult:
     tape: Tape
     x: Tensor
     g_s: Tensor
     g_n: Tensor
-    mask: RateMask
+    mask: Tensor  # (N, f_s) gate bits: hard 0/1 forward values, straight-through backward
     e: ComplexSymbolVector
     snr_db: float
 
 
-def _conv_init(rng, cout, cin, k=3):
-    fan_in = cin * k * k
-    return (rng.normal(size=(cout, cin, k, k)) * np.sqrt(2.0 / fan_in)).astype(np.float32)
+def _conv_params(rng, p, name, cin, cout, transposed=False, prelu=True):
+    """He-initialized 3x3 conv `name`.w (transposed: (cin, cout, 3, 3)), zero `name`.b, 0.25 `name`.slope."""
+    shape = (cin, cout, 3, 3) if transposed else (cout, cin, 3, 3)
+    p[f"{name}.w"] = (rng.normal(size=shape) * np.sqrt(2.0 / (cin * 9))).astype(np.float32)
+    p[f"{name}.b"] = np.zeros(cout, np.float32)
+    if prelu:
+        p[f"{name}.slope"] = np.full(cout, 0.25, np.float32)
 
 
-def _tconv_init(rng, cin, cout, k=3):
-    fan_in = cin * k * k
-    return (rng.normal(size=(cin, cout, k, k)) * np.sqrt(2.0 / fan_in)).astype(np.float32)
-
-
-def _dense_init(rng, nin, nout):
-    return (rng.normal(size=(nin, nout)) * np.sqrt(1.0 / nin)).astype(np.float32)
-
-
-def _adapter_params(rng, p, name, channels):
-    p[f"{name}.w1"] = _dense_init(rng, channels + 1, channels)
-    p[f"{name}.b1"] = np.zeros(channels, np.float32)
-    p[f"{name}.w2"] = _dense_init(rng, channels, channels)
-    p[f"{name}.b2"] = np.zeros(channels, np.float32)
+def _mlp_params(rng, p, name, nin, hidden, nout):
+    """Two dense layers `name`.w1/b1 (nin -> hidden) and `name`.w2/b2 (hidden -> nout), zero biases."""
+    for i, (fan_in, fan_out) in enumerate(((nin, hidden), (hidden, nout)), start=1):
+        p[f"{name}.w{i}"] = (rng.normal(size=(fan_in, fan_out)) * np.sqrt(1.0 / fan_in)).astype(np.float32)
+        p[f"{name}.b{i}"] = np.zeros(fan_out, np.float32)
 
 
 def init_encoder(config: CodecConfig, seed: int) -> EncoderModel:
     rng = np.random.default_rng(np.random.PCG64(seed))
     w = config.width_es
     p: dict[str, np.ndarray] = {}
-    for i, (cin, cout, _stride) in enumerate(
-        [(3, w, 2), (w, w, 1), (w, w, 1), (w, w, 2)]
-    ):
-        p[f"enc.es{i}.w"] = _conv_init(rng, cout, cin)
-        p[f"enc.es{i}.b"] = np.zeros(cout, np.float32)
-        p[f"enc.es{i}.slope"] = np.full(cout, 0.25, np.float32)
-    _adapter_params(rng, p, "enc.adapt_es0", w)
-    _adapter_params(rng, p, "enc.adapt_es1", w)
-    p["enc.ec0.w"] = _conv_init(rng, w, w)
-    p["enc.ec0.b"] = np.zeros(w, np.float32)
-    p["enc.ec0.slope"] = np.full(w, 0.25, np.float32)
-    _adapter_params(rng, p, "enc.adapt_ec", w)
-    p["enc.ec1.w"] = _conv_init(rng, config.f_s + config.f_n, w)
-    p["enc.ec1.b"] = np.zeros(config.f_s + config.f_n, np.float32)
-    p["enc.policy.w1"] = _dense_init(rng, config.f_s + 1, config.policy_hidden)
-    p["enc.policy.b1"] = np.zeros(config.policy_hidden, np.float32)
-    p["enc.policy.w2"] = _dense_init(rng, config.policy_hidden, config.f_s)
+    for i, cin in enumerate((3, w, w, w)):
+        _conv_params(rng, p, f"enc.es{i}", cin, w)
+    _mlp_params(rng, p, "enc.adapt_es0", w + 1, w, w)
+    _mlp_params(rng, p, "enc.adapt_es1", w + 1, w, w)
+    _conv_params(rng, p, "enc.ec0", w, w)
+    _mlp_params(rng, p, "enc.adapt_ec", w + 1, w, w)
+    _conv_params(rng, p, "enc.ec1", w, config.f_s + config.f_n, prelu=False)
+    _mlp_params(rng, p, "enc.policy", config.f_s + 1, config.policy_hidden, config.f_s)
     # gates open by default; rate pressure (lambda > 0) has to close them
-    p["enc.policy.b2"] = np.full(config.f_s, 2.0, np.float32)
+    p["enc.policy.b2"][:] = 2.0
     return EncoderModel(params=p, config=config)
 
 
@@ -160,41 +138,41 @@ def init_decoder(config: CodecConfig, seed: int) -> DecoderModel:
     rng = np.random.default_rng(np.random.PCG64(seed))
     w = config.width_es
     p: dict[str, np.ndarray] = {}
-    p["dec.dc0.w"] = _conv_init(rng, w, config.f_s + config.f_n)
-    p["dec.dc0.b"] = np.zeros(w, np.float32)
-    p["dec.dc0.slope"] = np.full(w, 0.25, np.float32)
-    _adapter_params(rng, p, "dec.adapt_dc", w)
-    p["dec.dc1.w"] = _conv_init(rng, w, w)
-    p["dec.dc1.b"] = np.zeros(w, np.float32)
-    p["dec.dc1.slope"] = np.full(w, 0.25, np.float32)
-    p["dec.ds0.w"] = _tconv_init(rng, w, w)
-    p["dec.ds0.b"] = np.zeros(w, np.float32)
-    p["dec.ds0.slope"] = np.full(w, 0.25, np.float32)
-    _adapter_params(rng, p, "dec.adapt_ds", w)
-    p["dec.ds1.w"] = _tconv_init(rng, w, w // 2)
-    p["dec.ds1.b"] = np.zeros(w // 2, np.float32)
-    p["dec.ds1.slope"] = np.full(w // 2, 0.25, np.float32)
-    p["dec.ds2.w"] = _conv_init(rng, 3, w // 2)
-    p["dec.ds2.b"] = np.zeros(3, np.float32)
+    _conv_params(rng, p, "dec.dc0", config.f_s + config.f_n, w)
+    _mlp_params(rng, p, "dec.adapt_dc", w + 1, w, w)
+    _conv_params(rng, p, "dec.dc1", w, w)
+    _conv_params(rng, p, "dec.ds0", w, w, transposed=True)
+    _mlp_params(rng, p, "dec.adapt_ds", w + 1, w, w)
+    _conv_params(rng, p, "dec.ds1", w, w // 2, transposed=True)
+    _conv_params(rng, p, "dec.ds2", w // 2, 3, prelu=False)
     return DecoderModel(params=p, config=config)
 
 
 def _param(tape, params, name):
-    if name in tape.params:
-        return Tensor(tape, tape.params[name])
     return tape.parameter(name, params[name])
+
+
+def _layer(tape: Tape, p: dict[str, np.ndarray], name: str, h: Tensor, stride: int = 1, op: str = "conv2d") -> Tensor:
+    """Conv `op` ("conv2d" or "tconv2d") with `name`.w and `name`.b, then PReLU if the layer has a `name`.slope."""
+    h = getattr(tape, op)(h, _param(tape, p, f"{name}.w"), _param(tape, p, f"{name}.b"), stride=stride)
+    if f"{name}.slope" in p:
+        h = tape.prelu(h, _param(tape, p, f"{name}.slope"))
+    return h
+
+
+def _mlp(tape: Tape, p: dict[str, np.ndarray], name: str, stats: Tensor, snr_db: float) -> Tensor:
+    """dense -> ReLU -> dense over [stats, snr/20] with the `name`.w1/b1/w2/b2 parameters."""
+    snr_col = tape.leaf(np.full((stats.shape[0], 1), snr_db / 20.0, dtype=np.float32))
+    inp = tape.concat([stats, snr_col], axis=1)
+    h = tape.relu(tape.dense(inp, _param(tape, p, f"{name}.w1"), _param(tape, p, f"{name}.b1")))
+    return tape.dense(h, _param(tape, p, f"{name}.w2"), _param(tape, p, f"{name}.b2"))
 
 
 def snr_adapt(tape: Tape, params: dict[str, np.ndarray], name: str, features: Tensor, snr_db: float) -> Tensor:
     """Rescale each channel by a sigmoid factor from (pooled features, snr)."""
     n, c = features.shape[0], features.shape[1]
-    pooled = tape.global_mean_pool(features)
-    snr_col = tape.leaf(np.full((n, 1), snr_db / 20.0, dtype=np.float32))
-    inp = tape.concat([pooled, snr_col], axis=1)
-    h = tape.relu(tape.dense(inp, _param(tape, params, f"{name}.w1"), _param(tape, params, f"{name}.b1")))
-    scale = tape.sigmoid(tape.dense(h, _param(tape, params, f"{name}.w2"), _param(tape, params, f"{name}.b2")))
-    scale4 = tape.reshape(scale, (n, c, 1, 1))
-    return tape.mul(features, scale4)
+    scale = tape.sigmoid(_mlp(tape, params, name, tape.reduce_mean(features, axis=(2, 3)), snr_db))
+    return tape.mul(features, tape.reshape(scale, (n, c, 1, 1)))
 
 
 def policy_mask(
@@ -205,18 +183,15 @@ def policy_mask(
     temperature: float,
     mode: str,
     rng: np.random.Generator | None = None,
-) -> RateMask:
+) -> Tensor:
     """Gate logits from (pooled g_s, snr) through the `enc.policy.*` MLP; sample or threshold into bits.
 
     Train mode draws logistic noise and applies a Gumbel-sigmoid at the given
     temperature, hard-thresholded at 0.5 with a straight-through gradient.
-    Eval mode is the deterministic threshold sigmoid(logit) > 0.5.
+    Eval mode is the deterministic threshold sigmoid(logit) > 0.5. Returns the
+    (N, f_s) mask, whose values are exactly 0 or 1.
     """
-    n = gs_stats.shape[0]
-    snr_col = tape.leaf(np.full((n, 1), snr_db / 20.0, dtype=np.float32))
-    inp = tape.concat([gs_stats, snr_col], axis=1)
-    h = tape.relu(tape.dense(inp, _param(tape, params, "enc.policy.w1"), _param(tape, params, "enc.policy.b1")))
-    logits = tape.dense(h, _param(tape, params, "enc.policy.w2"), _param(tape, params, "enc.policy.b2"))
+    logits = _mlp(tape, params, "enc.policy", gs_stats, snr_db)
     if mode == "train":
         if temperature <= 0:
             raise ValueError(f"train-mode temperature must be positive, got {temperature}")
@@ -229,74 +204,62 @@ def policy_mask(
         soft = tape.sigmoid(logits)
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return RateMask(node=tape.ste_threshold(soft, 0.5))
+    return tape.ste_threshold(soft, 0.5)
 
 
 def _encoder_features(tape, params, x, snr_db):
-    h = x
-    strides = (2, 1, 1, 2)
-    for i in range(4):
-        h = tape.prelu(
-            tape.conv2d(h, _param(tape, params, f"enc.es{i}.w"), _param(tape, params, f"enc.es{i}.b"), stride=strides[i]),
-            _param(tape, params, f"enc.es{i}.slope"),
-        )
-        if i == 0:
-            h = snr_adapt(tape, params, "enc.adapt_es0", h, snr_db)
+    h = _layer(tape, params, "enc.es0", x, stride=2)
+    h = snr_adapt(tape, params, "enc.adapt_es0", h, snr_db)
+    h = _layer(tape, params, "enc.es1", h)
+    h = _layer(tape, params, "enc.es2", h)
+    h = _layer(tape, params, "enc.es3", h, stride=2)
     h = snr_adapt(tape, params, "enc.adapt_es1", h, snr_db)
-    h = tape.prelu(
-        tape.conv2d(h, _param(tape, params, "enc.ec0.w"), _param(tape, params, "enc.ec0.b"), stride=1),
-        _param(tape, params, "enc.ec0.slope"),
-    )
+    h = _layer(tape, params, "enc.ec0", h)
     h = snr_adapt(tape, params, "enc.adapt_ec", h, snr_db)
-    return tape.conv2d(h, _param(tape, params, "enc.ec1.w"), _param(tape, params, "enc.ec1.b"), stride=1)
+    return _layer(tape, params, "enc.ec1", h)
 
 
 def encode(
     encoder: EncoderModel,
-    x: np.ndarray | Tensor,
+    x: np.ndarray,
     snr_db: float,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     temperature: float = 1.0,
-    tape: Tape | None = None,
 ) -> EncodeResult:
     """x -> masked selective + non-selective features -> unit-power symbols.
 
     The coefficient vector is the row-major flattening of the concatenated
     (g_s * m, g_n) grid; pairs (2k, 2k+1) form complex symbol k, so each
     feature channel contributes grid_h*grid_w/2 symbols. Symbols of a masked
-    selective channel are marked inactive and carry no energy.
+    selective channel are marked inactive and carry no energy. The tape
+    computes in the dtype of the encoder parameters.
     """
     cfg = encoder.config
-    if tape is None:
-        tape = Tape()
-    if isinstance(x, Tensor):
-        xt = x
-    else:
-        x = np.asarray(x, dtype=np.float32)
-        if x.ndim == 3:
-            x = x[None]
-        xt = tape.leaf(x)
-    if xt.shape[1:] != (3, cfg.height, cfg.width):
-        raise ShapeError(f"encoder expects (N, 3, {cfg.height}, {cfg.width}), got {xt.shape}")
-    n = xt.shape[0]
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim == 3:
+        x = x[None]
+    if x.shape[1:] != (3, cfg.height, cfg.width):
+        raise ShapeError(f"encoder expects (N, 3, {cfg.height}, {cfg.width}), got {x.shape}")
+    n = x.shape[0]
+    tape = Tape(dtype=encoder.params["enc.es0.w"].dtype)
+    xt = tape.leaf(x)
 
     feats = _encoder_features(tape, encoder.params, xt, snr_db)
     g_s = tape.slice(feats, axis=1, start=0, stop=cfg.f_s)
     g_n = tape.slice(feats, axis=1, start=cfg.f_s, stop=cfg.f_s + cfg.f_n)
 
-    gs_stats = tape.global_mean_pool(g_s)
+    gs_stats = tape.reduce_mean(g_s, axis=(2, 3))
     mask = policy_mask(tape, encoder.params, gs_stats, snr_db, temperature, mode, rng)
 
-    mask4 = tape.reshape(mask.node, (n, cfg.f_s, 1, 1))
-    masked_gs = tape.mul(g_s, mask4)
+    masked_gs = tape.mul(g_s, tape.reshape(mask, (n, cfg.f_s, 1, 1)))
     wire = tape.concat([masked_gs, g_n], axis=1)
     flat = tape.reshape(wire, (n, (cfg.f_s + cfg.f_n) * cfg.coeffs_per_channel))
 
     spc = cfg.symbols_per_channel
     active = np.concatenate(
         [
-            np.repeat(mask.hard.astype(bool), spc, axis=1),
+            np.repeat(mask.value.astype(bool), spc, axis=1),
             np.ones((n, cfg.f_n * spc), dtype=bool),
         ],
         axis=1,
@@ -305,7 +268,7 @@ def encode(
     return EncodeResult(tape=tape, x=xt, g_s=g_s, g_n=g_n, mask=mask, e=e, snr_db=snr_db)
 
 
-def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, mask: RateMask, snr_db: float) -> Tensor:
+def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, mask: Tensor, snr_db: float) -> Tensor:
     """Received symbols -> image in (0, 1)^(N,3,H,W).
 
     The recorded transmit scale is inverted first; masked-off selective
@@ -319,8 +282,8 @@ def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, mask: RateMask, 
     expect = (cfg.f_s + cfg.f_n) * cfg.coeffs_per_channel
     if width != expect:
         raise ShapeError(f"coefficient count {width} does not match codec config ({expect})")
-    if mask.hard.shape != (n, cfg.f_s):
-        raise ShapeError(f"mask shape {mask.hard.shape} does not match (batch, f_s)=({n}, {cfg.f_s})")
+    if mask.shape != (n, cfg.f_s):
+        raise ShapeError(f"mask shape {mask.shape} does not match (batch, f_s)=({n}, {cfg.f_s})")
 
     d = e_prime.coeffs
     if e_prime.gamma is not None:
@@ -329,10 +292,10 @@ def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, mask: RateMask, 
     h = tape.reshape(d, (n, cfg.f_s + cfg.f_n, gh, gw))
 
     p = decoder.params
-    h = tape.prelu(tape.conv2d(h, _param(tape, p, "dec.dc0.w"), _param(tape, p, "dec.dc0.b"), stride=1), _param(tape, p, "dec.dc0.slope"))
+    h = _layer(tape, p, "dec.dc0", h)
     h = snr_adapt(tape, p, "dec.adapt_dc", h, snr_db)
-    h = tape.prelu(tape.conv2d(h, _param(tape, p, "dec.dc1.w"), _param(tape, p, "dec.dc1.b"), stride=1), _param(tape, p, "dec.dc1.slope"))
-    h = tape.prelu(tape.tconv2d(h, _param(tape, p, "dec.ds0.w"), _param(tape, p, "dec.ds0.b"), stride=2), _param(tape, p, "dec.ds0.slope"))
+    h = _layer(tape, p, "dec.dc1", h)
+    h = _layer(tape, p, "dec.ds0", h, stride=2, op="tconv2d")
     h = snr_adapt(tape, p, "dec.adapt_ds", h, snr_db)
-    h = tape.prelu(tape.tconv2d(h, _param(tape, p, "dec.ds1.w"), _param(tape, p, "dec.ds1.b"), stride=2), _param(tape, p, "dec.ds1.slope"))
-    return tape.sigmoid(tape.conv2d(h, _param(tape, p, "dec.ds2.w"), _param(tape, p, "dec.ds2.b"), stride=1))
+    h = _layer(tape, p, "dec.ds1", h, stride=2, op="tconv2d")
+    return tape.sigmoid(_layer(tape, p, "dec.ds2", h))

@@ -142,7 +142,7 @@ def evaluate(
                     psnrs[start + j] = psnr(imgs[j], xp[j])
                     ssims[start + j] = ssim(imgs[j], xp[j])
                 cpps.append(
-                    cpp(r.mask.hard, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
+                    cpp(r.mask.value, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
                     * len(imgs)
                 )
             reports.append(

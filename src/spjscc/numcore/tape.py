@@ -394,14 +394,6 @@ _OPS = {
     "transposed-conv2d": (_tconv2d, _tconv2d_grad),
     "dense": (_dense_fwd, _dense_bwd),
     "mean-pool": (_mean_pool_fwd, _mean_pool_bwd),
-    "global-mean-pool": (
-        lambda at, a: a.mean(axis=(2, 3)),
-        lambda at, g, ins, out, need: [
-            np.broadcast_to(
-                g[:, :, None, None] / (ins[0].shape[2] * ins[0].shape[3]), ins[0].shape
-            ).copy()
-        ],
-    ),
     "concat": (
         lambda at, *arrs: np.concatenate(arrs, axis=at["axis"]),
         _concat_bwd,
@@ -433,9 +425,8 @@ OP_KINDS = tuple(sorted(_OPS))
 class Tape:
     """Ordered record of ops plus a registry of named parameters."""
 
-    def __init__(self, dtype=np.float32, check_finite=True):
+    def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self.check_finite = check_finite
         self.nodes = []
         self.params = {}  # name -> node id
 
@@ -460,7 +451,7 @@ class Tape:
 
         `inputs` is a sequence of Tensors living on this tape. Raises
         ShapeError on incompatible operands and NonFiniteError if the op
-        produces NaN/Inf (when check_finite is on).
+        produces NaN/Inf.
         """
         if kind not in _OPS:
             raise ValueError(f"unknown op kind {kind!r}; valid: {OP_KINDS}")
@@ -471,7 +462,7 @@ class Tape:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = _OPS[kind][0](attrs, *arrays)
         out = _contig(out, self.dtype)
-        if self.check_finite and not np.isfinite(out).all():
+        if not np.isfinite(out).all():
             raise NonFiniteError(f"op {kind!r} produced non-finite values")
         self.nodes.append(Node(kind, tuple(t.nid for t in inputs), out, attrs))
         return Tensor(self, len(self.nodes) - 1)
@@ -516,9 +507,6 @@ class Tape:
 
     def mean_pool(self, x, k=2):
         return self.apply("mean-pool", (x,), k=int(k))
-
-    def global_mean_pool(self, x):
-        return self.apply("global-mean-pool", (x,))
 
     def concat(self, tensors, axis):
         return self.apply("concat", tuple(tensors), axis=int(axis))
@@ -588,7 +576,7 @@ class Tape:
             node = self.nodes[nid]
             if node.kind == "leaf":
                 continue
-            if self.check_finite and not np.isfinite(g).all():
+            if not np.isfinite(g).all():
                 raise NonFiniteError(f"non-finite gradient flowing into op {node.kind!r}")
             flags = [need[i] for i in node.inputs]
             if not any(flags):

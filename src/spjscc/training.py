@@ -69,10 +69,6 @@ class TrainLog:
         vals = [r[2] for r in self.rows if r[0] == epoch]
         return float(np.mean(vals))
 
-    def epoch_mean_mask(self, epoch: int) -> float:
-        vals = [r[5] for r in self.rows if r[0] == epoch]
-        return float(np.mean(vals))
-
     def last_epoch(self) -> int:
         return self.rows[-1][0] if self.rows else -1
 
@@ -127,11 +123,11 @@ def loss_sp(tape: Tape, x: Tensor, x_prime: Tensor, weights: np.ndarray) -> Tens
     return tape.reduce_mean(_sum_over_pixels(tape, weighted))
 
 
-def total_loss(tape: Tape, distortion: Tensor, mask_node: Tensor, lambda_rate: float) -> Tensor:
+def total_loss(tape: Tape, distortion: Tensor, mask: Tensor, lambda_rate: float) -> Tensor:
     """distortion + lambda * mean(mask); lambda 0 returns distortion itself."""
     if lambda_rate == 0.0:
         return distortion
-    rate = tape.reduce_mean(mask_node)
+    rate = tape.reduce_mean(mask)
     return tape.add(distortion, tape.scalar_mul(rate, lambda_rate))
 
 
@@ -146,7 +142,7 @@ def _step_loss(enc, dec, imgs, weights, snr_db, mode, rng, temperature, config, 
         distortion = loss_sp(tape, r.x, xp, weights)
     else:
         distortion = loss_mse(tape, r.x, xp)
-    total = total_loss(tape, distortion, r.mask.node, config.lambda_rate)
+    total = total_loss(tape, distortion, r.mask, config.lambda_rate)
     return tape, total, distortion, r.mask
 
 
@@ -225,8 +221,8 @@ def train_jscc(
                     f"diverged at epoch {epoch} step {global_step}: {exc} "
                     f"(snr {snr_db:.2f} dB, last losses {recent})"
                 ) from exc
-            rate_term = config.lambda_rate * mask.active_fraction()
-            log.append(epoch, global_step, float(total.value), float(distortion.value), rate_term, mask.active_fraction(), snr_db)
+            mask_mean = float(mask.value.mean())
+            log.append(epoch, global_step, float(total.value), float(distortion.value), config.lambda_rate * mask_mean, mask_mean, snr_db)
             global_step += 1
 
         # fixed-draw validation pass, eval-mode mask

@@ -23,13 +23,19 @@ def _vector(vals, active=None, dtype=np.float64):
     return tape, raw, np.asarray(active, dtype=bool)
 
 
+def _mean_active_power(e):
+    """Mean |e_k|^2 over active symbols, per row."""
+    vals = e.coeffs.value.astype(np.float64)
+    return (vals * vals * e.coefficient_mask()).sum(axis=1) / e.active.sum(axis=1)
+
+
 def test_normalize_mean_power_four_scales_by_half():
     # 4 active symbols, total power 16 (mean 4) -> scale 1/2
     tape, raw, active = _vector([2.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 2.0])
     e = normalize_power(raw, active)
     np.testing.assert_allclose(e.coeffs.value, [[1, 0, 0, 1, 1, 0, 0, 1]])
     np.testing.assert_allclose(e.gamma.value, [[0.5]])
-    np.testing.assert_allclose(e.mean_active_power(), 1.0, atol=1e-12)
+    np.testing.assert_allclose(_mean_active_power(e), 1.0, atol=1e-12)
 
 
 def test_normalize_identity_when_already_unit_power():
@@ -48,10 +54,19 @@ def test_normalize_masked_symbols_zeroed_active_untouched():
     np.testing.assert_allclose(e.gamma.value, [[1.0]])
 
 
-def test_normalize_rejects_all_zero_active():
-    tape, raw, active = _vector([0.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError, match="all-zero"):
-        normalize_power(raw, active)
+def test_normalize_sends_all_zero_active_row_with_unit_gamma():
+    # row 0 has no energy; row 1 must come out exactly as it does on its own
+    tape, raw, active = _vector([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 2.0]])
+    e = normalize_power(raw, active)
+    np.testing.assert_array_equal(e.gamma.value, [[1.0], [0.5]])
+    np.testing.assert_array_equal(e.coeffs.value, [[0, 0, 0, 0], [1, 0, 0, 1]])
+    _, alone, _ = _vector([2.0, 0.0, 0.0, 2.0])
+    assert normalize_power(alone, active[1:]).coeffs.value.tobytes() == e.coeffs.value[1:].tobytes()
+    # gamma = 1 is a constant on the zero row: its gradient is finite, the weights themselves
+    s = tape.reduce_sum(tape.mul(e.coeffs, tape.leaf(np.array([[1.0, 2.0, 3.0, 4.0]] * 2))))
+    (g,) = tape.backward(s, wrt=(raw,))
+    assert np.isfinite(g).all()
+    np.testing.assert_array_equal(g[0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_normalize_invariant_after_scaling():
@@ -61,7 +76,7 @@ def test_normalize_invariant_after_scaling():
     active = rng.uniform(size=(5, 32)) < 0.7
     active[:, 0] = True
     e = normalize_power(raw, active)
-    np.testing.assert_allclose(e.mean_active_power(), 1.0, atol=1e-5)
+    np.testing.assert_allclose(_mean_active_power(e), 1.0, atol=1e-5)
     # inactive coefficients exactly zero
     assert np.all(e.coeffs.value[~e.coefficient_mask().astype(bool)] == 0.0)
 

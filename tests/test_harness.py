@@ -8,7 +8,7 @@ from spjscc.dataio import generate_shapes, load_cache, save_cache
 from spjscc.harness.checkpoint import FORMAT_LINE, CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
 from spjscc.harness import cli
 from spjscc.harness.cli import build_parser, main
-from spjscc.harness.config import ConfigError, default_config, parse_config
+from spjscc.harness.config import ConfigError, default_config, load_config, parse_config
 from spjscc.harness.plots import PlotError, emit_plots, read_results_csv
 from spjscc.jscc import CodecConfig, init_decoder, init_encoder
 from spjscc.saliency import WeightCache, extract_weight_cache, load_weight_cache, save_weight_cache
@@ -351,17 +351,31 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     assert (tmp_path / "run" / "classifier.ckpt").read_bytes() == ckpt
 
     # artifacts record the config hash they were produced from
-    from spjscc.harness.config import load_config
-
     chash = load_config(cfg).config_hash()
     assert f"# config_hash={chash}" in compare.read_text()
     assert f"# config_hash={chash}" in (tmp_path / "run" / "trainlog_sp.csv").read_text()
     assert f"config_hash={chash}" in (tmp_path / "run" / "plots" / "acc.svg").read_text()
 
+    # plot re-renders compare's SVGs byte for byte, and refuses results written under another config
+    plots = tmp_path / "run" / "plots"
+    svgs = {p.name: p.read_bytes() for p in plots.iterdir()}
+    assert main(["plot", "--config", cfg, "--out", out]) == 0
+    assert {p.name: p.read_bytes() for p in plots.iterdir()} == svgs
+    other = tmp_path / "other.cfg"
+    other.write_text(TINY_CFG + "eval.seeds = 1,2,3\n")
+    capsys.readouterr()
+    assert main(["plot", "--config", str(other), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert str(compare) in err and chash in err and load_config(other).config_hash() in err and "run compare" in err
+
     # single-snr override writes a per-mode results file
     assert main(["evaluate", "--loss", "sp", "--config", cfg, "--out", out, "--snr", "5"]) == 0
     res = read_results_csv(tmp_path / "run" / "results_sp.csv")
     assert {float(r["snr_db"]) for r in res} == {5.0}
+    compare.unlink()
+    assert main(["plot", "--config", str(other), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "run" / "results_sp.csv") in err and "run evaluate --loss sp" in err
 
 
 def _run(tmp_path, name, text, *argv):
@@ -410,10 +424,10 @@ def test_cli_damaged_dataset_cache_is_an_error_naming_the_file(tmp_path, capsys)
     assert str(path) in err and "hash" in err and "Traceback" not in err
 
 
-def _cifar_batches(root, base=0):
-    """Ten 32x32 CIFAR-10 records, record i of class i filled with base + 25 i, as both the train and the test batch."""
+def _cifar_batches(root):
+    """Ten 32x32 CIFAR-10 records, record i of class i filled with 25 i, as both the train and the test batch."""
     root.mkdir(parents=True)
-    records = b"".join(bytes([i % 10]) + bytes([base + 25 * (i % 10)]) * 3072 for i in range(10))
+    records = b"".join(bytes([i % 10]) + bytes([25 * (i % 10)]) * 3072 for i in range(10))
     for name in ("data_batch_1.bin", "test_batch.bin"):
         (root / name).write_bytes(records)
 
@@ -438,8 +452,7 @@ def test_cli_cifar_path_with_space_and_non_ascii_is_cached(tmp_path, capsys, mon
 def test_cli_cifar_codec_is_sized_from_the_images_not_the_config(tmp_path, capsys):
     """CIFAR-10 images are 32x32 whatever dataset.height/width say."""
     root = tmp_path / "cifar"
-    # no all-black record: the freshly initialized codec encodes one to all zeros, which normalize_power refuses
-    _cifar_batches(root, base=5)
+    _cifar_batches(root)  # record 0 is all black
     cfg = (
         f"dataset.kind = cifar10\ndataset.path = {root}\ndataset.height = 64\ndataset.width = 64\n"
         "classifier.epochs = 1\ntrain.epochs = 1\neval.snr_grid = 5\neval.seeds = 1\n"
@@ -513,3 +526,4 @@ def test_cli_has_no_seed_option_and_snr_only_where_it_evaluates(command, capsys)
     else:
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--snr", "5"])
+

@@ -1,5 +1,7 @@
 """Codec: encode/decode contracts, policy mask, SNR adapters, rate range."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,20 @@ def _images(n=4, seed=0):
     return np.random.default_rng(seed).uniform(size=(n, 3, 32, 32)).astype(np.float32)
 
 
+def test_init_params_are_pinned():
+    """Names, order, shapes and bytes of the seed-0 init; a change to the init order or rule fails here."""
+    digests = []
+    for model in (init_encoder(CodecConfig(), 0), init_decoder(CodecConfig(), 0)):
+        h = hashlib.sha256()
+        for name, arr in model.params.items():
+            h.update(f"{name} {arr.dtype} {arr.shape}\n".encode() + arr.tobytes())
+        digests.append(h.hexdigest())
+    assert digests == [
+        "fec3feeef3e4450495c57c6d4bf83cb0646586082cae7be7396ce2fcdf24a1da",
+        "8bb95fcb4665df4a4b9228dcf49e4fd3e0be23cdab8073e17e1cc132a5613b39",
+    ]
+
+
 def _forced_mask_encode(enc, x, snr, bias):
     """Encode with the policy biased hard open/closed via its output bias."""
     saved = enc.params["enc.policy.b2"].copy()
@@ -41,19 +57,19 @@ def _forced_mask_encode(enc, x, snr, bias):
 def test_all_ones_mask_gives_full_coefficient_count(codec):
     cfg, enc, _ = codec
     r = _forced_mask_encode(enc, _images(2), 10.0, bias=50.0)
-    assert np.all(r.mask.hard == 1.0)
+    assert np.all(r.mask.value == 1.0)
     assert r.e.coeffs.shape[1] == (cfg.f_s + cfg.f_n) * cfg.coeffs_per_channel
     assert bool(r.e.active.all())
     # CPP at the upper range endpoint
-    got = cpp(r.mask.hard, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
+    got = cpp(r.mask.value, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
     assert got == 0.5
 
 
 def test_all_zeros_mask_hits_cpp_lower_bound(codec):
     cfg, enc, _ = codec
     r = _forced_mask_encode(enc, _images(2), 10.0, bias=-50.0)
-    assert np.all(r.mask.hard == 0.0)
-    got = cpp(r.mask.hard, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
+    assert np.all(r.mask.value == 0.0)
+    got = cpp(r.mask.value, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
     assert got == cfg.nonselective_symbols / (2 * cfg.height * cfg.width) == 0.25
     # only g_n symbols active
     assert r.e.active[:, : cfg.f_s * cfg.symbols_per_channel].sum() == 0
@@ -66,7 +82,7 @@ def test_eval_encode_deterministic(codec):
     a = encode(enc, x, 7.0, mode="eval")
     b = encode(enc, x, 7.0, mode="eval")
     assert a.e.coeffs.value.tobytes() == b.e.coeffs.value.tobytes()
-    assert np.array_equal(a.mask.hard, b.mask.hard)
+    assert np.array_equal(a.mask.value, b.mask.value)
 
 
 def test_encode_rejects_bad_shape(codec):
@@ -85,7 +101,7 @@ def test_masked_channel_identity(codec):
     gn = r.g_n.value.reshape(2, cfg.f_n, cfg.coeffs_per_channel)
     for i in range(2):
         for c in range(cfg.f_s):
-            if r.mask.hard[i, c] == 1.0:
+            if r.mask.value[i, c] == 1.0:
                 np.testing.assert_allclose(coeffs[i, c], gamma[i, 0] * gs[i, c], rtol=1e-5)
             else:
                 np.testing.assert_array_equal(coeffs[i, c], 0.0)
@@ -102,8 +118,8 @@ def test_policy_mask_eval_binary_and_saturation():
     }
     stats = tape.leaf(np.zeros((1, 2), np.float32))
     m = policy_mask(tape, params, stats, snr_db=5.0, temperature=1.0, mode="eval")
-    np.testing.assert_array_equal(m.hard, [[1.0, 0.0]])
-    assert set(np.unique(m.hard)) <= {0.0, 1.0}
+    np.testing.assert_array_equal(m.value, [[1.0, 0.0]])
+    assert set(np.unique(m.value)) <= {0.0, 1.0}
 
 
 def test_policy_mask_train_gradient_reaches_mlp(codec):
@@ -203,7 +219,7 @@ def test_cpp_always_inside_declared_range(codec):
     rng = np.random.default_rng(5)
     for seed in range(4):
         r = encode(enc, _images(4, seed=seed), float(rng.uniform(0, 20)), mode="eval")
-        got = cpp(r.mask.hard, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
+        got = cpp(r.mask.value, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
         assert lo <= got <= hi
 
 
@@ -261,22 +277,29 @@ def _float64(model):
 
 
 def test_composed_codec_decoder_gradients_match_finite_differences(codec):
-    """Decoder conv and transposed-conv weights through encode, channel, decode."""
+    """Decoder conv and transposed-conv weights through encode, channel, decode.
+
+    The third image is all black: a fresh encoder (zero biases, PReLU(0) = 0)
+    sends it as all-zero coefficients with gamma = 1, and decoder weight
+    perturbations keep that row at exactly zero.
+    """
     cfg, enc, dec = codec
     enc, dec = _float64(enc), _float64(dec)
-    x = _images(2, seed=21)
+    x = np.concatenate([_images(2, seed=21), np.zeros((1, 3, 32, 32), np.float32)])
     snr = 7.0
 
     def mse(params):
-        tape = Tape(dtype=np.float64)
-        r = encode(enc, x, snr, mode="eval", tape=tape)
+        r = encode(enc, x, snr, mode="eval")  # float64 parameters: a float64 tape
+        tape = r.tape
         ep = awgn_transmit(r.e, ChannelConfig(snr_db=snr, seed=5))
         xh = decode(type(dec)(params=params, config=cfg), ep, r.mask, snr)
         diff = tape.add(xh, tape.scalar_mul(r.x, -1.0))
-        return tape, tape.reduce_mean(tape.mul(diff, diff))
+        return tape, tape.reduce_mean(tape.mul(diff, diff)), r.e
 
     names = ["dec.dc0.w", "dec.dc1.w", "dec.ds0.w", "dec.ds1.w", "dec.ds2.w"]
-    tape, loss = mse(dec.params)
+    tape, loss, e = mse(dec.params)
+    assert tape.dtype == np.float64
+    assert not e.coeffs.value[2].any() and e.gamma.value[2, 0] == 1.0
     grads = tape.grad_by_name(loss, names=names)
     errs = _sampled_fd_errors(dec.params, names, lambda p: float(mse(p)[1].value), grads, np.random.default_rng(0))
     assert max(errs.values()) < 1e-4, errs

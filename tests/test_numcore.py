@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spjscc.numcore import (
+    OP_KINDS,
     AdamState,
     NonFiniteError,
     ShapeError,
@@ -328,8 +329,8 @@ def _fd_cases(rng):
                   lambda t, x, w, b: red(t, t.dense(x, w, b))))
     cases.append(("mean-pool", [n(size=(2, 3, 4, 4))],
                   lambda t, a: red(t, t.mean_pool(a, 2))))
-    cases.append(("global-mean-pool", [n(size=(2, 3, 4, 4))],
-                  lambda t, a: red(t, t.global_mean_pool(a))))
+    cases.append(("mean-spatial", [n(size=(2, 3, 4, 4))],
+                  lambda t, a: red(t, t.reduce_mean(a, axis=(2, 3)))))
     cases.append(("concat", [n(size=(2, 3)), n(size=(2, 2))],
                   lambda t, a, b: red(t, t.concat([a, b], axis=1))))
     cases.append(("sum-axis", [n(size=(3, 4, 2))],
@@ -367,6 +368,21 @@ def test_every_op_matches_central_finite_differences():
                 worst[name] = max(worst.get(name, 0.0), err)
     bad = {k: v for k, v in worst.items() if v >= 1e-4}
     assert not bad, f"gradient mismatch beyond 1e-4: {bad}"
+
+
+def test_fd_cases_cover_every_op_kind():
+    """Adding or deleting an op kind cannot silently drop finite-difference coverage.
+
+    ste-threshold is the one exception: its straight-through gradient is by
+    design not the derivative of its forward step, so
+    test_ste_threshold_forward_hard_backward_identity pins it instead.
+    """
+    recorded = set()
+    for _, arrays, build in _fd_cases(np.random.default_rng(100)):
+        tape = Tape(dtype=np.float64)
+        build(tape, *[tape.leaf(a) for a in arrays])
+        recorded |= {node.kind for node in tape.nodes} - {"leaf"}
+    assert recorded == set(OP_KINDS) - {"ste-threshold"}
 
 
 def test_conv2d_parameter_gradient_vs_finite_differences():

@@ -151,9 +151,16 @@ def test_larger_lambda_lowers_final_mask_activity():
     base = dict(loss_mode="mse", epochs=4, batch_size=24, lr=1e-3, seed=4)
     _, _, log0 = train_jscc(TrainConfig(lambda_rate=0.0, **base), ds, None, None, CodecConfig())
     _, _, log1 = train_jscc(TrainConfig(lambda_rate=1.0, **base), ds, None, None, CodecConfig())
-    m0 = log0.epoch_mean_mask(log0.last_epoch())
-    m1 = log1.epoch_mean_mask(log1.last_epoch())
+    m0, m1 = (np.mean([r[5] for r in log.rows if r[0] == log.last_epoch()]) for log in (log0, log1))
     assert m1 < m0
+
+
+def test_all_black_image_trains():
+    # a fresh encoder maps an all-black image to all-zero coefficients, sent with gamma = 1
+    ds = generate_shapes(5, 40, 32, 32)
+    ds.images[0] = 0
+    _, _, log = train_jscc(TrainConfig(loss_mode="mse", epochs=1, batch_size=20, seed=1), ds, None, None)
+    assert log.rows and all(np.isfinite(r[2]) for r in log.rows)
 
 
 def test_divergence_aborts_with_snapshot():

@@ -8,6 +8,10 @@ can undo it. A row with zero energy (an all-black image through a freshly
 initialized encoder) is sent with scale factor 1: it carries zeros, and only
 the channel noise arrives. Everything stays on the autodiff tape: the normalization has a
 gradient and the noise acts as an additive constant.
+
+A channel use is `awgn_transmit(e, snr_db, rng)`: the symbols, the SNR in dB
+and the generator the noise is drawn from, all three required. For a fixed
+generator state the output is deterministic.
 """
 
 from __future__ import annotations
@@ -20,23 +24,12 @@ from .numcore import ShapeError, Tensor
 
 
 @dataclass
-class ChannelConfig:
-    snr_db: float
-    seed: int = 0
-    noise_enabled: bool = True
-
-    def __post_init__(self):
-        if self.noise_enabled and not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-
-
-@dataclass
 class ComplexSymbolVector:
     """(N, 2s) real coefficients on a tape plus the (N, s) active-symbol mask."""
 
     coeffs: Tensor
     active: np.ndarray  # (N, s) bool; inactive symbols carry exactly zero
-    gamma: Tensor | None = None  # (N, 1) transmit scale, set by normalize_power
+    gamma: Tensor  # (N, 1) transmit scale from normalize_power
 
     def coefficient_mask(self) -> np.ndarray:
         """Per-real-coefficient activity: each symbol covers two entries."""
@@ -60,8 +53,6 @@ def normalize_power(raw: Tensor, active: np.ndarray) -> ComplexSymbolVector:
     tape = raw.tape
     n, width = raw.shape
     active = np.asarray(active, dtype=bool)
-    if active.ndim == 1:
-        active = np.broadcast_to(active, (n, active.shape[0]))
     if width % 2 != 0 or active.shape != (n, width // 2):
         raise ShapeError(f"active mask {active.shape} does not match coefficients {raw.shape}")
     s_active = active.sum(axis=1, keepdims=True)
@@ -79,23 +70,20 @@ def normalize_power(raw: Tensor, active: np.ndarray) -> ComplexSymbolVector:
     return ComplexSymbolVector(coeffs=out, active=active.copy(), gamma=gamma)
 
 
-def awgn_transmit(e: ComplexSymbolVector, config: ChannelConfig, rng: np.random.Generator | None = None) -> ComplexSymbolVector:
+def awgn_transmit(e: ComplexSymbolVector, snr_db: float, rng: np.random.Generator) -> ComplexSymbolVector:
     """e' = e + N with N Gaussian per active real coefficient, var sigma^2/2.
 
-    sigma^2 = 10^(-snr_db/10) per complex symbol. Inactive symbols are left
-    untouched (they carry no energy and are not transmitted). The noise is a
-    constant on the tape, so d(e')/d(e) is the identity. Deterministic for a
-    fixed seed / generator state.
+    sigma^2 = 10^(-snr_db/10) per complex symbol; snr_db must be finite.
+    Inactive symbols are left untouched (they carry no energy and are not
+    transmitted). The noise is drawn from `rng` and is a constant on the
+    tape, so d(e')/d(e) is the identity. For a fixed generator state the
+    output is deterministic.
     """
-    if not config.noise_enabled:
-        return ComplexSymbolVector(coeffs=e.coeffs, active=e.active.copy(), gamma=e.gamma)
-    if rng is None:
-        rng = np.random.default_rng(np.random.PCG64(config.seed))
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     tape = e.coeffs.tape
-    sigma2 = noise_variance(config.snr_db)
-    noise = rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=e.coeffs.shape)
-    noise = noise * e.coefficient_mask()
-    out = tape.add(e.coeffs, tape.leaf(noise))
+    noise = rng.normal(0.0, np.sqrt(noise_variance(snr_db) / 2.0), size=e.coeffs.shape)
+    out = tape.add(e.coeffs, tape.leaf(noise * e.coefficient_mask()))
     return ComplexSymbolVector(coeffs=out, active=e.active.copy(), gamma=e.gamma)
 
 

@@ -18,6 +18,7 @@ from .numcore import AdamState, NonFiniteError, ShapeError, Tape, adam_step
 from .numcore.tape import _softmax
 
 CONV_CHANNELS = (32, 64, 128)
+ACCURACY_BATCH = 256  # images per forward pass in classify_accuracy
 
 
 @dataclass
@@ -106,16 +107,16 @@ def perceive(model: ClassifierModel, images: np.ndarray) -> PerceptionResult:
     )
 
 
-def classify_accuracy(model: ClassifierModel, images: np.ndarray, labels: np.ndarray, batch: int = 256) -> float:
+def classify_accuracy(model: ClassifierModel, images: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of argmax predictions equal to labels."""
     if len(images) == 0:
         raise ValueError("cannot score an empty image set")
     if len(images) != len(labels):
         raise ShapeError(f"{len(images)} images vs {len(labels)} labels")
     hits = 0
-    for start in range(0, len(images), batch):
-        pred = perceive(model, images[start : start + batch]).predicted
-        hits += int((pred == labels[start : start + batch]).sum())
+    for start in range(0, len(images), ACCURACY_BATCH):
+        pred = perceive(model, images[start : start + ACCURACY_BATCH]).predicted
+        hits += int((pred == labels[start : start + ACCURACY_BATCH]).sum())
     return hits / len(images)
 
 

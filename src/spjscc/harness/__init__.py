@@ -1,17 +1,3 @@
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, ExperimentConfig, default_config, load_config, parse_config
-from .plots import PlotError, emit_plots, read_results_csv
+from .config import default_config, load_config
 
-__all__ = [
-    "CheckpointError",
-    "load_checkpoint",
-    "save_checkpoint",
-    "ConfigError",
-    "ExperimentConfig",
-    "default_config",
-    "load_config",
-    "parse_config",
-    "PlotError",
-    "emit_plots",
-    "read_results_csv",
-]
+__all__ = ["default_config", "load_config"]

@@ -8,6 +8,7 @@ key-sorted rendering) is stamped into every artifact produced from it.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,12 +17,23 @@ class ConfigError(ValueError):
     """Unknown key, bad value, or unreadable config file."""
 
 
-def _int_list(raw: str):
-    return [int(v) for v in raw.split(",") if v.strip() != ""]
+def _snr(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(f"SNR must be finite, got {raw.strip()!r}")
+    return val
 
 
-def _float_list(raw: str):
-    return [float(v) for v in raw.split(",") if v.strip() != ""]
+def _nonempty_list(parse):
+    """Parser for a comma-separated list of `parse` values, at least one."""
+
+    def parse_list(raw: str):
+        vals = [parse(v) for v in raw.split(",") if v.strip() != ""]
+        if not vals:
+            raise ValueError("empty list")
+        return vals
+
+    return parse_list
 
 
 # key -> (parser, default)
@@ -45,13 +57,13 @@ SCHEMA = {
     "train.batch": (int, 32),
     "train.lr": (float, 1e-3),
     "train.seed": (int, 3),
-    "train.snr_low": (float, 0.0),
-    "train.snr_high": (float, 20.0),
+    "train.snr_low": (_snr, 0.0),
+    "train.snr_high": (_snr, 20.0),
     "train.temp_start": (float, 5.0),
     "train.temp_end": (float, 0.5),
     "train.patience": (int, 5),
-    "eval.snr_grid": (_float_list, (0.0, 5.0, 10.0, 15.0, 20.0)),
-    "eval.seeds": (_int_list, (101, 102, 103, 104, 105)),
+    "eval.snr_grid": (_nonempty_list(_snr), (0.0, 5.0, 10.0, 15.0, 20.0)),
+    "eval.seeds": (_nonempty_list(int), (101, 102, 103, 104, 105)),
 }
 
 

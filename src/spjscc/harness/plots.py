@@ -11,6 +11,7 @@ import csv
 from pathlib import Path
 
 RESULTS_COLUMNS = ("run_id", "loss_mode", "snr_db", "seed", "cpp", "acc", "f1", "psnr_db", "ssim")
+_NUMERIC = {"snr_db": float, "seed": int, "cpp": float, "acc": float, "f1": float, "psnr_db": float, "ssim": float}
 PLOT_METRICS = ("acc", "f1", "psnr_db", "ssim", "cpp")
 _MODE_COLORS = {"sp": "#c23b22", "mse": "#1f5fa8"}
 _FALLBACK_COLORS = ("#2a9d3f", "#8448a8", "#b8860b")
@@ -20,21 +21,36 @@ _ML, _MR, _MT, _MB = 70, 30, 40, 50
 
 
 class PlotError(ValueError):
-    """Results CSV missing, empty, or lacking a required column."""
+    """Results CSV missing, empty, lacking a required column, or with a malformed row."""
 
 
 def read_results_csv(path: str | Path):
-    """Rows of the results CSV as dicts; `#` comment lines are skipped."""
-    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
-    if not lines:
+    """Rows of the results CSV as dicts, numeric columns parsed; `#` comment lines are skipped.
+
+    A row without every column, or with a numeric field that does not parse,
+    raises PlotError naming the file and the line.
+    """
+    lines = Path(path).read_text().splitlines()
+    numbered = [(i, l) for i, l in enumerate(lines, start=1) if l and not l.startswith("#")]
+    if not numbered:
         raise PlotError(f"{path}: empty results file")
-    reader = csv.DictReader(lines)
+    header, *body = csv.reader(l for _, l in numbered)
     for col in RESULTS_COLUMNS:
-        if col not in (reader.fieldnames or []):
+        if col not in header:
             raise PlotError(f"{path}: missing column {col!r}")
-    rows = list(reader)
-    if not rows:
+    if not body:
         raise PlotError(f"{path}: no data rows")
+    rows = []
+    for (lineno, _), fields in zip(numbered[1:], body):
+        if len(fields) != len(header):
+            raise PlotError(f"{path}: line {lineno}: {len(fields)} fields, expected {len(header)}")
+        row = dict(zip(header, fields))
+        for col, parse in _NUMERIC.items():
+            try:
+                row[col] = parse(row[col])
+            except ValueError as exc:
+                raise PlotError(f"{path}: line {lineno}: bad {col}: {exc}") from None
+        rows.append(row)
     return rows
 
 
@@ -43,8 +59,7 @@ def _series(rows, metric):
     acc: dict[str, dict[float, list[float]]] = {}
     for row in rows:
         mode = row["loss_mode"]
-        snr = float(row["snr_db"])
-        acc.setdefault(mode, {}).setdefault(snr, []).append(float(row[metric]))
+        acc.setdefault(mode, {}).setdefault(row["snr_db"], []).append(row[metric])
     return {
         mode: [(snr, sum(vals) / len(vals)) for snr, vals in sorted(by_snr.items())]
         for mode, by_snr in sorted(acc.items())
@@ -111,7 +126,7 @@ def _svg_for_metric(metric, series, config_hash):
     return "\n".join(out) + "\n"
 
 
-def emit_plots(results_csv: str | Path, out_dir: str | Path, config_hash: str = "") -> list[Path]:
+def emit_plots(results_csv: str | Path, out_dir: str | Path, config_hash: str) -> list[Path]:
     """Write one SVG per metric; returns the paths written."""
     rows = read_results_csv(results_csv)
     out_dir = Path(out_dir)

@@ -35,6 +35,8 @@ import numpy as np
 from .channel import ComplexSymbolVector, normalize_power
 from .numcore import ShapeError, Tape, Tensor
 
+POLICY_HIDDEN = 32  # hidden units of the policy MLP
+
 
 @dataclass
 class CodecConfig:
@@ -43,9 +45,10 @@ class CodecConfig:
     f_s: int = 16  # selective channels
     f_n: int = 16  # non-selective channels
     width_es: int = 32  # source encoder/decoder feature channels
-    policy_hidden: int = 32
 
     def __post_init__(self):
+        if self.f_s < 1:
+            raise ValueError(f"f_s must be >= 1, got {self.f_s}")
         if self.height % 4 or self.width % 4:
             raise ValueError(f"height/width must be divisible by 4, got {self.height}x{self.width}")
         if ((self.height // 4) * (self.width // 4)) % 2:
@@ -98,7 +101,6 @@ class EncodeResult:
     g_n: Tensor
     mask: Tensor  # (N, f_s) gate bits: hard 0/1 forward values, straight-through backward
     e: ComplexSymbolVector
-    snr_db: float
 
 
 def _conv_params(rng, p, name, cin, cout, transposed=False, prelu=True):
@@ -128,7 +130,7 @@ def init_encoder(config: CodecConfig, seed: int) -> EncoderModel:
     _conv_params(rng, p, "enc.ec0", w, w)
     _mlp_params(rng, p, "enc.adapt_ec", w + 1, w, w)
     _conv_params(rng, p, "enc.ec1", w, config.f_s + config.f_n, prelu=False)
-    _mlp_params(rng, p, "enc.policy", config.f_s + 1, config.policy_hidden, config.f_s)
+    _mlp_params(rng, p, "enc.policy", config.f_s + 1, POLICY_HIDDEN, config.f_s)
     # gates open by default; rate pressure (lambda > 0) has to close them
     p["enc.policy.b2"][:] = 2.0
     return EncoderModel(params=p, config=config)
@@ -237,8 +239,6 @@ def encode(
     """
     cfg = encoder.config
     x = np.asarray(x, dtype=np.float32)
-    if x.ndim == 3:
-        x = x[None]
     if x.shape[1:] != (3, cfg.height, cfg.width):
         raise ShapeError(f"encoder expects (N, 3, {cfg.height}, {cfg.width}), got {x.shape}")
     n = x.shape[0]
@@ -265,16 +265,15 @@ def encode(
         axis=1,
     )
     e = normalize_power(flat, active)
-    return EncodeResult(tape=tape, x=xt, g_s=g_s, g_n=g_n, mask=mask, e=e, snr_db=snr_db)
+    return EncodeResult(tape=tape, x=xt, g_s=g_s, g_n=g_n, mask=mask, e=e)
 
 
-def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, mask: Tensor, snr_db: float) -> Tensor:
+def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, snr_db: float) -> Tensor:
     """Received symbols -> image in (0, 1)^(N,3,H,W).
 
-    The recorded transmit scale is inverted first; masked-off selective
-    positions are zero (they were never transmitted) and the mask itself is
-    receiver side information, so no extra filling is needed beyond shape
-    restoration.
+    The recorded transmit scale is inverted first. Masked-off selective
+    positions arrive as zero (they were never transmitted), so the decoder
+    needs no mask, only shape restoration.
     """
     cfg = decoder.config
     tape = e_prime.coeffs.tape
@@ -282,12 +281,8 @@ def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, mask: Tensor, sn
     expect = (cfg.f_s + cfg.f_n) * cfg.coeffs_per_channel
     if width != expect:
         raise ShapeError(f"coefficient count {width} does not match codec config ({expect})")
-    if mask.shape != (n, cfg.f_s):
-        raise ShapeError(f"mask shape {mask.shape} does not match (batch, f_s)=({n}, {cfg.f_s})")
 
-    d = e_prime.coeffs
-    if e_prime.gamma is not None:
-        d = tape.mul(d, tape.reciprocal(e_prime.gamma))
+    d = tape.mul(e_prime.coeffs, tape.reciprocal(e_prime.gamma))
     gh, gw = cfg.grid_hw
     h = tape.reshape(d, (n, cfg.f_s + cfg.f_n, gh, gw))
 

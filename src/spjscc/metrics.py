@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, awgn_transmit
+from .channel import awgn_transmit
 from .classifier import ClassifierModel, perceive
 from .dataio import LabeledImageDataset
 from .jscc import DecoderModel, EncoderModel, decode, encode
@@ -113,7 +113,6 @@ def evaluate(
     seeds,
     run_id: str = "run",
     batch: int = 64,
-    noise_enabled: bool = True,
 ) -> list[EvalReport]:
     """Transmit the whole test set at each (snr, seed); one report per cell.
 
@@ -127,7 +126,6 @@ def evaluate(
     for snr_db in snr_grid:
         for seed in seeds:
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(round(snr_db * 1000))]))
-            chan = ChannelConfig(snr_db=float(snr_db), seed=int(seed), noise_enabled=noise_enabled)
             preds = np.empty(len(test_set), dtype=np.int64)
             psnrs = np.empty(len(test_set))
             ssims = np.empty(len(test_set))
@@ -135,8 +133,8 @@ def evaluate(
             for start in range(0, len(test_set), batch):
                 imgs = test_set.images[start : start + batch]
                 r = encode(encoder, imgs, float(snr_db), mode="eval")
-                ep = awgn_transmit(r.e, chan, rng=rng)
-                xp = decode(decoder, ep, r.mask, float(snr_db)).value
+                ep = awgn_transmit(r.e, float(snr_db), rng)
+                xp = decode(decoder, ep, float(snr_db)).value
                 preds[start : start + len(imgs)] = perceive(classifier, xp).predicted
                 for j in range(len(imgs)):
                     psnrs[start + j] = psnr(imgs[j], xp[j])

@@ -1,7 +1,6 @@
 from .tape import (
     OP_KINDS,
     NonFiniteError,
-    Node,
     ShapeError,
     Tape,
     Tensor,
@@ -11,7 +10,6 @@ from .optim import AdamState, adam_step
 __all__ = [
     "OP_KINDS",
     "NonFiniteError",
-    "Node",
     "ShapeError",
     "Tape",
     "Tensor",

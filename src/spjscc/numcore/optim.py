@@ -6,6 +6,10 @@ import numpy as np
 
 from .tape import NonFiniteError
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to sqrt(vhat) in the step denominator
+
 
 class AdamState:
     """First/second moment buffers plus the shared step counter."""
@@ -16,7 +20,7 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_step(params, grads, state, lr):
     """One Adam update, in place on `params`.
 
     Rejects the whole step (raises NonFiniteError, params untouched) if any
@@ -38,9 +42,9 @@ def adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             m = state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        mhat = m / (1.0 - beta1**t)
-        vhat = v / (1.0 - beta2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        mhat = m / (1.0 - BETA1**t)
+        vhat = v / (1.0 - BETA2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + EPS)
     return params

@@ -85,9 +85,7 @@ def compute_weight_maps(model: ClassifierModel, images: np.ndarray, batch: int =
     return maps, fallback
 
 
-def extract_weight_cache(
-    model: ClassifierModel, dataset: LabeledImageDataset, path: str | Path, batch: int = 64
-) -> WeightCache:
+def extract_weight_cache(model: ClassifierModel, dataset: LabeledImageDataset, path: str | Path) -> WeightCache:
     """Compute (or reuse) the weight cache for every image in `dataset`.
 
     A cache file whose classifier hash and dataset id match is loaded as is;
@@ -102,7 +100,7 @@ def extract_weight_cache(
             return load_weight_cache(path, expected_classifier_hash=chash, expected_dataset_id=dataset.dataset_id)
         except WeightCacheMismatch:
             pass  # stale cache: recompute below
-    maps, fallback = compute_weight_maps(model, dataset.images, batch=batch)
+    maps, fallback = compute_weight_maps(model, dataset.images)
     cache = WeightCache(maps=maps, fallback=fallback, dataset_id=dataset.dataset_id, classifier_hash=chash)
     save_weight_cache(cache, path)
     return cache

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelConfig, awgn_transmit, sample_training_snr
+from .channel import awgn_transmit, sample_training_snr
 from .classifier import ClassifierModel
 from .dataio import LabeledImageDataset, batch_iter
 from .jscc import CodecConfig, DecoderModel, EncoderModel, decode, encode, init_decoder, init_encoder
@@ -72,11 +72,10 @@ class TrainLog:
     def last_epoch(self) -> int:
         return self.rows[-1][0] if self.rows else -1
 
-    def to_csv(self, path: str | Path, config_hash: str | None = None) -> None:
+    def to_csv(self, path: str | Path, config_hash: str) -> None:
         with open(path, "w", newline="") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            writer = csv.writer(fh)
+            fh.write(f"# config_hash={config_hash}\n")
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(LOG_COLUMNS)
             for row in self.rows:
                 writer.writerow([row[0], row[1]] + [f"{v:.9g}" for v in row[2:]])
@@ -131,12 +130,13 @@ def total_loss(tape: Tape, distortion: Tensor, mask: Tensor, lambda_rate: float)
     return tape.add(distortion, tape.scalar_mul(rate, lambda_rate))
 
 
-def _step_loss(enc, dec, imgs, weights, snr_db, mode, rng, temperature, config, chan_rng):
-    """One encode/transmit/decode pass; returns (tape, total, distortion, mask)."""
+def _step_loss(enc, dec, imgs, weights, snr_db, mode, rng, temperature, config):
+    """One encode/transmit/decode pass; returns (tape, total, distortion, mask).
+
+    `rng` draws the channel noise and, in train mode, the mask sample.
+    """
     r = encode(enc, imgs, snr_db, mode=mode, rng=rng, temperature=temperature)
-    chan = ChannelConfig(snr_db=snr_db, seed=0, noise_enabled=True)
-    ep = awgn_transmit(r.e, chan, rng=chan_rng)
-    xp = decode(dec, ep, r.mask, snr_db)
+    xp = decode(dec, awgn_transmit(r.e, snr_db, rng), snr_db)
     tape = r.tape
     if config.loss_mode == "sp":
         distortion = loss_sp(tape, r.x, xp, weights)
@@ -208,9 +208,7 @@ def train_jscc(
             temperature = config.temp_start + (config.temp_end - config.temp_start) * frac
             weights = weight_cache.maps[b.indices] if config.loss_mode == "sp" else None
             try:
-                tape, total, distortion, mask = _step_loss(
-                    enc, dec, b.images, weights, snr_db, "train", rng, temperature, config, rng
-                )
+                tape, total, distortion, mask = _step_loss(enc, dec, b.images, weights, snr_db, "train", rng, temperature, config)
                 if not np.isfinite(total.value):
                     raise NonFiniteError("non-finite total loss")
                 grads = tape.grad_by_name(total)
@@ -232,7 +230,7 @@ def train_jscc(
             imgs = val_images[start : start + config.batch_size]
             w = val_weights[start : start + config.batch_size] if val_weights is not None else None
             snr_db = sample_training_snr(val_rng, config.snr_low, config.snr_high)
-            _, vtotal, _, _ = _step_loss(enc, dec, imgs, w, snr_db, "eval", None, 1.0, config, val_rng)
+            _, vtotal, _, _ = _step_loss(enc, dec, imgs, w, snr_db, "eval", val_rng, 1.0, config)
             val_losses.append(float(vtotal.value))
         val_loss = float(np.mean(val_losses))
         if val_loss < best_val - 1e-9:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from spjscc.channel import ChannelConfig, awgn_transmit, empirical_snr_db, normalize_power
+from spjscc.channel import awgn_transmit, empirical_snr_db, normalize_power
 from spjscc.classifier import TrainClassifierConfig, classify_accuracy, pretrain_classifier
 from spjscc.dataio import generate_shapes
 from spjscc.jscc import CodecConfig
@@ -75,7 +75,7 @@ def test_criterion_3_channel_statistics():
         tape = Tape(dtype=np.float64)
         raw = tape.leaf(rng.normal(size=(1, 2 * n_sym)))
         e = normalize_power(raw, np.ones((1, n_sym), dtype=bool))
-        out = awgn_transmit(e, ChannelConfig(snr_db=snr, seed=int(snr) * 31 + 5))
+        out = awgn_transmit(e, snr, np.random.default_rng(int(snr) * 31 + 5))
         got = empirical_snr_db(e.coeffs.value, out.coeffs.value, e.active)
         assert abs(got - snr) <= 0.2, f"empirical {got:.3f} dB at target {snr} dB"
         worst = max(worst, abs(got - snr))

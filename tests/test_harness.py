@@ -264,7 +264,7 @@ def test_plots_missing_column_named(tmp_path):
     bad = _CSV.replace("psnr_db", "psnr")
     (tmp_path / "r.csv").write_text(bad)
     with pytest.raises(PlotError, match="psnr_db"):
-        emit_plots(tmp_path / "r.csv", tmp_path / "plots")
+        emit_plots(tmp_path / "r.csv", tmp_path / "plots", config_hash="abc")
 
 
 def test_plots_empty_csv_rejected(tmp_path):
@@ -527,3 +527,48 @@ def test_cli_has_no_seed_option_and_snr_only_where_it_evaluates(command, capsys)
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv + ["--snr", "5"])
 
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("eval.snr_grid =", "eval.snr_grid"),
+        ("eval.seeds = ,", "eval.seeds"),
+        ("eval.snr_grid = 0,nan", "eval.snr_grid"),
+        ("eval.snr_grid = inf", "eval.snr_grid"),
+        ("train.snr_low = -inf", "train.snr_low"),
+    ],
+)
+def test_cli_refuses_empty_eval_lists_and_non_finite_snr(tmp_path, capsys, line, key):
+    assert _run(tmp_path, "a.cfg", _SMALL + line + "\n", "evaluate", "--loss", "mse") == 1
+    err = capsys.readouterr().err
+    assert "line 7" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "results_mse.csv").exists()
+
+
+def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
+    assert _run(tmp_path, "a.cfg", _SMALL + "codec.f_s = 0\n", "train", "--loss", "mse") == 1
+    err = capsys.readouterr().err
+    assert "f_s must be >= 1, got 0" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "codec_mse.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "last_row, reason",
+    [("mse,mse,10", "3 fields, expected 9"), ("mse,mse,10,1,0.5,abc,0.5,20.0,0.5", "bad acc")],
+)
+def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, last_row, reason):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(_SMALL, encoding="utf-8")
+    results = tmp_path / "run" / "results_mse.csv"
+    results.parent.mkdir()
+    results.write_text(
+        f"# config_hash={load_config(cfg).config_hash()}\n"
+        "run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n"
+        "mse,mse,5,1,0.5,0.5,0.5,20.0,0.5\n"
+        f"{last_row}\n"
+    )
+    assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{results}: line 4: {reason}" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "plots").exists()

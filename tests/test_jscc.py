@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from spjscc.channel import ChannelConfig, awgn_transmit
+from spjscc.channel import awgn_transmit
 from spjscc.jscc import (
     CodecConfig,
     _encoder_features,
@@ -152,8 +152,8 @@ def test_policy_mask_train_needs_temperature_and_rng():
 def test_decode_output_shape_and_range(codec):
     cfg, enc, dec = codec
     r = encode(enc, _images(3, seed=1), 6.0, mode="eval")
-    ep = awgn_transmit(r.e, ChannelConfig(snr_db=6.0, seed=4))
-    xp = decode(dec, ep, r.mask, 6.0)
+    ep = awgn_transmit(r.e, 6.0, np.random.default_rng(4))
+    xp = decode(dec, ep, 6.0)
     assert xp.shape == (3, 3, 32, 32)
     assert xp.value.min() > 0.0 and xp.value.max() < 1.0  # sigmoid range
 
@@ -161,11 +161,11 @@ def test_decode_output_shape_and_range(codec):
 def test_decode_deterministic(codec):
     cfg, enc, dec = codec
     r = encode(enc, _images(2, seed=2), 9.0, mode="eval")
-    ep = awgn_transmit(r.e, ChannelConfig(snr_db=9.0, seed=8))
-    a = decode(dec, ep, r.mask, 9.0)
+    ep = awgn_transmit(r.e, 9.0, np.random.default_rng(8))
+    a = decode(dec, ep, 9.0)
     r2 = encode(enc, _images(2, seed=2), 9.0, mode="eval")
-    ep2 = awgn_transmit(r2.e, ChannelConfig(snr_db=9.0, seed=8))
-    b = decode(dec, ep2, r2.mask, 9.0)
+    ep2 = awgn_transmit(r2.e, 9.0, np.random.default_rng(8))
+    b = decode(dec, ep2, 9.0)
     assert a.value.tobytes() == b.value.tobytes()
 
 
@@ -174,9 +174,9 @@ def test_decode_rejects_coefficient_count_mismatch(codec):
     small = CodecConfig(f_s=8, f_n=8)
     dec_small = init_decoder(small, 0)
     r = encode(enc, _images(1), 5.0, mode="eval")
-    ep = awgn_transmit(r.e, ChannelConfig(snr_db=5.0, seed=0))
+    ep = awgn_transmit(r.e, 5.0, np.random.default_rng(0))
     with pytest.raises(ShapeError, match="coefficient count"):
-        decode(dec_small, ep, r.mask, 5.0)
+        decode(dec_small, ep, 5.0)
 
 
 def test_snr_adapt_shape_and_bounds():
@@ -228,8 +228,8 @@ def test_end_to_end_gradients_finite_and_nonzero(codec):
     x = _images(4, seed=7)
     rng = np.random.default_rng(3)
     r = encode(enc, x, 9.0, mode="train", rng=rng, temperature=2.0)
-    ep = awgn_transmit(r.e, ChannelConfig(snr_db=9.0, seed=2), rng=rng)
-    xp = decode(dec, ep, r.mask, 9.0)
+    ep = awgn_transmit(r.e, 9.0, rng)
+    xp = decode(dec, ep, 9.0)
     tape = r.tape
     diff = tape.add(xp, tape.scalar_mul(r.x, -1.0))
     loss = tape.reduce_mean(tape.mul(diff, diff))
@@ -291,8 +291,8 @@ def test_composed_codec_decoder_gradients_match_finite_differences(codec):
     def mse(params):
         r = encode(enc, x, snr, mode="eval")  # float64 parameters: a float64 tape
         tape = r.tape
-        ep = awgn_transmit(r.e, ChannelConfig(snr_db=snr, seed=5))
-        xh = decode(type(dec)(params=params, config=cfg), ep, r.mask, snr)
+        ep = awgn_transmit(r.e, snr, np.random.default_rng(5))
+        xh = decode(type(dec)(params=params, config=cfg), ep, snr)
         diff = tape.add(xh, tape.scalar_mul(r.x, -1.0))
         return tape, tape.reduce_mean(tape.mul(diff, diff)), r.e
 

@@ -250,7 +250,7 @@ def test_pruned_codec_parameter_gradients_ignore_image_leaf():
     imgs = np.random.default_rng(3).uniform(size=(2, 3, 32, 32)).astype(np.float32)
     rng = np.random.default_rng(4)
     tape, total, _, _ = _step_loss(enc, dec, imgs, None, 10.0, "train", rng, 1.0,
-                                   TrainConfig(loss_mode="mse", lambda_rate=0.1), rng)
+                                   TrainConfig(loss_mode="mse", lambda_rate=0.1))
     names = sorted(tape.params)
     by_name = tape.grad_by_name(total)
     x_leaf = tape_mod.Tensor(tape, 0)  # encode records the image first

@@ -10,6 +10,7 @@ from spjscc.saliency import WeightCache
 from spjscc.training import (
     TrainConfig,
     TrainingDiverged,
+    TrainLog,
     loss_mse,
     loss_sp,
     total_loss,
@@ -140,9 +141,25 @@ def test_identical_config_and_seed_bit_identical_log(tmp_path):
     _, _, log1 = train_jscc(cfg, ds, None, None, CodecConfig())
     _, _, log2 = train_jscc(cfg, ds, None, None, CodecConfig())
     assert log1.rows == log2.rows
-    log1.to_csv(tmp_path / "a.csv")
-    log2.to_csv(tmp_path / "b.csv")
+    log1.to_csv(tmp_path / "a.csv", config_hash="abc")
+    log2.to_csv(tmp_path / "b.csv", config_hash="abc")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_trainlog_csv_is_stamped_and_ends_lines_with_lf_only(tmp_path):
+    log = TrainLog()
+    log.append(0, 0, 1.5, 1.0, 0.5, 0.25, 3.0)
+    log.append(0, 1, 1.25, 1.0, 0.25, 0.125, 7.0)
+    log.to_csv(tmp_path / "log.csv", config_hash="abc")
+    data = (tmp_path / "log.csv").read_bytes()
+    assert b"\r" not in data
+    assert data.split(b"\n") == [
+        b"# config_hash=abc",
+        b"epoch,step,loss,distortion,rate,mask_mean,snr_db",
+        b"0,0,1.5,1,0.5,0.25,3",
+        b"0,1,1.25,1,0.25,0.125,7",
+        b"",
+    ]
 
 
 @pytest.mark.slow

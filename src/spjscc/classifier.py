@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataio import LabeledImageDataset, batch_iter
 from .numcore import AdamState, NonFiniteError, ShapeError, Tape, adam_step
-from .numcore.tape import _softmax
+from .numcore.layers import conv_layer, conv_params, param
 
 CONV_CHANNELS = (32, 64, 128)
 ACCURACY_BATCH = 256  # images per forward pass in classify_accuracy
@@ -46,25 +46,19 @@ class ClassifierModel:
 
 @dataclass
 class PerceptionResult:
-    """Per-image rows: raw logits, their softmax, and the argmax class."""
+    """Per-image rows: raw logits and the argmax class."""
 
     logits: np.ndarray  # (N, C)
-    probabilities: np.ndarray  # (N, C)
     predicted: np.ndarray  # (N,)
 
 
 def init_classifier(class_count: int, in_hw: tuple[int, int], seed: int) -> ClassifierModel:
     rng = np.random.default_rng(np.random.PCG64(seed))
     params: dict[str, np.ndarray] = {}
-    cin = 3
-    h, w = in_hw
-    for i, cout in enumerate(CONV_CHANNELS):
-        fan_in = cin * 9
-        params[f"conv{i}.w"] = (rng.normal(size=(cout, cin, 3, 3)) * np.sqrt(2.0 / fan_in)).astype(np.float32)
-        params[f"conv{i}.b"] = np.zeros(cout, dtype=np.float32)
-        cin = cout
-        h, w = h // 2, w // 2
-    flat = cin * h * w
+    for i, (cin, cout) in enumerate(zip((3,) + CONV_CHANNELS, CONV_CHANNELS)):
+        conv_params(rng, params, f"conv{i}", cin, cout, prelu=False)
+    pooled = 2 ** len(CONV_CHANNELS)
+    flat = CONV_CHANNELS[-1] * (in_hw[0] // pooled) * (in_hw[1] // pooled)
     params["head.w"] = (rng.normal(size=(flat, class_count)) * np.sqrt(1.0 / flat)).astype(np.float32)
     params["head.b"] = np.zeros(class_count, dtype=np.float32)
     return ClassifierModel(params=params, class_count=class_count, in_hw=in_hw)
@@ -78,10 +72,8 @@ def logits_graph(tape: Tape, params: dict[str, np.ndarray], x_node):
     """
     h = x_node
     for i in range(len(CONV_CHANNELS)):
-        w = tape.parameter(f"conv{i}.w", params[f"conv{i}.w"])
-        b = tape.parameter(f"conv{i}.b", params[f"conv{i}.b"])
-        h = tape.mean_pool(tape.relu(tape.conv2d(h, w, b, stride=1)), k=2)
-    return tape.dense(h, tape.parameter("head.w", params["head.w"]), tape.parameter("head.b", params["head.b"]))
+        h = tape.mean_pool(tape.relu(conv_layer(tape, params, f"conv{i}", h)))
+    return tape.dense(h, param(tape, params, "head.w"), param(tape, params, "head.b"))
 
 
 def perceive_with_tape(model: ClassifierModel, images: np.ndarray, dtype=np.float32):
@@ -98,13 +90,9 @@ def perceive_with_tape(model: ClassifierModel, images: np.ndarray, dtype=np.floa
 
 
 def perceive(model: ClassifierModel, images: np.ndarray) -> PerceptionResult:
-    """Pure function of (theta0, images): logits, softmax, argmax per image."""
+    """Pure function of (theta0, images): logits and argmax per image."""
     _, _, logits = perceive_with_tape(model, images)
-    return PerceptionResult(
-        logits=logits.value.copy(),
-        probabilities=_softmax(logits.value),
-        predicted=np.argmax(logits.value, axis=1),
-    )
+    return PerceptionResult(logits=logits.value.copy(), predicted=np.argmax(logits.value, axis=1))
 
 
 def classify_accuracy(model: ClassifierModel, images: np.ndarray, labels: np.ndarray) -> float:

@@ -20,10 +20,10 @@ forward path with a straight-through gradient; at evaluation it is the
 deterministic threshold of the policy logits; either way the mask is the
 (N, f_s) Tensor of 0/1 gate bits.
 
-Each layer is written once: `_conv_params` (init) and `_layer` (forward) for a
-3x3 conv or transposed conv with optional PReLU, `_mlp_params` and `_mlp` for
-the dense -> ReLU -> dense over [pooled stats, snr/20] that the SNR adapters
-and the policy share.
+Each layer is written once: `conv_params` (init) and `conv_layer` (forward)
+from `numcore.layers`, shared with the classifier, for a 3x3 conv or
+transposed conv with optional PReLU; `_mlp_params` and `_mlp` for the dense ->
+ReLU -> dense over [pooled stats, snr/20] that the adapters and policy share.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 
 from .channel import ComplexSymbolVector, normalize_power
 from .numcore import ShapeError, Tape, Tensor
+from .numcore.layers import conv_layer, conv_params, param
 
 POLICY_HIDDEN = 32  # hidden units of the policy MLP
 
@@ -49,6 +50,10 @@ class CodecConfig:
     def __post_init__(self):
         if self.f_s < 1:
             raise ValueError(f"f_s must be >= 1, got {self.f_s}")
+        if self.f_n < 0:
+            raise ValueError(f"f_n must be >= 0, got {self.f_n}")
+        if self.width_es < 2:
+            raise ValueError(f"width_es must be >= 2 (dec.ds2 reads width_es // 2 channels), got {self.width_es}")
         if self.height % 4 or self.width % 4:
             raise ValueError(f"height/width must be divisible by 4, got {self.height}x{self.width}")
         if ((self.height // 4) * (self.width // 4)) % 2:
@@ -103,15 +108,6 @@ class EncodeResult:
     e: ComplexSymbolVector
 
 
-def _conv_params(rng, p, name, cin, cout, transposed=False, prelu=True):
-    """He-initialized 3x3 conv `name`.w (transposed: (cin, cout, 3, 3)), zero `name`.b, 0.25 `name`.slope."""
-    shape = (cin, cout, 3, 3) if transposed else (cout, cin, 3, 3)
-    p[f"{name}.w"] = (rng.normal(size=shape) * np.sqrt(2.0 / (cin * 9))).astype(np.float32)
-    p[f"{name}.b"] = np.zeros(cout, np.float32)
-    if prelu:
-        p[f"{name}.slope"] = np.full(cout, 0.25, np.float32)
-
-
 def _mlp_params(rng, p, name, nin, hidden, nout):
     """Two dense layers `name`.w1/b1 (nin -> hidden) and `name`.w2/b2 (hidden -> nout), zero biases."""
     for i, (fan_in, fan_out) in enumerate(((nin, hidden), (hidden, nout)), start=1):
@@ -124,12 +120,12 @@ def init_encoder(config: CodecConfig, seed: int) -> EncoderModel:
     w = config.width_es
     p: dict[str, np.ndarray] = {}
     for i, cin in enumerate((3, w, w, w)):
-        _conv_params(rng, p, f"enc.es{i}", cin, w)
+        conv_params(rng, p, f"enc.es{i}", cin, w)
     _mlp_params(rng, p, "enc.adapt_es0", w + 1, w, w)
     _mlp_params(rng, p, "enc.adapt_es1", w + 1, w, w)
-    _conv_params(rng, p, "enc.ec0", w, w)
+    conv_params(rng, p, "enc.ec0", w, w)
     _mlp_params(rng, p, "enc.adapt_ec", w + 1, w, w)
-    _conv_params(rng, p, "enc.ec1", w, config.f_s + config.f_n, prelu=False)
+    conv_params(rng, p, "enc.ec1", w, config.f_s + config.f_n, prelu=False)
     _mlp_params(rng, p, "enc.policy", config.f_s + 1, POLICY_HIDDEN, config.f_s)
     # gates open by default; rate pressure (lambda > 0) has to close them
     p["enc.policy.b2"][:] = 2.0
@@ -140,34 +136,22 @@ def init_decoder(config: CodecConfig, seed: int) -> DecoderModel:
     rng = np.random.default_rng(np.random.PCG64(seed))
     w = config.width_es
     p: dict[str, np.ndarray] = {}
-    _conv_params(rng, p, "dec.dc0", config.f_s + config.f_n, w)
+    conv_params(rng, p, "dec.dc0", config.f_s + config.f_n, w)
     _mlp_params(rng, p, "dec.adapt_dc", w + 1, w, w)
-    _conv_params(rng, p, "dec.dc1", w, w)
-    _conv_params(rng, p, "dec.ds0", w, w, transposed=True)
+    conv_params(rng, p, "dec.dc1", w, w)
+    conv_params(rng, p, "dec.ds0", w, w, transposed=True)
     _mlp_params(rng, p, "dec.adapt_ds", w + 1, w, w)
-    _conv_params(rng, p, "dec.ds1", w, w // 2, transposed=True)
-    _conv_params(rng, p, "dec.ds2", w // 2, 3, prelu=False)
+    conv_params(rng, p, "dec.ds1", w, w // 2, transposed=True)
+    conv_params(rng, p, "dec.ds2", w // 2, 3, prelu=False)
     return DecoderModel(params=p, config=config)
-
-
-def _param(tape, params, name):
-    return tape.parameter(name, params[name])
-
-
-def _layer(tape: Tape, p: dict[str, np.ndarray], name: str, h: Tensor, stride: int = 1, op: str = "conv2d") -> Tensor:
-    """Conv `op` ("conv2d" or "tconv2d") with `name`.w and `name`.b, then PReLU if the layer has a `name`.slope."""
-    h = getattr(tape, op)(h, _param(tape, p, f"{name}.w"), _param(tape, p, f"{name}.b"), stride=stride)
-    if f"{name}.slope" in p:
-        h = tape.prelu(h, _param(tape, p, f"{name}.slope"))
-    return h
 
 
 def _mlp(tape: Tape, p: dict[str, np.ndarray], name: str, stats: Tensor, snr_db: float) -> Tensor:
     """dense -> ReLU -> dense over [stats, snr/20] with the `name`.w1/b1/w2/b2 parameters."""
     snr_col = tape.leaf(np.full((stats.shape[0], 1), snr_db / 20.0, dtype=np.float32))
     inp = tape.concat([stats, snr_col], axis=1)
-    h = tape.relu(tape.dense(inp, _param(tape, p, f"{name}.w1"), _param(tape, p, f"{name}.b1")))
-    return tape.dense(h, _param(tape, p, f"{name}.w2"), _param(tape, p, f"{name}.b2"))
+    h = tape.relu(tape.dense(inp, param(tape, p, f"{name}.w1"), param(tape, p, f"{name}.b1")))
+    return tape.dense(h, param(tape, p, f"{name}.w2"), param(tape, p, f"{name}.b2"))
 
 
 def snr_adapt(tape: Tape, params: dict[str, np.ndarray], name: str, features: Tensor, snr_db: float) -> Tensor:
@@ -206,19 +190,19 @@ def policy_mask(
         soft = tape.sigmoid(logits)
     else:
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    return tape.ste_threshold(soft, 0.5)
+    return tape.ste_threshold(soft)
 
 
 def _encoder_features(tape, params, x, snr_db):
-    h = _layer(tape, params, "enc.es0", x, stride=2)
+    h = conv_layer(tape, params, "enc.es0", x, stride=2)
     h = snr_adapt(tape, params, "enc.adapt_es0", h, snr_db)
-    h = _layer(tape, params, "enc.es1", h)
-    h = _layer(tape, params, "enc.es2", h)
-    h = _layer(tape, params, "enc.es3", h, stride=2)
+    h = conv_layer(tape, params, "enc.es1", h)
+    h = conv_layer(tape, params, "enc.es2", h)
+    h = conv_layer(tape, params, "enc.es3", h, stride=2)
     h = snr_adapt(tape, params, "enc.adapt_es1", h, snr_db)
-    h = _layer(tape, params, "enc.ec0", h)
+    h = conv_layer(tape, params, "enc.ec0", h)
     h = snr_adapt(tape, params, "enc.adapt_ec", h, snr_db)
-    return _layer(tape, params, "enc.ec1", h)
+    return conv_layer(tape, params, "enc.ec1", h)
 
 
 def encode(
@@ -287,10 +271,10 @@ def decode(decoder: DecoderModel, e_prime: ComplexSymbolVector, snr_db: float) -
     h = tape.reshape(d, (n, cfg.f_s + cfg.f_n, gh, gw))
 
     p = decoder.params
-    h = _layer(tape, p, "dec.dc0", h)
+    h = conv_layer(tape, p, "dec.dc0", h)
     h = snr_adapt(tape, p, "dec.adapt_dc", h, snr_db)
-    h = _layer(tape, p, "dec.dc1", h)
-    h = _layer(tape, p, "dec.ds0", h, stride=2, op="tconv2d")
+    h = conv_layer(tape, p, "dec.dc1", h)
+    h = conv_layer(tape, p, "dec.ds0", h, stride=2, op="tconv2d")
     h = snr_adapt(tape, p, "dec.adapt_ds", h, snr_db)
-    h = _layer(tape, p, "dec.ds1", h, stride=2, op="tconv2d")
-    return tape.sigmoid(_layer(tape, p, "dec.ds2", h))
+    h = conv_layer(tape, p, "dec.ds1", h, stride=2, op="tconv2d")
+    return tape.sigmoid(conv_layer(tape, p, "dec.ds2", h))

@@ -13,7 +13,10 @@ padding k//2 per side, so stride 1 with an odd kernel preserves H and W, and
 stride s gives H_out = (H + 2*(k//2) - k)//s + 1 (H/2 for even H, k=3, s=2).
 transposed-conv2d with stride s, padding k//2 and implicit output padding s-1
 maps H to exactly H*s; it takes odd kernels only. dense flattens all trailing
-axes of its input to (N, K) before the matrix product.
+axes of its input to (N, K) before the matrix product. All three take a bias
+per output channel. prelu takes one slope per channel of an (N, C, H, W)
+input; mean-pool is 2x2. add and mul broadcast equal-rank operands along size-1
+axes only; sum and mean reduce over a tuple of axes, or all axes for None.
 
 Kernels
 -------
@@ -41,16 +44,9 @@ class NonFiniteError(FloatingPointError):
 
 
 def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == tuple(shape):
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
+    """Sum `grad` down to the equal-rank `shape` along the axes broadcast from size 1."""
+    axes = tuple(i for i, (s, n) in enumerate(zip(shape, grad.shape)) if s == 1 and n != 1)
+    return grad.sum(axis=axes, keepdims=True) if axes else grad
 
 
 def _stable_sigmoid(x):
@@ -181,29 +177,26 @@ def _check_conv(kind, x, w, cin_axis):
         raise ShapeError(f"{kind} channel mismatch: input {x.shape} vs weight {w.shape}")
 
 
-def _conv2d(attrs, x, w, *rest):
+def _conv2d(attrs, x, w, b):
     _check_conv("conv2d", x, w, 1)
     out = _correlate(_nhwc(x, w.shape[2] // 2, w.shape[3] // 2), _taps(w), attrs["stride"])
-    if rest:
-        out += rest[0]
+    out += b  # in place: `+ b` would allocate one more feature map per layer
     return _nchw(out)
 
 
 def _conv2d_grad(attrs, g, inputs, out, need):
-    x, w = inputs[0], inputs[1]
+    x, w, _ = inputs
     s = attrs["stride"]
     kh, kw = w.shape[2], w.shape[3]
     g_rows = _nhwc(g)
-    grads = [
+    return [
         _nchw(_scatter_add(g_rows, _taps(w), s, x.shape[2], x.shape[3])) if need[0] else None,
         _weight_grad(_nhwc(x, kh // 2, kw // 2), g_rows, kh, kw, s) if need[1] else None,
+        g.sum(axis=(0, 2, 3)) if need[2] else None,
     ]
-    if len(inputs) == 3:
-        grads.append(g.sum(axis=(0, 2, 3)) if need[2] else None)
-    return grads
 
 
-def _tconv2d(attrs, x, w, *rest):
+def _tconv2d(attrs, x, w, b):
     # weight layout (Cin, Cout, kh, kw); the adjoint of the stride-s conv2d
     # that maps (N, Cout, H*s, W*s) to x's (N, Cin, H, W)
     _check_conv("transposed-conv2d", x, w, 0)
@@ -211,80 +204,62 @@ def _tconv2d(attrs, x, w, *rest):
         raise ShapeError(f"transposed-conv2d needs an odd kernel, got weight {w.shape}")
     s = attrs["stride"]
     out = _scatter_add(_nhwc(x), _taps(w), s, x.shape[2] * s, x.shape[3] * s)
-    if rest:
-        out += rest[0]
+    out += b
     return _nchw(out)
 
 
 def _tconv2d_grad(attrs, g, inputs, out, need):
-    x, w = inputs[0], inputs[1]
+    x, w, _ = inputs
     s = attrs["stride"]
     kh, kw = w.shape[2], w.shape[3]
     gp = _nhwc(g, kh // 2, kw // 2)
-    grads = [
+    return [
         _nchw(_correlate(gp, _taps(w), s)) if need[0] else None,
         _weight_grad(gp, _nhwc(x), kh, kw, s) if need[1] else None,
+        g.sum(axis=(0, 2, 3)) if need[2] else None,
     ]
-    if len(inputs) == 3:
-        grads.append(g.sum(axis=(0, 2, 3)) if need[2] else None)
-    return grads
 
 
-def _dense_fwd(attrs, x, w, *rest):
+def _dense_fwd(attrs, x, w, b):
     x2 = x.reshape(x.shape[0], -1)
     if x2.shape[1] != w.shape[0]:
         raise ShapeError(f"dense mismatch: input {x.shape} flattens to {x2.shape} vs weight {w.shape}")
     out = x2 @ w
-    if rest:
-        out = out + rest[0]
+    out += b
     return out
 
 
 def _dense_bwd(attrs, g, inputs, out, need):
-    x, w = inputs[0], inputs[1]
-    grads = [
+    x, w, _ = inputs
+    return [
         (g @ w.T).reshape(x.shape) if need[0] else None,
         x.reshape(x.shape[0], -1).T @ g if need[1] else None,
+        g.sum(axis=0) if need[2] else None,
     ]
-    if len(inputs) == 3:
-        grads.append(g.sum(axis=0) if need[2] else None)
-    return grads
 
 
 def _prelu_fwd(attrs, x, slope):
-    if slope.ndim not in (0, 1):
-        raise ShapeError(f"prelu slope must be scalar or per-channel, got {slope.shape}")
-    s = slope if slope.ndim == 0 else slope.reshape((1, -1) + (1,) * (x.ndim - 2))
+    if x.ndim != 4 or slope.shape != (x.shape[1],):
+        raise ShapeError(f"prelu wants (N, C, H, W) input and one slope per channel, got {x.shape} and {slope.shape}")
     # equals np.where(x > 0, x, x * s) exactly; np.where is about 4x slower here
-    return np.maximum(x, 0) + s * np.minimum(x, 0)
+    return np.maximum(x, 0) + slope.reshape(1, -1, 1, 1) * np.minimum(x, 0)
 
 
 def _prelu_bwd(attrs, g, inputs, out, need):
     x, slope = inputs
-    s = slope if slope.ndim == 0 else slope.reshape((1, -1) + (1,) * (x.ndim - 2))
+    s = slope.reshape(1, -1, 1, 1)
     # per-element factor 1 where x > 0 and s elsewhere, exact (1 + s*0, 0 + s*1)
-    gx = g * ((x > 0) + s * (x <= 0))
-    gs_full = g * np.minimum(x, 0)
-    if slope.ndim == 0:
-        gs = gs_full.sum()
-    else:
-        axes = (0,) + tuple(range(2, x.ndim))
-        gs = gs_full.sum(axis=axes)
-    return [gx, gs]
+    return [g * ((x > 0) + s * (x <= 0)), (g * np.minimum(x, 0)).sum(axis=(0, 2, 3))]
 
 
 def _mean_pool_fwd(attrs, x):
-    k = attrs["k"]
-    n, c, h, w = x.shape
-    if h % k or w % k:
-        raise ShapeError(f"mean-pool needs H,W divisible by {k}, got {x.shape}")
-    return sum(x[:, :, i::k, j::k] for i in range(k) for j in range(k)) * (1.0 / (k * k))
+    if x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError(f"2x2 mean-pool needs even H and W, got {x.shape}")
+    return sum(x[:, :, i::2, j::2] for i in range(2) for j in range(2)) * 0.25
 
 
 def _mean_pool_bwd(attrs, g, inputs, out, need):
-    k = attrs["k"]
-    g = g / (k * k)
-    return [np.repeat(np.repeat(g, k, axis=2), k, axis=3)]
+    return [np.repeat(np.repeat(g / 4, 2, axis=2), 2, axis=3)]
 
 
 def _ce_fwd(attrs, logits):
@@ -320,18 +295,11 @@ def _reduce_fwd(attrs, x, mean):
 
 def _reduce_bwd(attrs, g, inputs, out, mean):
     x = inputs[0]
-    axis = attrs["axis"]
-    if axis is None:
-        count = x.size
-        gg = np.broadcast_to(g, x.shape)
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        axes = tuple(a % x.ndim for a in axes)
-        count = int(np.prod([x.shape[a] for a in axes]))
-        if not attrs["keepdims"]:
-            g = np.expand_dims(g, axes)
-        gg = np.broadcast_to(g, x.shape)
-    return [gg / count if mean else gg.copy()]
+    axes = tuple(range(x.ndim)) if attrs["axis"] is None else tuple(a % x.ndim for a in attrs["axis"])
+    if not attrs["keepdims"]:
+        g = np.expand_dims(g, axes)
+    gg = np.broadcast_to(g, x.shape)
+    return [gg / int(np.prod([x.shape[a] for a in axes])) if mean else gg.copy()]
 
 
 def _slice_fwd(attrs, x):
@@ -351,10 +319,8 @@ def _slice_bwd(attrs, g, inputs, out, need):
 
 
 def _binary_shape_check(kind, a, b):
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    if a.ndim != b.ndim or any(m != n and 1 not in (m, n) for m, n in zip(a.shape, b.shape)):
+        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} do not broadcast (equal rank, size-1 axes only)")
 
 
 _OPS = {
@@ -412,9 +378,9 @@ _OPS = {
         lambda at, g, ins, out, need: [g.reshape(ins[0].shape)],
     ),
     "slice": (_slice_fwd, _slice_bwd),
-    # forward: hard threshold; backward: straight-through identity
+    # forward: hard threshold at 0.5; backward: straight-through identity
     "ste-threshold": (
-        lambda at, a: (a > at["threshold"]).astype(a.dtype),
+        lambda at, a: (a > 0.5).astype(a.dtype),
         lambda at, g, ins, out, need: [g.copy()],
     ),
 }
@@ -493,20 +459,17 @@ class Tape:
     def reciprocal(self, a):
         return self.apply("reciprocal", (a,))
 
-    def conv2d(self, x, w, b=None, stride=1):
-        ins = (x, w) if b is None else (x, w, b)
-        return self.apply("conv2d", ins, stride=int(stride))
+    def conv2d(self, x, w, b, stride):
+        return self.apply("conv2d", (x, w, b), stride=int(stride))
 
-    def tconv2d(self, x, w, b=None, stride=2):
-        ins = (x, w) if b is None else (x, w, b)
-        return self.apply("transposed-conv2d", ins, stride=int(stride))
+    def tconv2d(self, x, w, b, stride):
+        return self.apply("transposed-conv2d", (x, w, b), stride=int(stride))
 
-    def dense(self, x, w, b=None):
-        ins = (x, w) if b is None else (x, w, b)
-        return self.apply("dense", ins)
+    def dense(self, x, w, b):
+        return self.apply("dense", (x, w, b))
 
-    def mean_pool(self, x, k=2):
-        return self.apply("mean-pool", (x,), k=int(k))
+    def mean_pool(self, x):
+        return self.apply("mean-pool", (x,))
 
     def concat(self, tensors, axis):
         return self.apply("concat", tuple(tensors), axis=int(axis))
@@ -527,8 +490,8 @@ class Tape:
     def slice(self, x, axis, start, stop):
         return self.apply("slice", (x,), axis=int(axis), start=int(start), stop=int(stop))
 
-    def ste_threshold(self, x, threshold=0.5):
-        return self.apply("ste-threshold", (x,), threshold=float(threshold))
+    def ste_threshold(self, x):
+        return self.apply("ste-threshold", (x,))
 
     # -- execution ----------------------------------------------------------
 

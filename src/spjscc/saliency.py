@@ -25,8 +25,6 @@ from .harness.checkpoint import StaleArtifactError, load_checkpoint, save_checkp
 
 ZERO_GRAD_EPS = 1e-12
 
-WeightCacheMismatch = StaleArtifactError  # a cache built for another classifier or dataset
-
 
 @dataclass
 class WeightCache:
@@ -98,7 +96,7 @@ def extract_weight_cache(model: ClassifierModel, dataset: LabeledImageDataset, p
     if path.exists():
         try:
             return load_weight_cache(path, expected_classifier_hash=chash, expected_dataset_id=dataset.dataset_id)
-        except WeightCacheMismatch:
+        except StaleArtifactError:
             pass  # stale cache: recompute below
     maps, fallback = compute_weight_maps(model, dataset.images)
     cache = WeightCache(maps=maps, fallback=fallback, dataset_id=dataset.dataset_id, classifier_hash=chash)

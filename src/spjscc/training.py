@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError(f"lambda_rate must be >= 0, got {self.lambda_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass

@@ -547,10 +547,17 @@ def test_cli_refuses_empty_eval_lists_and_non_finite_snr(tmp_path, capsys, line,
 
 
 def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
-    assert _run(tmp_path, "a.cfg", _SMALL + "codec.f_s = 0\n", "train", "--loss", "mse") == 1
-    err = capsys.readouterr().err
-    assert "f_s must be >= 1, got 0" in err and "Traceback" not in err
-    assert not (tmp_path / "run" / "codec_mse.ckpt").exists()
+    for key, value, field in [
+        ("codec.f_s", 0, "f_s must be >= 1"),
+        ("train.batch", 0, "batch_size must be >= 1"),
+        ("codec.width", 1, "width_es must be >= 2"),
+        ("codec.width", 0, "width_es must be >= 2"),
+        ("codec.f_n", -1, "f_n must be >= 0"),
+    ]:
+        assert _run(tmp_path, "a.cfg", _SMALL + f"{key} = {value}\n", "train", "--loss", "mse") == 1, key
+        err = capsys.readouterr().err
+        assert field in err and f"got {value}" in err and "Traceback" not in err, err
+        assert not (tmp_path / "run" / "codec_mse.ckpt").exists()
 
 
 @pytest.mark.parametrize(

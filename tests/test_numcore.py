@@ -1,5 +1,7 @@
 """Autodiff core: forward fixtures, finite-difference oracles, Adam."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,7 +62,7 @@ def test_conv2d_identity_kernel():
     w = np.zeros((1, 1, 3, 3), dtype=np.float32)
     w[0, 0, 1, 1] = 1.0
     t = Tape()
-    out = t.conv2d(t.leaf(img), t.leaf(w), stride=1)
+    out = t.conv2d(t.leaf(img), t.leaf(w), t.leaf(np.zeros(1)), stride=1)
     np.testing.assert_array_equal(out.value, img)
 
 
@@ -68,22 +70,23 @@ def test_conv2d_stride2_output_size():
     t = Tape()
     x = t.leaf(np.zeros((1, 3, 32, 32), dtype=np.float32))
     w = t.leaf(np.zeros((8, 3, 3, 3), dtype=np.float32))
-    assert t.conv2d(x, w, stride=2).shape == (1, 8, 16, 16)
+    assert t.conv2d(x, w, t.leaf(np.zeros(8)), stride=2).shape == (1, 8, 16, 16)
 
 
 def test_tconv2d_doubles_spatial_size():
     t = Tape()
     x = t.leaf(np.zeros((1, 4, 8, 8), dtype=np.float32))
     w = t.leaf(np.zeros((4, 6, 3, 3), dtype=np.float32))
-    assert t.tconv2d(x, w, stride=2).shape == (1, 6, 16, 16)
+    assert t.tconv2d(x, w, t.leaf(np.zeros(6)), stride=2).shape == (1, 6, 16, 16)
 
 
 def test_shape_mismatch_names_dims():
     t = Tape()
     a = t.leaf(np.zeros((2, 3)))
-    b = t.leaf(np.zeros((4, 5)))
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
-        t.add(a, b)
+    for shape in ((4, 5), (3,)):  # a non-1 axis differs; ranks differ
+        b = t.leaf(np.zeros(shape))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*" + re.escape(str(shape))):
+            t.add(a, b)
 
 
 def test_nonfinite_output_rejected():
@@ -114,9 +117,10 @@ def test_dense_relu_dense_manual_chain_rule():
 
     t = Tape(dtype=np.float64)
     xt = t.leaf(x)
-    h = t.dense(xt, t.leaf(w1.T))  # row-vector convention: x @ w1.T
+    zero = t.leaf(np.zeros(2))
+    h = t.dense(xt, t.leaf(w1.T), zero)  # row-vector convention: x @ w1.T
     a = t.relu(h)
-    y = t.dense(a, t.leaf(w2.T))
+    y = t.dense(a, t.leaf(w2.T), zero)
     s = t.reduce_sum(y)
     (gx,) = t.backward(s, wrt=(xt,))
 
@@ -186,14 +190,13 @@ def test_softmax_properties_hypothesis(vals):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("per_channel", [False, True])
-def test_prelu_matches_where_definition_exactly(dtype, per_channel):
+def test_prelu_matches_where_definition_exactly(dtype):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 4, 4)).astype(dtype)
     x[0, :, 0, :] = 0.0
     x[1, 1, :, 1] = -0.0
-    slope = np.array([0.25, -0.5, 0.0], dtype=dtype) if per_channel else np.asarray(0.3, dtype=dtype)
-    s = slope.reshape(1, 3, 1, 1) if per_channel else slope
+    slope = np.array([0.25, -0.5, 0.0], dtype=dtype)
+    s = slope.reshape(1, 3, 1, 1)
     t = Tape(dtype=dtype)
     xt, st_ = t.leaf(x), t.leaf(slope)
     y = t.prelu(xt, st_)
@@ -202,8 +205,15 @@ def test_prelu_matches_where_definition_exactly(dtype, per_channel):
     gx, gs = t.backward(y, seed=g, wrt=(xt, st_))
     neg = x <= 0
     assert np.array_equal(gx, g * np.where(neg, s, np.asarray(1.0, dtype=dtype)))
-    axes = (0, 2, 3) if per_channel else None
-    assert np.array_equal(gs, (g * x * neg).sum(axis=axes))
+    assert np.array_equal(gs, (g * x * neg).sum(axis=(0, 2, 3)))
+
+
+def test_prelu_refuses_a_slope_that_is_not_one_per_channel():
+    t = Tape()
+    x = t.leaf(np.zeros((2, 3, 4, 4)))
+    for slope in (np.asarray(0.25), np.full(2, 0.25)):
+        with pytest.raises(ShapeError, match=r"one slope per channel.*\(2, 3, 4, 4\) and " + re.escape(str(slope.shape))):
+            t.prelu(x, t.leaf(slope))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +333,12 @@ def _fd_cases(rng):
                   lambda t, x, w, b: red(t, t.conv2d(x, w, b, stride=2))))
     cases.append(("tconv2d-s2", [n(size=(2, 3, 4, 4)), n(size=(3, 2, 3, 3)), n(size=(2,))],
                   lambda t, x, w, b: red(t, t.tconv2d(x, w, b, stride=2))))
-    cases.append(("tconv2d-s1", [n(size=(1, 2, 5, 5)), n(size=(2, 2, 3, 3))],
-                  lambda t, x, w: red(t, t.tconv2d(x, w, stride=1))))
+    cases.append(("tconv2d-s1", [n(size=(1, 2, 5, 5)), n(size=(2, 2, 3, 3)), np.zeros(2)],
+                  lambda t, x, w, b: red(t, t.tconv2d(x, w, b, stride=1))))
     cases.append(("dense", [n(size=(3, 2, 2, 2)), n(size=(8, 5)), n(size=(5,))],
                   lambda t, x, w, b: red(t, t.dense(x, w, b))))
     cases.append(("mean-pool", [n(size=(2, 3, 4, 4))],
-                  lambda t, a: red(t, t.mean_pool(a, 2))))
+                  lambda t, a: red(t, t.mean_pool(a))))
     cases.append(("mean-spatial", [n(size=(2, 3, 4, 4))],
                   lambda t, a: red(t, t.reduce_mean(a, axis=(2, 3)))))
     cases.append(("concat", [n(size=(2, 3)), n(size=(2, 2))],
@@ -520,19 +530,20 @@ def test_conv_shape_errors(kind):
     t = Tape()
     op = t.conv2d if kind == "conv2d" else t.tconv2d
     x = t.leaf(np.zeros((1, 3, 8, 8)))
+    b = t.leaf(np.zeros(4))
     with pytest.raises(ShapeError, match=r"channel mismatch.*\(1, 3, 8, 8\).*\(4, 4, 3, 3\)"):
-        op(x, t.leaf(np.zeros((4, 4, 3, 3))))
+        op(x, t.leaf(np.zeros((4, 4, 3, 3))), b, stride=1)
     with pytest.raises(ShapeError, match=r"4-d.*\(3, 8, 8\)"):
-        op(t.leaf(np.zeros((3, 8, 8))), t.leaf(np.zeros((3, 3, 3, 3))))
+        op(t.leaf(np.zeros((3, 8, 8))), t.leaf(np.zeros((3, 3, 3, 3))), b, stride=1)
     with pytest.raises(ShapeError, match=r"4-d.*\(3, 3, 3\)"):
-        op(x, t.leaf(np.zeros((3, 3, 3))))
+        op(x, t.leaf(np.zeros((3, 3, 3))), b, stride=1)
 
 
 def test_tconv2d_rejects_even_kernel():
     t = Tape()
     x = t.leaf(np.zeros((1, 2, 3, 3)))
     with pytest.raises(ShapeError, match=r"odd kernel.*\(2, 2, 2, 2\)"):
-        t.tconv2d(x, t.leaf(np.zeros((2, 2, 2, 2))), stride=2)
+        t.tconv2d(x, t.leaf(np.zeros((2, 2, 2, 2))), t.leaf(np.zeros(2)), stride=2)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +586,7 @@ def test_adam_rejects_nonfinite_gradient():
 def test_ste_threshold_forward_hard_backward_identity():
     t = Tape(dtype=np.float64)
     x = t.leaf([0.2, 0.7, 0.5])
-    y = t.ste_threshold(x, 0.5)
+    y = t.ste_threshold(x)
     np.testing.assert_array_equal(y.value, [0.0, 1.0, 0.0])
     (g,) = t.backward(t.reduce_sum(t.scalar_mul(y, 2.0)), wrt=(x,))
     np.testing.assert_array_equal(g, [2.0, 2.0, 2.0])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from spjscc.classifier import ClassifierModel, TrainClassifierConfig, init_classifier, pretrain_classifier
 from spjscc.dataio import generate_shapes
+from spjscc.harness.checkpoint import StaleArtifactError
 from spjscc.numcore import Tape
 from spjscc.saliency import (
-    WeightCacheMismatch,
     class_gradient,
     compute_weight_maps,
     extract_weight_cache,
@@ -180,7 +180,7 @@ def test_weight_cache_classifier_hash_mismatch_forces_recompute(tmp_path, traine
     sub = generate_shapes(11, 20, 32, 32)
     path = tmp_path / "weights.cache"
     extract_weight_cache(model, sub, path)
-    with pytest.raises(WeightCacheMismatch, match="classifier"):
+    with pytest.raises(StaleArtifactError, match="classifier"):
         load_weight_cache(path, expected_classifier_hash="deadbeef")
 
     other = init_classifier(10, (32, 32), seed=99)

@@ -108,7 +108,7 @@ def test_total_loss_gradient_reaches_mask_when_lambda_positive():
     tape = Tape(dtype=np.float64)
     logits = tape.leaf(np.array([[0.3, -0.2, 0.8]]))
     soft = tape.sigmoid(logits)
-    node = tape.ste_threshold(soft, 0.5)
+    node = tape.ste_threshold(soft)
     distortion = tape.leaf(np.asarray(0.0))
     total = total_loss(tape, distortion, node, 0.5)
     (g,) = tape.backward(total, wrt=(logits,))

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import awgn_transmit
+from .channel import ComplexSymbolVector, awgn_transmit
 from .classifier import ClassifierModel, perceive
 from .dataio import LabeledImageDataset
 from .jscc import DecoderModel, EncoderModel, decode, encode
-from .numcore import ShapeError
+from .numcore import ShapeError, Tape
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 8
@@ -30,45 +30,68 @@ class EvalReport:
     ssim: float
 
 
-def psnr(x: np.ndarray, x_prime: np.ndarray) -> float:
-    """10 log10(1 / MSE) with peak 1.0; exact-zero MSE reports the 100 dB cap."""
+def _image_pair(name: str, x, x_prime) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     x_prime = np.asarray(x_prime, dtype=np.float64)
-    if x.shape != x_prime.shape:
-        raise ShapeError(f"psnr shapes differ: {x.shape} vs {x_prime.shape}")
-    mse = float(np.mean((x - x_prime) ** 2))
-    if mse == 0.0:
-        return PSNR_CAP_DB
-    return float(10.0 * np.log10(1.0 / mse))
+    if x.shape != x_prime.shape or x.ndim < 3:
+        raise ShapeError(f"{name} wants two equal (..., 3, H, W) shapes, got {x.shape} vs {x_prime.shape}")
+    return x, x_prime
 
 
-def _gray(img: np.ndarray) -> np.ndarray:
-    return np.asarray(img, dtype=np.float64).mean(axis=0)
+def psnr(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
+    """10 log10(1 / MSE) with peak 1.0; exact-zero MSE reports the 100 dB cap.
+
+    Images are (..., 3, H, W); the MSE is taken over the last three axes, so
+    a batch gives one value per image and a single image a scalar.
+    """
+    x, x_prime = _image_pair("psnr", x, x_prime)
+    mse = np.mean((x - x_prime) ** 2, axis=(-3, -2, -1))
+    exact = mse == 0.0
+    db = 10.0 * np.log10(1.0 / np.where(exact, 1.0, mse))
+    return np.where(exact, PSNR_CAP_DB, db)[()]
 
 
-def ssim(x: np.ndarray, x_prime: np.ndarray) -> float:
+def _window_mean(a: np.ndarray) -> np.ndarray:
+    """Mean of every 8x8 window, stride 1, over the last two axes of `a`."""
+    h = a.shape[-2] - SSIM_WINDOW + 1
+    w = a.shape[-1] - SSIM_WINDOW + 1
+    c = [a[..., j : j + w] for j in range(SSIM_WINDOW)]
+    # numpy's pairwise order for 8 contiguous values; see `ssim` for why it matters
+    rows =((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    total = rows[..., 0:h, :].copy()
+    for i in range(1, SSIM_WINDOW):
+        total += rows[..., i : i + h, :]
+    return total / SSIM_WINDOW**2
+
+
+def ssim(x: np.ndarray, x_prime: np.ndarray) -> np.ndarray:
     """Mean structural similarity over 8x8 sliding windows, stride 1.
 
-    Images are (3, H, W) in [0, 1]; grayscale is the channel mean. Window
-    statistics are population moments; constants C1=(0.01)^2, C2=(0.03)^2
-    for unit peak.
+    Images are (..., 3, H, W) in [0, 1]; grayscale is the channel mean, and
+    a batch gives one value per image. Window statistics are population
+    moments; constants C1=(0.01)^2, C2=(0.03)^2 for unit peak.
+
+    Each window sum is separable: the 8 column taps are shifted slices added
+    as a balanced tree, then the 8 row offsets are added one after another.
+    That is the order numpy's `mean(axis=(-2, -1))` of a sliding-window view
+    adds the same 64 values (an 8-way pairwise sum along the contiguous axis,
+    accumulated row by row), so the result is bit-identical to it without
+    materialising the (..., H-7, W-7, 8, 8) window products. Only for an
+    image exactly 8 pixels wide does numpy sum each window as 64 contiguous
+    values in another order; there the two agree to rounding.
     """
-    if x.shape != x_prime.shape:
-        raise ShapeError(f"ssim shapes differ: {x.shape} vs {x_prime.shape}")
-    a, b = _gray(x), _gray(x_prime)
+    a, b = (img.mean(axis=-3) for img in _image_pair("ssim", x, x_prime))
     k = SSIM_WINDOW
-    if a.shape[0] < k or a.shape[1] < k:
-        raise ShapeError(f"image {a.shape} smaller than the {k}x{k} ssim window")
-    wa = np.lib.stride_tricks.sliding_window_view(a, (k, k))
-    wb = np.lib.stride_tricks.sliding_window_view(b, (k, k))
-    mu_a = wa.mean(axis=(2, 3))
-    mu_b = wb.mean(axis=(2, 3))
-    var_a = (wa * wa).mean(axis=(2, 3)) - mu_a * mu_a
-    var_b = (wb * wb).mean(axis=(2, 3)) - mu_b * mu_b
-    cov = (wa * wb).mean(axis=(2, 3)) - mu_a * mu_b
+    if a.shape[-2] < k or a.shape[-1] < k:
+        raise ShapeError(f"image {a.shape[-2:]} smaller than the {k}x{k} ssim window")
+    mu_a = _window_mean(a)
+    mu_b = _window_mean(b)
+    var_a = _window_mean(a * a) - mu_a * mu_a
+    var_b = _window_mean(b * b) - mu_b * mu_b
+    cov = _window_mean(a * b) - mu_a * mu_b
     num = (2 * mu_a * mu_b + SSIM_C1) * (2 * cov + SSIM_C2)
     den = (mu_a**2 + mu_b**2 + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return float((num / den).mean())
+    return (num / den).mean(axis=(-2, -1))[()]
 
 
 def f1_macro(predictions: np.ndarray, labels: np.ndarray, class_count: int) -> float:
@@ -116,43 +139,52 @@ def evaluate(
 ) -> list[EvalReport]:
     """Transmit the whole test set at each (snr, seed); one report per cell.
 
-    Deterministic: channel noise for a cell is seeded from (seed, snr). The
-    mask (and so CPP) depends on snr and content only, not on the noise seed.
+    Reports come SNR-major, seed-minor. Eval-mode `encode` draws no random
+    numbers, so the mask, the symbols and the CPP depend on snr and content
+    only: each batch is encoded once per snr. Each seed's channel noise comes
+    from its own generator, seeded from (seed, snr) and drawn batch by batch
+    in test-set order, so a cell's result does not depend on which other
+    cells run with it. A tape registers each decoder parameter once, so
+    every seed decodes on a fresh tape whose leaves are the encoded
+    coefficients and their transmit scale.
     """
     if len(seeds) < 1:
         raise ValueError("need at least one evaluation seed")
     cfg = encoder.config
+    n = len(test_set)
     reports = []
     for snr_db in snr_grid:
-        for seed in seeds:
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(round(snr_db * 1000))]))
-            preds = np.empty(len(test_set), dtype=np.int64)
-            psnrs = np.empty(len(test_set))
-            ssims = np.empty(len(test_set))
-            cpps = []
-            for start in range(0, len(test_set), batch):
-                imgs = test_set.images[start : start + batch]
-                r = encode(encoder, imgs, float(snr_db), mode="eval")
-                ep = awgn_transmit(r.e, float(snr_db), rng)
-                xp = decode(decoder, ep, float(snr_db)).value
-                preds[start : start + len(imgs)] = perceive(classifier, xp).predicted
-                for j in range(len(imgs)):
-                    psnrs[start + j] = psnr(imgs[j], xp[j])
-                    ssims[start + j] = ssim(imgs[j], xp[j])
-                cpps.append(
-                    cpp(r.mask.value, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width)
-                    * len(imgs)
-                )
+        snr = float(snr_db)
+        rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), int(round(snr_db * 1000))])) for seed in seeds]
+        preds = np.empty((len(seeds), n), dtype=np.int64)
+        psnrs = np.empty((len(seeds), n))
+        ssims = np.empty((len(seeds), n))
+        cpps = []
+        for start in range(0, n, batch):
+            imgs = test_set.images[start : start + batch]
+            rows = slice(start, start + len(imgs))
+            r = encode(encoder, imgs, snr, mode="eval")
+            cpps.append(
+                cpp(r.mask.value, cfg.selective_symbols, cfg.nonselective_symbols, cfg.height, cfg.width) * len(imgs)
+            )
+            for k, rng in enumerate(rngs):
+                tape = Tape(dtype=r.tape.dtype)
+                e = ComplexSymbolVector(tape.leaf(r.e.coeffs.value), r.e.active, tape.leaf(r.e.gamma.value))
+                xp = decode(decoder, awgn_transmit(e, snr, rng), snr).value
+                preds[k, rows] = perceive(classifier, xp).predicted
+                psnrs[k, rows] = psnr(imgs, xp)
+                ssims[k, rows] = ssim(imgs, xp)
+        for k, seed in enumerate(seeds):
             reports.append(
                 EvalReport(
                     run_id=run_id,
-                    snr_db=float(snr_db),
+                    snr_db=snr,
                     seed=int(seed),
-                    cpp=float(sum(cpps) / len(test_set)),
-                    acc=float(np.mean(preds == test_set.labels)),
-                    f1=f1_macro(preds, test_set.labels, test_set.class_count),
-                    psnr_db=float(psnrs.mean()),
-                    ssim=float(ssims.mean()),
+                    cpp=float(sum(cpps) / n),
+                    acc=float(np.mean(preds[k] == test_set.labels)),
+                    f1=f1_macro(preds[k], test_set.labels, test_set.class_count),
+                    psnr_db=float(psnrs[k].mean()),
+                    ssim=float(ssims[k].mean()),
                 )
             )
     return reports

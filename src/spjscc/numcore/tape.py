@@ -177,8 +177,14 @@ def _check_conv(kind, x, w, cin_axis):
         raise ShapeError(f"{kind} channel mismatch: input {x.shape} vs weight {w.shape}")
 
 
+def _check_bias(kind, b, w, cout_axis):
+    if b.shape != (w.shape[cout_axis],):
+        raise ShapeError(f"{kind} wants one bias per output channel: bias {b.shape} vs weight {w.shape}")
+
+
 def _conv2d(attrs, x, w, b):
     _check_conv("conv2d", x, w, 1)
+    _check_bias("conv2d", b, w, 0)
     out = _correlate(_nhwc(x, w.shape[2] // 2, w.shape[3] // 2), _taps(w), attrs["stride"])
     out += b  # in place: `+ b` would allocate one more feature map per layer
     return _nchw(out)
@@ -200,6 +206,7 @@ def _tconv2d(attrs, x, w, b):
     # weight layout (Cin, Cout, kh, kw); the adjoint of the stride-s conv2d
     # that maps (N, Cout, H*s, W*s) to x's (N, Cin, H, W)
     _check_conv("transposed-conv2d", x, w, 0)
+    _check_bias("transposed-conv2d", b, w, 1)
     if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
         raise ShapeError(f"transposed-conv2d needs an odd kernel, got weight {w.shape}")
     s = attrs["stride"]
@@ -224,6 +231,7 @@ def _dense_fwd(attrs, x, w, b):
     x2 = x.reshape(x.shape[0], -1)
     if x2.shape[1] != w.shape[0]:
         raise ShapeError(f"dense mismatch: input {x.shape} flattens to {x2.shape} vs weight {w.shape}")
+    _check_bias("dense", b, w, 1)
     out = x2 @ w
     out += b
     return out

@@ -1,9 +1,13 @@
 """Metric fixtures and the evaluation protocol."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from spjscc.classifier import TrainClassifierConfig, classify_accuracy, perceive, pretrain_classifier
+from spjscc import metrics
+from spjscc.channel import awgn_transmit
+from spjscc.classifier import TrainClassifierConfig, classify_accuracy, init_classifier, perceive, pretrain_classifier
 from spjscc.dataio import LabeledImageDataset, generate_shapes
 from spjscc.jscc import CodecConfig, decode, encode, init_decoder, init_encoder
 from spjscc.metrics import cpp, evaluate, f1_macro, mean_over_seeds, psnr, ssim
@@ -70,6 +74,52 @@ def test_ssim_noisy_copy_between_extremes():
 def test_ssim_rejects_small_images():
     with pytest.raises(ShapeError):
         ssim(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+
+
+def _ssim_reference(x, y):
+    """Per-image SSIM from explicit 8x8 window views: the textbook definition."""
+    a, b = x.mean(axis=0), y.mean(axis=0)
+    wa = np.lib.stride_tricks.sliding_window_view(a, (8, 8))
+    wb = np.lib.stride_tricks.sliding_window_view(b, (8, 8))
+    mu_a, mu_b = wa.mean(axis=(2, 3)), wb.mean(axis=(2, 3))
+    var_a = wa.var(axis=(2, 3))
+    var_b = wb.var(axis=(2, 3))
+    cov = ((wa - mu_a[..., None, None]) * (wb - mu_b[..., None, None])).mean(axis=(2, 3))
+    c1, c2 = 0.01**2, 0.03**2
+    s = (2 * mu_a * mu_b + c1) * (2 * cov + c2) / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
+    return s.mean()
+
+
+def test_psnr_ssim_score_a_batch_row_by_row():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(size=(6, 3, 16, 16))
+    y = np.clip(x + rng.normal(0, 0.05, size=x.shape), 0, 1)
+    p, s = psnr(x, y), ssim(x, y)
+    assert p.shape == s.shape == (6,)
+    for j in range(6):
+        assert p[j] == psnr(x[j], y[j])
+        assert s[j] == ssim(x[j], y[j])
+        np.testing.assert_allclose(p[j], 10 * np.log10(1 / np.mean((x[j] - y[j]) ** 2)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s[j], _ssim_reference(x[j], y[j]), rtol=0, atol=1e-12)
+
+
+def test_psnr_batch_caps_identical_pairs_without_warning():
+    rng = np.random.default_rng(6)
+    x = rng.uniform(size=(2, 3, 8, 8))
+    y = x.copy()
+    y[1] += 0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = psnr(x, y)
+    assert p[0] == 100.0 and p[1] < 100.0
+
+
+def test_batched_metrics_reject_bad_shapes():
+    for f in (psnr, ssim):
+        with pytest.raises(ShapeError):
+            f(np.zeros((2, 3, 16, 16)), np.zeros((3, 3, 16, 16)))
+    with pytest.raises(ShapeError):
+        ssim(np.zeros((2, 3, 16, 7)), np.zeros((2, 3, 16, 7)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +277,58 @@ def test_evaluate_cpp_within_declared_range(overfit_setup):
     lo = cfg.nonselective_symbols / (2 * cfg.height * cfg.width)
     hi = (cfg.selective_symbols + cfg.nonselective_symbols) / (2 * cfg.height * cfg.width)
     assert lo <= reports[0].cpp <= hi
+
+
+@pytest.fixture(scope="module")
+def random_codec_grid():
+    """Random-init codec and classifier, 20 test images in batches of 7 (the last one partial)."""
+    cfg = CodecConfig()
+    test = generate_shapes(21, 20, 32, 32, split="test")
+    models = (init_encoder(cfg, 3), init_decoder(cfg, 4), init_classifier(test.class_count, (32, 32), 5))
+    return models, test
+
+
+def test_evaluate_grid_cell_equals_the_cell_run_alone(random_codec_grid):
+    (enc, dec, clf), test = random_codec_grid
+    reports = evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2, 3], batch=7)
+    assert [(r.snr_db, r.seed) for r in reports] == [(s, k) for s in (0.0, 10.0) for k in (1, 2, 3)]
+    for r in reports:
+        assert [r] == evaluate(enc, dec, clf, test, [r.snr_db], [r.seed], batch=7)
+
+
+def test_evaluate_equals_the_per_cell_loop(random_codec_grid):
+    """Each cell as the plain loop computes it: re-encode every batch, decode on the encode tape."""
+    (enc, dec, clf), test = random_codec_grid
+    for r in evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7):
+        rng = np.random.default_rng(np.random.SeedSequence([r.seed, round(r.snr_db * 1000)]))
+        preds, psnrs, ssims = [], [], []
+        for start in range(0, len(test), 7):
+            imgs = test.images[start : start + 7]
+            e = encode(enc, imgs, r.snr_db, mode="eval")
+            xp = decode(dec, awgn_transmit(e.e, r.snr_db, rng), r.snr_db).value
+            preds.extend(perceive(clf, xp).predicted)
+            psnrs.extend(psnr(a, b) for a, b in zip(imgs, xp))
+            ssims.extend(ssim(a, b) for a, b in zip(imgs, xp))
+        assert r.acc == np.mean(np.array(preds) == test.labels)
+        assert (r.psnr_db, r.ssim) == (np.mean(psnrs), np.mean(ssims))
+
+
+def test_evaluate_encodes_once_per_snr_and_batch(random_codec_grid, monkeypatch):
+    (enc, dec, clf), test = random_codec_grid
+    calls = {"encode": 0, "decode": 0, "perceive": 0}
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
+    evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2, 3], batch=7)
+    # 2 snrs x 3 batches encode once each; every one of 3 seeds decodes and classifies each
+    assert calls == {"encode": 6, "decode": 18, "perceive": 18}
 
 
 def test_evaluate_requires_seeds():

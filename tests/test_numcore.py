@@ -87,6 +87,15 @@ def test_shape_mismatch_names_dims():
         b = t.leaf(np.zeros(shape))
         with pytest.raises(ShapeError, match=r"\(2, 3\).*" + re.escape(str(shape))):
             t.add(a, b)
+    # a bias must be one value per output channel; the error names op, bias and weight
+    w = t.leaf(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match=r"dense.*\(2, 4\).*\(3, 4\)"):
+        t.dense(a, w, t.leaf(np.zeros((2, 4))))
+    x = t.leaf(np.zeros((1, 2, 8, 8)))
+    with pytest.raises(ShapeError, match=r"conv2d.*\(5,\).*\(4, 2, 3, 3\)"):
+        t.conv2d(x, t.leaf(np.zeros((4, 2, 3, 3))), t.leaf(np.zeros(5)), stride=1)
+    with pytest.raises(ShapeError, match=r"transposed-conv2d.*\(5,\).*\(2, 4, 3, 3\)"):
+        t.tconv2d(x, t.leaf(np.zeros((2, 4, 3, 3))), t.leaf(np.zeros(5)), stride=2)
 
 
 def test_nonfinite_output_rejected():

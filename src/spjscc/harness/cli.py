@@ -22,7 +22,7 @@ from ..metrics import evaluate, mean_over_seeds
 from ..saliency import extract_weight_cache, load_weight_cache
 from ..training import TrainConfig, train_jscc
 from .checkpoint import CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _snr, load_config
 from .plots import RESULTS_COLUMNS, emit_plots
 
 
@@ -286,6 +286,14 @@ _COMMANDS = {
 }
 
 
+def _snr_arg(raw: str) -> float:
+    """`--snr` by the config's finite-SNR rule; argparse then names the flag and the value."""
+    try:
+        return _snr(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spjscc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("train", "evaluate"):
             p.add_argument("--loss", choices=("sp", "mse"), required=True)
         if name in ("evaluate", "compare"):
-            p.add_argument("--snr", type=float, default=None, help="evaluate a single SNR (dB)")
+            p.add_argument("--snr", type=_snr_arg, default=None, help="evaluate a single SNR (dB)")
     return parser
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,6 +151,9 @@ def evaluate(
     """
     if len(seeds) < 1:
         raise ValueError("need at least one evaluation seed")
+    for snr_db in snr_grid:
+        if not math.isfinite(snr_db):
+            raise ValueError(f"evaluation SNR must be finite, got {snr_db!r}")
     cfg = encoder.config
     n = len(test_set)
     reports = []

@@ -20,14 +20,35 @@ axes only; sum and mean reduce over a tuple of axes, or all axes for None.
 
 Kernels
 -------
-Both convolutions run on zero-padded NHWC copies of their operands, so each
-kernel offset (i, j) reads or writes one strided (N*ho*wo, C) block of rows,
-and the work is one GEMM per offset against that offset's (C_in, C_out) tap
-matrix. No k*k-wide column matrix is ever built. Three helpers do all of it:
-_correlate (conv2d forward), its adjoint _scatter_add (conv2d's input
-gradient) and _weight_grad. transposed-conv2d is the adjoint of a strided
-conv2d, so it reuses them with the roles swapped: its forward is a scatter-add,
-its input gradient a correlation.
+Both convolutions run on zero-padded NHWC copies of their operands. Three
+helpers do all of it: _correlate (conv2d forward), its adjoint _scatter_add
+(conv2d's input gradient) and _weight_grad. transposed-conv2d is the adjoint
+of a strided conv2d, so it reuses them with the roles swapped: its forward is
+a scatter-add, its input gradient a correlation.
+
+Each pass contracts c channels into o (_weight_grad: A input channels against
+B output channels), and _form picks its loop from those two counts alone:
+- offsets, when neither side is thin: kernel offset (i, j) reads or writes
+  one strided (N*ho*wo, C) block of rows, with one GEMM per offset against
+  that offset's (C_in, C_out) tap matrix. Every middle layer runs this way:
+  a k*k-wide column matrix of a wide side moves k*k feature maps, and it
+  measured slower than the k*k GEMMs at 32 -> 32 channels.
+- columns, when 4*c <= o (the RGB input of a conv2d): one GEMM per sample
+  against its (k*k*c, ho*wo) column matrix, K = 27 for RGB, instead of k*k
+  GEMMs with K = 3 that each move a whole feature map for almost no
+  arithmetic. _weight_grad uses the same matrix. _scatter_add runs as the
+  stride-1 correlation of its thin rows, dilated by the stride and padded,
+  with the flipped, transposed taps.
+- taps, when 4*o <= c (an RGB output, or the saliency gradient of an RGB
+  input): one GEMM per sample gives every tap at every pixel, (k*k*o, H*W),
+  and k*k shifted adds sum them into place. _weight_grad places its thin
+  rows at each offset's block and runs one GEMM against all of x.
+  _scatter_add could also take the correlation route here, but padding its
+  wide rows is one more feature-map copy: at batch 64 it was slower and
+  raised the peak memory of weight-map extraction by about 9 MB.
+The thin-side forms return NCHW memory behind an NHWC view, so the op's
+_nchw copy after them costs nothing. Each form adds in its own order, so
+float32 results differ between forms by rounding only.
 """
 
 from __future__ import annotations
@@ -132,8 +153,23 @@ def _taps(w):
 
 
 def _blocks(ho, wo, kh, kw, s):
-    """Per kernel offset (i, j): the stride-s (ho, wo) block it reads in padded NHWC."""
-    return [(i, j, np.s_[:, i:i + s * ho:s, j:j + s * wo:s]) for i in range(kh) for j in range(kw)]
+    """Per kernel offset (i, j): the stride-s row and column slices of the (ho, wo) block it reads."""
+    return [(i, j, np.s_[i:i + s * ho:s], np.s_[j:j + s * wo:s]) for i in range(kh) for j in range(kw)]
+
+
+def _form(c, o):
+    """The loop of a pass that contracts c channels into o: see Kernels above."""
+    if 4 * c <= o:
+        return "columns"
+    if 4 * o <= c:
+        return "taps"
+    return "offsets"
+
+
+def _columns(xp, kh, kw, s):
+    """Padded NHWC xp -> (N, kh*kw*A, ho*wo): per sample, the column of each output pixel's window."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    return win.transpose(0, 4, 5, 3, 1, 2).reshape(xp.shape[0], kh * kw * xp.shape[3], -1)
 
 
 def _correlate(xp, taps, s):
@@ -141,9 +177,20 @@ def _correlate(xp, taps, s):
     kh, kw, a, b = taps.shape
     n, hp, wp, _ = xp.shape
     ho, wo = (hp - kh) // s + 1, (wp - kw) // s + 1
+    form = _form(a, b)
+    if form == "columns":
+        return (taps.reshape(-1, b).T @ _columns(xp, kh, kw, s)).reshape(n, b, ho, wo).transpose(0, 2, 3, 1)
+    if form == "taps":
+        # every tap at every padded pixel, then one shifted add per offset
+        taps_t = taps.transpose(0, 1, 3, 2).reshape(-1, a)
+        y = (taps_t @ xp.reshape(n, -1, a).transpose(0, 2, 1)).reshape(n, kh, kw, b, hp, wp)
+        out = np.zeros((n, b, ho, wo), dtype=xp.dtype)
+        for i, j, r, c in _blocks(ho, wo, kh, kw, s):
+            out += y[:, i, j, :, r, c]
+        return out.transpose(0, 2, 3, 1)
     out = np.zeros((n * ho * wo, b), dtype=xp.dtype)
-    for i, j, blk in _blocks(ho, wo, kh, kw, s):
-        out += xp[blk].reshape(-1, a) @ taps[i, j]
+    for i, j, r, c in _blocks(ho, wo, kh, kw, s):
+        out += xp[:, r, c].reshape(-1, a) @ taps[i, j]
     return out.reshape(n, ho, wo, b)
 
 
@@ -152,21 +199,46 @@ def _scatter_add(rows, taps, s, h, w):
     n, ho, wo, b = rows.shape
     kh, kw, a, _ = taps.shape
     ph, pw = kh // 2, kw // 2
+    form = _form(b, a)
+    if form == "columns":
+        # a stride-1 correlation of the rows, dilated by s and padded, with the flipped transposed taps
+        lh, lw = kh - 1 - ph, kw - 1 - pw
+        gd = np.zeros((n, h + kh - 1, w + kw - 1, b), dtype=rows.dtype)
+        gd[:, lh:lh + s * (ho - 1) + 1:s, lw:lw + s * (wo - 1) + 1:s] = rows
+        return _correlate(gd, taps[::-1, ::-1].transpose(0, 1, 3, 2), 1)
+    if form == "taps":
+        y = (taps.reshape(-1, b) @ rows.reshape(n, -1, b).transpose(0, 2, 1)).reshape(n, kh, kw, a, ho, wo)
+        buf = np.zeros((n, a, h + 2 * ph, w + 2 * pw), dtype=rows.dtype)
+        for i, j, r, c in _blocks(ho, wo, kh, kw, s):
+            buf[:, :, r, c] += y[:, i, j]
+        return buf[:, :, ph:ph + h, pw:pw + w].transpose(0, 2, 3, 1)
     buf = np.zeros((n, h + 2 * ph, w + 2 * pw, a), dtype=rows.dtype)
     flat = rows.reshape(-1, b)
-    for i, j, blk in _blocks(ho, wo, kh, kw, s):
-        buf[blk] += (flat @ taps[i, j].T).reshape(n, ho, wo, a)
+    for i, j, r, c in _blocks(ho, wo, kh, kw, s):
+        buf[:, r, c] += (flat @ taps[i, j].T).reshape(n, ho, wo, a)
     return buf[:, ph:ph + h, pw:pw + w]
 
 
 def _weight_grad(xp, rows, kh, kw, s):
     """Gradient of _correlate's taps for upstream NHWC rows, in (B, A, kh, kw) layout."""
     n, ho, wo, b = rows.shape
-    a = xp.shape[3]
-    flat = rows.reshape(-1, b)
-    gw = np.empty((kh, kw, a, b), dtype=xp.dtype)
-    for i, j, blk in _blocks(ho, wo, kh, kw, s):
-        gw[i, j] = xp[blk].reshape(-1, a).T @ flat
+    _, hp, wp, a = xp.shape
+    form = _form(a, b)
+    if form == "columns":
+        gw = (_columns(xp, kh, kw, s) @ rows.reshape(n, -1, b)).sum(axis=0).reshape(kh, kw, a, b)
+    elif form == "taps":
+        # the rows placed at each offset's block of padded pixels, against all of xp
+        g = np.ascontiguousarray(rows.transpose(0, 3, 1, 2))
+        gs = np.zeros((n, kh, kw, b, hp, wp), dtype=xp.dtype)
+        for i, j, r, c in _blocks(ho, wo, kh, kw, s):
+            gs[:, i, j, :, r, c] = g
+        gw = (gs.reshape(n, kh * kw * b, -1) @ xp.reshape(n, -1, a)).sum(axis=0)
+        gw = gw.reshape(kh, kw, b, a).transpose(0, 1, 3, 2)
+    else:
+        flat = rows.reshape(-1, b)
+        gw = np.empty((kh, kw, a, b), dtype=xp.dtype)
+        for i, j, r, c in _blocks(ho, wo, kh, kw, s):
+            gw[i, j] = xp[:, r, c].reshape(-1, a).T @ flat
     return np.ascontiguousarray(gw.transpose(3, 2, 0, 1))
 
 

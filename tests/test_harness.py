@@ -528,6 +528,16 @@ def test_cli_has_no_seed_option_and_snr_only_where_it_evaluates(command, capsys)
             build_parser().parse_args(argv + ["--snr", "5"])
 
 
+@pytest.mark.parametrize("flag", [["--snr", "inf"], ["--snr", "nan"], ["--snr=-inf"], ["--snr", "1e400"]])
+@pytest.mark.parametrize("command", [["evaluate", "--loss", "mse"], ["compare"]])
+def test_cli_refuses_a_non_finite_snr_flag(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(tmp_path, "a.cfg", _SMALL, *command, *flag)
+    assert exit_info.value.code != 0
+    err = capsys.readouterr().err
+    assert "argument --snr: SNR must be finite" in err and "Traceback" not in err, err
+
+
 
 @pytest.mark.parametrize(
     "line, key",

@@ -335,3 +335,11 @@ def test_evaluate_requires_seeds():
     cfg = CodecConfig()
     with pytest.raises(ValueError):
         evaluate(init_encoder(cfg, 0), init_decoder(cfg, 1), None, None, [5.0], [])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_evaluate_refuses_a_non_finite_snr_before_any_cell(bad):
+    # no test set: the finite 5 dB cell would fail on it if it ran before the check
+    cfg = CodecConfig()
+    with pytest.raises(ValueError, match=f"SNR must be finite, got {bad!r}"):
+        evaluate(init_encoder(cfg, 0), init_decoder(cfg, 1), None, None, [5.0, bad], [1])

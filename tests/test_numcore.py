@@ -486,7 +486,8 @@ def ref_tconv2d(x, w, b, s, g):
 
 
 # (op, input shape, weight shape, stride): every codec and classifier layer at
-# batch 2, plus odd H with stride 2 and 5x5 kernels
+# batch 2, plus odd H with stride 2, 5x5 kernels and a thin (3-channel) side
+# on either end of both ops
 KERNEL_GEOMETRIES = [
     ("conv2d", (2, 3, 32, 32), (32, 3, 3, 3), 2),  # encoder es0
     ("conv2d", (2, 32, 16, 16), (32, 32, 3, 3), 1),  # encoder es1, es2
@@ -500,11 +501,15 @@ KERNEL_GEOMETRIES = [
     ("conv2d", (2, 3, 7, 9), (4, 3, 3, 3), 2),
     ("conv2d", (2, 3, 9, 7), (4, 3, 5, 5), 1),
     ("conv2d", (2, 3, 9, 7), (4, 3, 5, 5), 2),
+    ("conv2d", (2, 3, 9, 7), (16, 3, 5, 5), 2),
+    ("conv2d", (2, 16, 9, 7), (3, 16, 5, 5), 1),
     ("transposed-conv2d", (2, 32, 8, 8), (32, 32, 3, 3), 2),  # decoder ds0
     ("transposed-conv2d", (2, 32, 16, 16), (32, 16, 3, 3), 2),  # decoder ds1
     ("transposed-conv2d", (2, 3, 5, 7), (3, 4, 3, 3), 2),
     ("transposed-conv2d", (2, 3, 5, 7), (3, 4, 5, 5), 2),
     ("transposed-conv2d", (2, 3, 5, 7), (3, 4, 5, 5), 1),
+    ("transposed-conv2d", (2, 3, 3, 4), (3, 16, 3, 3), 2),
+    ("transposed-conv2d", (2, 16, 4, 3), (16, 3, 5, 5), 2),
 ]
 
 
@@ -532,6 +537,34 @@ def test_conv_kernels_match_direct_definition(kind, x_shape, w_shape, stride):
     for name, a, e in zip(("output", "grad x", "grad w", "grad b"), got, want):
         assert a.shape == e.shape, name
         np.testing.assert_allclose(a, e, rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_kernel_geometries_reach_every_form(monkeypatch):
+    """Each conv helper meets each of its three forms on some KERNEL_GEOMETRIES case.
+
+    A call is classified by the channel counts it contracts and produces, the
+    rule the helpers branch on, so editing the cases cannot silently leave a
+    form without its check against the direct definitions.
+    """
+    channels = {  # helper -> (contracted, produced) channel counts of a call
+        "_correlate": lambda xp, taps, s: (taps.shape[2], taps.shape[3]),
+        "_scatter_add": lambda rows, taps, s, h, w: (taps.shape[3], taps.shape[2]),
+        "_weight_grad": lambda xp, rows, kh, kw, s: (xp.shape[3], rows.shape[3]),
+    }
+    reached = set()
+    for name, count in channels.items():
+        def wrapped(*args, name=name, count=count, real=getattr(tape_mod, name)):
+            reached.add((name, tape_mod._form(*count(*args))))
+            return real(*args)
+
+        monkeypatch.setattr(tape_mod, name, wrapped)
+    for kind, x_shape, w_shape, stride in KERNEL_GEOMETRIES:
+        t = Tape(dtype=np.float64)
+        bias = np.ones(w_shape[0] if kind == "conv2d" else w_shape[1])
+        leaves = [t.leaf(np.ones(x_shape)), t.leaf(np.ones(w_shape)), t.leaf(bias)]
+        y = (t.conv2d if kind == "conv2d" else t.tconv2d)(*leaves, stride=stride)
+        t.backward(y, seed=np.ones(y.shape), wrt=leaves)
+    assert reached == {(name, form) for name in channels for form in ("offsets", "columns", "taps")}
 
 
 @pytest.mark.parametrize("kind", ["conv2d", "transposed-conv2d"])

@@ -3,9 +3,10 @@
 Every command reads and writes only under --out. Stage order follows the
 method: the classifier is pretrained and frozen, semantic weights are
 extracted once from the clean training images, then a codec is trained per
-loss mode and evaluated over the SNR grid. A stage rebuilds a stale dataset
-cache and refuses any other stale input. Reruns with an unchanged config
-reproduce every artifact byte for byte.
+loss mode and evaluated over the SNR grid. Every binary artifact records the
+config keys it was built from. A stage rebuilds a stale artifact that it
+writes itself and refuses one that another stage writes. Reruns with an
+unchanged config reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from ..classifier import ClassifierModel, TrainClassifierConfig, pretrain_classi
 from ..dataio import LabeledImageDataset, generate_shapes, load_cache, load_cifar10, save_cache
 from ..jscc import CodecConfig, DecoderModel, EncoderModel
 from ..metrics import evaluate, mean_over_seeds
-from ..saliency import extract_weight_cache, load_weight_cache
+from .. import saliency  # weight maps are computed and saved through the module, where perfbench's probes see them
+from ..saliency import load_weight_cache
 from ..training import TrainConfig, train_jscc
 from .checkpoint import CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
-from .config import ConfigError, ExperimentConfig, _snr, load_config
-from .plots import RESULTS_COLUMNS, emit_plots
+from .config import SCHEMA, ConfigError, ExperimentConfig, _snr, load_config
+from .plots import emit_plots, write_results_csv
 
 
 class StageError(RuntimeError):
@@ -50,25 +52,36 @@ def _paths(out: Path) -> dict[str, Path]:
     }
 
 
-# The config sections an artifact depends on: it records their values and is
-# checked against them. The weight cache records the classifier's parameter
-# hash and the dataset id instead (see saliency.py).
-_RECORDED_SECTIONS = {
-    "dataset": ("dataset",),
-    "classifier": ("dataset", "classifier"),
-    "codec": ("dataset", "classifier", "codec", "train"),
+def _section(name: str) -> tuple[str, ...]:
+    return tuple(k for k in SCHEMA if k.startswith(name + "."))
+
+
+# The config keys each artifact (a `_paths` key) records as meta, and is checked
+# against when a stage loads it: exactly the keys it was built from. So a split
+# does not record the other split's size, and the mse codec, which never sees
+# the classifier, does not record `classifier.*`.
+_IMAGES = tuple(k for k in _section("dataset") if not k.endswith("_count"))
+_TRAIN_SPLIT = _IMAGES + ("dataset.train_count",)
+_CLASSIFIER = _TRAIN_SPLIT + _section("classifier")
+_CODEC = _section("codec") + _section("train")
+_RECORDED_KEYS = {
+    "train_cache": _TRAIN_SPLIT,
+    "test_cache": _IMAGES + ("dataset.test_count",),
+    "classifier": _CLASSIFIER,
+    "weights": _CLASSIFIER,
+    "codec_sp": _CLASSIFIER + _CODEC,
+    "codec_mse": _TRAIN_SPLIT + _CODEC,
 }
 
 
 def _provenance(cfg: ExperimentConfig, artifact: str) -> dict[str, str]:
     """The config values `artifact` records as meta, e.g. {"dataset.seed": "7"}."""
-    sections = _RECORDED_SECTIONS[artifact]
-    return {k: str(v) for k, v in cfg.values.items() if k.partition(".")[0] in sections}
+    return {k: str(cfg[k]) for k in _RECORDED_KEYS[artifact]}
 
 
 @contextmanager
 def _checked(path: Path, rerun: str):
-    """Guards loading the artifact at `path`: missing or stale, it is a StageError that says to run `rerun`."""
+    """Guards loading an artifact another stage writes: missing or stale, it is a StageError that says to run `rerun`."""
     if not path.exists():
         raise StageError(f"missing {path}; run {rerun} first")
     try:
@@ -77,20 +90,31 @@ def _checked(path: Path, rerun: str):
         raise StageError(f"{exc}; run {rerun}") from None
 
 
-def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> LabeledImageDataset:
-    """The `split` ("train" or "test") dataset the config names, rebuilt unless its cache is current."""
-    path = _paths(out)[f"{split}_cache"]
-    provenance = _provenance(cfg, "dataset")
+def _load_or_build(cfg: ExperimentConfig, out: Path, artifact: str, load, save, build):
+    """Guards an artifact the stage writes itself: loaded if current, else built and saved; a damaged one raises."""
+    path = _paths(out)[artifact]
+    provenance = _provenance(cfg, artifact)
     if path.exists():
         try:
-            return load_cache(path, expected_meta=provenance)
+            return load(path, expected_meta=provenance)
         except StaleArtifactError:
-            pass  # built from other dataset.* values: rebuild below
+            pass  # built from other config values: rebuild below
+    value = build()
+    save(value, path, meta=provenance)
+    return value
+
+
+def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> LabeledImageDataset:
+    """The `split` ("train" or "test") dataset the config names, rebuilt unless its cache is current."""
+    return _load_or_build(cfg, out, f"{split}_cache", load_cache, save_cache, lambda: _build_split(cfg, split))
+
+
+def _build_split(cfg: ExperimentConfig, split: str) -> LabeledImageDataset:
     kind = cfg["dataset.kind"]
     if kind == "synthetic":
         seed = cfg["dataset.seed"] + (1 if split == "test" else 0)
-        data = generate_shapes(seed, cfg[f"dataset.{split}_count"], cfg["dataset.height"], cfg["dataset.width"], split=split)
-    elif kind == "cifar10":
+        return generate_shapes(seed, cfg[f"dataset.{split}_count"], cfg["dataset.height"], cfg["dataset.width"], split=split)
+    if kind == "cifar10":
         root = Path(cfg["dataset.path"])
         if not root.is_dir():
             raise StageError(f"dataset.path {root} is not a directory of CIFAR-10 binary batches")
@@ -98,11 +122,8 @@ def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> LabeledImageDat
         files = sorted(root.glob(pattern))
         if not files:
             raise StageError(f"no {pattern} under {root}")
-        data = load_cifar10(files, split=split)
-    else:
-        raise StageError(f"unknown dataset.kind {kind!r}")
-    save_cache(data, path, meta=provenance)
-    return data
+        return load_cifar10(files, split=split)
+    raise StageError(f"unknown dataset.kind {kind!r}")
 
 
 def _codec_config(cfg: ExperimentConfig, data: LabeledImageDataset) -> CodecConfig:
@@ -126,52 +147,28 @@ def _load_classifier(cfg: ExperimentConfig, out: Path) -> ClassifierModel:
     )
 
 
-def _write_results_csv(path: Path, mode_reports, config_hash: str) -> None:
-    """`mode_reports` is a list of (loss_mode, EvalReport) pairs."""
-    lines = [f"# config_hash={config_hash}", ",".join(RESULTS_COLUMNS)]
-    for mode, r in mode_reports:
-        lines.append(
-            f"{r.run_id},{mode},{r.snr_db:.6g},{r.seed},"
-            f"{r.cpp:.9g},{r.acc:.9g},{r.f1:.9g},{r.psnr_db:.9g},{r.ssim:.9g}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_pretrain_classifier(cfg, out, args):
     train = _load_split(cfg, out, "train")
-    model = pretrain_classifier(
-        train,
-        TrainClassifierConfig(
-            epochs=cfg["classifier.epochs"],
-            lr=cfg["classifier.lr"],
-            batch=cfg["classifier.batch"],
-            seed=cfg["classifier.seed"],
-        ),
-    )
-    save_checkpoint(
-        model.params,
-        "classifier",
-        _paths(out)["classifier"],
-        meta={
-            "class_count": str(model.class_count),
-            "height": str(model.in_hw[0]),
-            "width": str(model.in_hw[1]),
-            "config_hash": cfg.config_hash(),
-            "theta_hash": model.theta_hash(),
-            **_provenance(cfg, "classifier"),
-        },
-    )
+    model = pretrain_classifier(train, TrainClassifierConfig(**cfg.section("classifier")))
+    shape = {"class_count": model.class_count, "height": model.in_hw[0], "width": model.in_hw[1]}
+    meta = {**shape, **_provenance(cfg, "classifier")}
+    save_checkpoint(model.params, "classifier", _paths(out)["classifier"], meta=meta)
     print(f"wrote {_paths(out)['classifier']} (theta {model.theta_hash()[:12]})")
     return 0
 
 
 def cmd_extract_weights(cfg, out, args):
     train = _load_split(cfg, out, "train")
-    model = _load_classifier(cfg, out)
-    cache = extract_weight_cache(model, train, _paths(out)["weights"])
+
+    def build():
+        model = _load_classifier(cfg, out)
+        maps, fallback = saliency.compute_weight_maps(model, train.images)
+        return saliency.WeightCache(maps, fallback, dataset_id=train.dataset_id, classifier_hash=model.theta_hash())
+
+    cache = _load_or_build(cfg, out, "weights", load_weight_cache, saliency.save_weight_cache, build)
     n_fallback = int(cache.fallback.sum())
     print(f"wrote {_paths(out)['weights']} ({len(cache)} maps, {n_fallback} uniform fallbacks)")
     return 0
@@ -180,33 +177,15 @@ def cmd_extract_weights(cfg, out, args):
 def cmd_train(cfg, out, args):
     train = _load_split(cfg, out, "train")
     mode = args.loss
-    weight_cache = classifier = None
+    weight_cache = None
     if mode == "sp":
         with _checked(_paths(out)["weights"], "extract-weights") as path:
-            classifier = _load_classifier(cfg, out)
-            weight_cache = load_weight_cache(
-                path, expected_classifier_hash=classifier.theta_hash(), expected_dataset_id=train.dataset_id
-            )
-    tcfg = TrainConfig(
-        loss_mode=mode,
-        lambda_rate=cfg["train.lambda_rate"],
-        epochs=cfg["train.epochs"],
-        batch_size=cfg["train.batch"],
-        lr=cfg["train.lr"],
-        seed=cfg["train.seed"],
-        snr_low=cfg["train.snr_low"],
-        snr_high=cfg["train.snr_high"],
-        temp_start=cfg["train.temp_start"],
-        temp_end=cfg["train.temp_end"],
-        patience=cfg["train.patience"],
-    )
-    enc, dec, log = train_jscc(tcfg, train, weight_cache, classifier, _codec_config(cfg, train))
-    save_checkpoint(
-        {**enc.params, **dec.params},
-        f"codec-{mode}",
-        _paths(out)[f"codec_{mode}"],
-        meta={"config_hash": cfg.config_hash(), **_provenance(cfg, "codec")},
-    )
+            weight_cache = load_weight_cache(path, expected_meta=_provenance(cfg, "weights"))
+    options = cfg.section("train")
+    tcfg = TrainConfig(loss_mode=mode, batch_size=options.pop("batch"), **options)
+    enc, dec, log = train_jscc(tcfg, train, weight_cache, None, _codec_config(cfg, train))
+    meta = _provenance(cfg, f"codec_{mode}")
+    save_checkpoint({**enc.params, **dec.params}, f"codec-{mode}", _paths(out)[f"codec_{mode}"], meta=meta)
     log.to_csv(_paths(out)[f"trainlog_{mode}"], config_hash=cfg.config_hash())
     final = log.epoch_mean_loss(log.last_epoch())
     print(f"wrote {_paths(out)[f'codec_{mode}']} (final epoch mean loss {final:.6g})")
@@ -222,7 +201,7 @@ def _evaluate_codecs(cfg, out, modes, snr):
     codecs = []
     for mode in modes:
         with _checked(_paths(out)[f"codec_{mode}"], f"train --loss {mode}") as path:
-            params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, "codec"))
+            params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, f"codec_{mode}"))
         codecs.append((mode, EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)))
     snr_grid = [snr] if snr is not None else cfg["eval.snr_grid"]
     return [
@@ -235,7 +214,7 @@ def _evaluate_codecs(cfg, out, modes, snr):
 def cmd_evaluate(cfg, out, args):
     mode_reports = _evaluate_codecs(cfg, out, (args.loss,), args.snr)
     path = _paths(out)[f"results_{args.loss}"]
-    _write_results_csv(path, mode_reports, cfg.config_hash())
+    write_results_csv(path, mode_reports, cfg.config_hash())
     print(f"wrote {path} ({len(mode_reports)} rows)")
     return 0
 
@@ -243,7 +222,7 @@ def cmd_evaluate(cfg, out, args):
 def cmd_compare(cfg, out, args):
     all_reports = _evaluate_codecs(cfg, out, ("sp", "mse"), args.snr)
     path = _paths(out)["compare"]
-    _write_results_csv(path, all_reports, cfg.config_hash())
+    write_results_csv(path, all_reports, cfg.config_hash())
     print(f"wrote {path} ({len(all_reports)} rows)")
     for mode in ("sp", "mse"):
         rows = [r for m, r in all_reports if m == mode]
@@ -265,12 +244,8 @@ def cmd_plot(cfg, out, args):
             break
     else:
         raise StageError(f"no results CSV under {out}; run evaluate or compare first")
-    with open(src, encoding="ascii") as fh:
-        first = fh.readline().rstrip("\n")
-    recorded = first.removeprefix("# config_hash=") if first.startswith("# config_hash=") else None
-    if recorded != cfg.config_hash():
-        raise StageError(f"{src}: config_hash differs (results have {recorded}, expected {cfg.config_hash()}); run {rerun}")
-    written = emit_plots(src, _paths(out)["plots"], config_hash=cfg.config_hash())
+    with _checked(src, rerun):
+        written = emit_plots(src, _paths(out)["plots"], config_hash=cfg.config_hash())
     for p in written:
         print(f"wrote {p}")
     return 0
@@ -287,7 +262,7 @@ _COMMANDS = {
 
 
 def _snr_arg(raw: str) -> float:
-    """`--snr` by the config's finite-SNR rule; argparse then names the flag and the value."""
+    """`--snr` by the config's SNR rule; argparse then names the flag and the value."""
     try:
         return _snr(raw)
     except ValueError as exc:

@@ -18,9 +18,20 @@ class ConfigError(ValueError):
 
 
 def _snr(raw: str) -> float:
+    """A finite SNR in dB within ±100 dB, where float32 channel noise stays above rounding."""
     val = float(raw)
     if not math.isfinite(val):
         raise ValueError(f"SNR must be finite, got {raw.strip()!r}")
+    if abs(val) > 100.0:
+        raise ValueError(f"SNR must be within ±100 dB, got {raw.strip()!r}")
+    return val
+
+
+def _seed(raw: str) -> int:
+    """A seed: numpy's generators take non-negative entropy only."""
+    val = int(raw)
+    if val < 0:
+        raise ValueError(f"seed must be >= 0, got {val}")
     return val
 
 
@@ -40,7 +51,7 @@ def _nonempty_list(parse):
 SCHEMA = {
     "dataset.kind": (str, "synthetic"),  # synthetic | cifar10
     "dataset.path": (str, ""),  # directory of CIFAR-10 binary batches
-    "dataset.seed": (int, 7),
+    "dataset.seed": (_seed, 7),
     "dataset.train_count": (int, 2000),
     "dataset.test_count": (int, 500),
     "dataset.height": (int, 32),
@@ -48,7 +59,7 @@ SCHEMA = {
     "classifier.epochs": (int, 20),
     "classifier.lr": (float, 2e-3),
     "classifier.batch": (int, 32),
-    "classifier.seed": (int, 1),
+    "classifier.seed": (_seed, 1),
     "codec.f_s": (int, 16),
     "codec.f_n": (int, 16),
     "codec.width": (int, 32),
@@ -56,14 +67,14 @@ SCHEMA = {
     "train.epochs": (int, 15),
     "train.batch": (int, 32),
     "train.lr": (float, 1e-3),
-    "train.seed": (int, 3),
+    "train.seed": (_seed, 3),
     "train.snr_low": (_snr, 0.0),
     "train.snr_high": (_snr, 20.0),
     "train.temp_start": (float, 5.0),
     "train.temp_end": (float, 0.5),
     "train.patience": (int, 5),
     "eval.snr_grid": (_nonempty_list(_snr), (0.0, 5.0, 10.0, 15.0, 20.0)),
-    "eval.seeds": (_nonempty_list(int), (101, 102, 103, 104, 105)),
+    "eval.seeds": (_nonempty_list(_seed), (101, 102, 103, 104, 105)),
 }
 
 
@@ -73,6 +84,10 @@ class ExperimentConfig:
 
     def __getitem__(self, key: str):
         return self.values[key]
+
+    def section(self, name: str) -> dict:
+        """The `name.*` values keyed by what follows the dot, e.g. {"epochs": 20, ...} for "classifier"."""
+        return {k.partition(".")[2]: v for k, v in self.values.items() if k.startswith(name + ".")}
 
     def canonical(self) -> str:
         lines = []
@@ -104,6 +119,9 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = parser(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+    low, high = values["train.snr_low"], values["train.snr_high"]
+    if low > high:
+        raise ConfigError(f"train.snr_low {low:g} is above train.snr_high {high:g}")
     return ExperimentConfig(values=values)
 
 

@@ -1,8 +1,9 @@
-"""Deterministic SVG plots from the results CSV (no plotting dependency).
+"""The results CSV, and deterministic SVG plots from it (no plotting dependency).
 
-One file per metric: the metric's per-SNR mean (over seeds) on the y axis,
-SNR in dB on the x axis, one polyline per loss mode. Identical CSV input
-produces byte-identical SVG output.
+A results CSV starts with a `# config_hash=` line, then a header and one row
+per (loss mode, SNR, seed) cell. One SVG per metric: the metric's per-SNR
+mean (over seeds) on the y axis, SNR in dB on the x axis, one polyline per
+loss mode. Identical CSV input produces byte-identical SVG output.
 """
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+from .checkpoint import StaleArtifactError
+
 RESULTS_COLUMNS = ("run_id", "loss_mode", "snr_db", "seed", "cpp", "acc", "f1", "psnr_db", "ssim")
 _NUMERIC = {"snr_db": float, "seed": int, "cpp": float, "acc": float, "f1": float, "psnr_db": float, "ssim": float}
 PLOT_METRICS = ("acc", "f1", "psnr_db", "ssim", "cpp")
 _MODE_COLORS = {"sp": "#c23b22", "mse": "#1f5fa8"}
-_FALLBACK_COLORS = ("#2a9d3f", "#8448a8", "#b8860b")
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 30, 40, 50
@@ -24,13 +26,31 @@ class PlotError(ValueError):
     """Results CSV missing, empty, lacking a required column, or with a malformed row."""
 
 
-def read_results_csv(path: str | Path):
+def write_results_csv(path: str | Path, mode_reports, config_hash: str) -> None:
+    """`mode_reports` is a list of (loss_mode, EvalReport) pairs."""
+    lines = [f"# config_hash={config_hash}", ",".join(RESULTS_COLUMNS)]
+    for mode, r in mode_reports:
+        lines.append(
+            f"{r.run_id},{mode},{r.snr_db:.6g},{r.seed},"
+            f"{r.cpp:.9g},{r.acc:.9g},{r.f1:.9g},{r.psnr_db:.9g},{r.ssim:.9g}"
+        )
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def read_results_csv(path: str | Path, config_hash: str | None = None):
     """Rows of the results CSV as dicts, numeric columns parsed; `#` comment lines are skipped.
 
-    A row without every column, or with a numeric field that does not parse,
-    raises PlotError naming the file and the line.
+    With `config_hash`, a file whose first line records another hash raises
+    StaleArtifactError naming the file and both hashes. A row without every
+    column, with a numeric field that does not parse, or with a loss mode
+    other than sp or mse raises PlotError naming the file and the line.
     """
     lines = Path(path).read_text().splitlines()
+    if config_hash is not None:
+        first = lines[0] if lines else ""
+        recorded = first.removeprefix("# config_hash=") if first.startswith("# config_hash=") else None
+        if recorded != config_hash:
+            raise StaleArtifactError(f"{path}: config_hash differs (results have {recorded}, expected {config_hash})")
     numbered = [(i, l) for i, l in enumerate(lines, start=1) if l and not l.startswith("#")]
     if not numbered:
         raise PlotError(f"{path}: empty results file")
@@ -45,6 +65,8 @@ def read_results_csv(path: str | Path):
         if len(fields) != len(header):
             raise PlotError(f"{path}: line {lineno}: {len(fields)} fields, expected {len(header)}")
         row = dict(zip(header, fields))
+        if row["loss_mode"] not in _MODE_COLORS:
+            raise PlotError(f"{path}: line {lineno}: loss_mode {row['loss_mode']!r} is not sp or mse")
         for col, parse in _NUMERIC.items():
             try:
                 row[col] = parse(row[col])
@@ -110,9 +132,8 @@ def _svg_for_metric(metric, series, config_hash):
         out.append(
             f'<text x="{_ML - 9}" y="{py(y):.2f}" text-anchor="end" dominant-baseline="middle" font-family="monospace" font-size="11">{y:.4g}</text>'
         )
-    fallback = iter(_FALLBACK_COLORS)
     for i, (mode, pts) in enumerate(series.items()):
-        color = _MODE_COLORS.get(mode) or next(fallback)
+        color = _MODE_COLORS[mode]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in pts)
         out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="2"/>')
         for x, y in pts:
@@ -127,8 +148,8 @@ def _svg_for_metric(metric, series, config_hash):
 
 
 def emit_plots(results_csv: str | Path, out_dir: str | Path, config_hash: str) -> list[Path]:
-    """Write one SVG per metric; returns the paths written."""
-    rows = read_results_csv(results_csv)
+    """Write one SVG per metric from a results CSV written under `config_hash`; returns the paths written."""
+    rows = read_results_csv(results_csv, config_hash)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

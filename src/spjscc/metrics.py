@@ -128,6 +128,12 @@ def cpp(mask: np.ndarray, selective_symbols: int, nonselective_symbols: int, hei
     return float(np.mean((active_symbols + nonselective_symbols) / (2.0 * height * width)))
 
 
+def _noise_generator(seed: int, snr_db: float) -> np.random.Generator:
+    """Cell (seed, snr_db)'s noise. SeedSequence refuses a negative k = round(1000 snr_db): k < 0 is [seed, -k, 1]."""
+    k = int(round(snr_db * 1000))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), k] if k >= 0 else [int(seed), -k, 1]))
+
+
 def evaluate(
     encoder: EncoderModel,
     decoder: DecoderModel,
@@ -159,7 +165,7 @@ def evaluate(
     reports = []
     for snr_db in snr_grid:
         snr = float(snr_db)
-        rngs = [np.random.default_rng(np.random.SeedSequence([int(seed), int(round(snr_db * 1000))])) for seed in seeds]
+        rngs = [_noise_generator(seed, snr) for seed in seeds]
         preds = np.empty((len(seeds), n), dtype=np.int64)
         psnrs = np.empty((len(seeds), n))
         ssims = np.empty((len(seeds), n))

@@ -7,9 +7,9 @@ classes of d logit_c / dx equals d(mean_c logit_c) / dx: one backward pass
 seeded with 1/C on every logit gives the class-averaged map for a whole batch,
 where the per-class definition (`class_gradient`) takes C passes. The maps are
 computed once against the clean images with the frozen classifier and cached
-to disk as one artifact container file (`harness.checkpoint`) that records
-the classifier's parameter hash and the dataset id; the container compares
-both on load.
+to disk as one artifact container file (`harness.checkpoint`) that stores the
+dataset id and the classifier's parameter hash, plus whatever provenance the
+caller records.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import ClassifierModel, perceive_with_tape
-from .dataio import LabeledImageDataset
-from .harness.checkpoint import StaleArtifactError, load_checkpoint, save_checkpoint
+from .harness.checkpoint import load_checkpoint, save_checkpoint
 
 ZERO_GRAD_EPS = 1e-12
 
@@ -83,39 +82,14 @@ def compute_weight_maps(model: ClassifierModel, images: np.ndarray, batch: int =
     return maps, fallback
 
 
-def extract_weight_cache(model: ClassifierModel, dataset: LabeledImageDataset, path: str | Path) -> WeightCache:
-    """Compute (or reuse) the weight cache for every image in `dataset`.
-
-    A cache file whose classifier hash and dataset id match is loaded as is;
-    a stale one is recomputed and rewritten, and a damaged one raises
-    CheckpointError naming the file. Writing twice with the same frozen
-    classifier produces identical bytes.
-    """
-    path = Path(path)
-    chash = model.theta_hash()
-    if path.exists():
-        try:
-            return load_weight_cache(path, expected_classifier_hash=chash, expected_dataset_id=dataset.dataset_id)
-        except StaleArtifactError:
-            pass  # stale cache: recompute below
-    maps, fallback = compute_weight_maps(model, dataset.images)
-    cache = WeightCache(maps=maps, fallback=fallback, dataset_id=dataset.dataset_id, classifier_hash=chash)
-    save_weight_cache(cache, path)
-    return cache
+def save_weight_cache(cache: WeightCache, path: str | Path, meta: dict[str, str] | None = None) -> None:
+    """Maps and fallback flags as tensors; `meta` records the cache's provenance."""
+    info = {"dataset_id": cache.dataset_id, "classifier_hash": cache.classifier_hash}
+    save_checkpoint({"maps": cache.maps, "fallback": cache.fallback}, "weights", path, meta={**(meta or {}), **info})
 
 
-def save_weight_cache(cache: WeightCache, path: str | Path) -> None:
-    meta = {"dataset_id": cache.dataset_id, "classifier_hash": cache.classifier_hash}
-    save_checkpoint({"maps": cache.maps, "fallback": cache.fallback}, "weights", path, meta=meta)
-
-
-def load_weight_cache(
-    path: str | Path, expected_classifier_hash: str | None = None, expected_dataset_id: str | None = None
-) -> WeightCache:
-    expected = {"classifier_hash": expected_classifier_hash, "dataset_id": expected_dataset_id}
-    tensors, _, meta = load_checkpoint(
-        path, expected_kind="weights", expected_meta={k: v for k, v in expected.items() if v is not None}
-    )
+def load_weight_cache(path: str | Path, expected_meta: dict[str, str] | None = None) -> WeightCache:
+    tensors, _, meta = load_checkpoint(path, expected_kind="weights", expected_meta=expected_meta)
     return WeightCache(
         maps=tensors["maps"],
         fallback=tensors["fallback"],

@@ -9,9 +9,10 @@ from spjscc.harness.checkpoint import FORMAT_LINE, CheckpointError, StaleArtifac
 from spjscc.harness import cli
 from spjscc.harness.cli import build_parser, main
 from spjscc.harness.config import ConfigError, default_config, load_config, parse_config
-from spjscc.harness.plots import PlotError, emit_plots, read_results_csv
+from spjscc.harness.plots import PlotError, emit_plots, read_results_csv, write_results_csv
 from spjscc.jscc import CodecConfig, init_decoder, init_encoder
-from spjscc.saliency import WeightCache, extract_weight_cache, load_weight_cache, save_weight_cache
+from spjscc.metrics import EvalReport
+from spjscc.saliency import WeightCache, load_weight_cache, save_weight_cache
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +212,20 @@ def test_weight_cache_flipped_payload_byte_names_the_file(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="weights.cache.*hash"):
         load_weight_cache(path)
-    ds = generate_shapes(3, 10, 32, 32)
-    with pytest.raises(CheckpointError, match="weights.cache.*hash"):  # damaged, not stale: not recomputed
-        extract_weight_cache(init_classifier(10, (32, 32), seed=1), ds, path)
+
+
+def test_cli_extract_weights_refuses_a_damaged_cache_naming_the_file(tmp_path, capsys):
+    """Damaged is not stale: `extract-weights` stops before it needs the classifier and rebuilds nothing."""
+    path = tmp_path / "run" / "weights.cache"
+    path.parent.mkdir()
+    _artifact("weights", path)
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01
+    path.write_bytes(bytes(blob))
+    assert _run(tmp_path, "a.cfg", _SMALL, "extract-weights") == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "hash" in err and "Traceback" not in err
+    assert path.read_bytes() == bytes(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +277,16 @@ def test_plots_missing_column_named(tmp_path):
     (tmp_path / "r.csv").write_text(bad)
     with pytest.raises(PlotError, match="psnr_db"):
         emit_plots(tmp_path / "r.csv", tmp_path / "plots", config_hash="abc")
+
+
+def test_results_csv_round_trip_and_hash_check(tmp_path):
+    report = EvalReport(run_id="sp", snr_db=-5.0, seed=3, cpp=0.5, acc=0.25, f1=0.2, psnr_db=12.5, ssim=0.3)
+    path = tmp_path / "r.csv"
+    write_results_csv(path, [("sp", report)], "abc")
+    (row,) = read_results_csv(path, "abc")
+    assert row == {"run_id": "sp", "loss_mode": "sp", **{k: v for k, v in vars(report).items() if k != "run_id"}}
+    with pytest.raises(StaleArtifactError, match=r"r\.csv: config_hash differs \(results have abc, expected def\)"):
+        read_results_csv(path, "def")
 
 
 def test_plots_empty_csv_rejected(tmp_path):
@@ -480,7 +502,68 @@ def test_cli_weight_cache_of_another_classifier_refused_by_train(tmp_path, capsy
     capsys.readouterr()
     assert _run(tmp_path, "b.cfg", _SMALL + "classifier.seed = 5\n", "train", "--loss", "sp") == 1
     err = capsys.readouterr().err
-    assert "weights.cache" in err and "classifier_hash" in err and "run extract-weights" in err
+    assert "weights.cache: classifier.seed differs" in err and "run extract-weights" in err
+    assert not (tmp_path / "run" / "codec_sp.ckpt").exists()
+
+
+def test_cli_extract_weights_rebuilds_a_stale_cache_and_reuses_a_current_one(tmp_path, capsys, monkeypatch):
+    for argv in (["pretrain-classifier"], ["extract-weights"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    path = tmp_path / "run" / "weights.cache"
+    first = load_weight_cache(path)
+    other = _SMALL + "classifier.seed = 5\n"
+    for argv in (["pretrain-classifier"], ["extract-weights"]):
+        assert _run(tmp_path, "b.cfg", other, *argv) == 0, capsys.readouterr().err
+    rebuilt = load_weight_cache(path, expected_meta={"classifier.seed": "5"})
+    retrained = cli._load_classifier(load_config(tmp_path / "b.cfg"), tmp_path / "run")
+    assert rebuilt.dataset_id == first.dataset_id and rebuilt.classifier_hash == retrained.theta_hash()
+    assert rebuilt.classifier_hash != first.classifier_hash
+    assert not np.array_equal(rebuilt.maps, first.maps)
+    blob = path.read_bytes()
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("current weight cache was recomputed")
+
+    monkeypatch.setattr("spjscc.saliency.compute_weight_maps", no_recompute)
+    (tmp_path / "run" / "classifier.ckpt").unlink()  # a current cache needs no classifier
+    assert _run(tmp_path, "b.cfg", other, "extract-weights") == 0, capsys.readouterr().err
+    assert path.read_bytes() == blob
+
+
+@pytest.mark.slow
+def test_cli_test_count_and_eval_keys_retrain_nothing(tmp_path, capsys):
+    """Only the test split and the results depend on dataset.test_count and eval.*."""
+    for argv in (["pretrain-classifier"], ["extract-weights"], ["train", "--loss", "sp"], ["train", "--loss", "mse"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    run = tmp_path / "run"
+    trained = {name: (run / name).read_bytes() for name in ("classifier.ckpt", "weights.cache", "codec_sp.ckpt", "codec_mse.ckpt")}
+    for change in ("dataset.test_count = 12", "eval.seeds = 3,4", "eval.snr_grid = -5,0,10"):
+        for argv in (["extract-weights"], ["compare"]):
+            assert _run(tmp_path, "b.cfg", _SMALL + change + "\n", *argv) == 0, (change, capsys.readouterr().err)
+        assert {name: (run / name).read_bytes() for name in trained} == trained, change
+    rows = read_results_csv(run / "compare.csv")
+    assert {(r["loss_mode"], r["snr_db"]) for r in rows} == {(m, s) for m in ("sp", "mse") for s in (-5.0, 0.0, 10.0)}
+    changed = _SMALL + "dataset.test_count = 12\n"
+    assert _run(tmp_path, "b.cfg", changed, "evaluate", "--loss", "sp") == 0, capsys.readouterr().err
+    assert len(load_cache(run / "dataset_test.cache", expected_meta={"dataset.test_count": "12"})) == 12
+
+
+def test_cli_train_sp_needs_only_a_current_weight_cache(tmp_path, capsys):
+    for argv in (["pretrain-classifier"], ["extract-weights"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    (tmp_path / "run" / "classifier.ckpt").unlink()
+    assert _run(tmp_path, "a.cfg", _SMALL, "train", "--loss", "sp") == 0, capsys.readouterr().err
+    assert (tmp_path / "run" / "codec_sp.ckpt").exists()
+
+
+def test_cli_mse_codec_does_not_depend_on_the_classifier(tmp_path, capsys):
+    for argv in (["pretrain-classifier"], ["train", "--loss", "mse"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    other = _SMALL + "classifier.seed = 5\n"
+    for argv in (["pretrain-classifier"], ["evaluate", "--loss", "mse"]):
+        assert _run(tmp_path, "b.cfg", other, *argv) == 0, capsys.readouterr().err
+    meta = load_checkpoint(tmp_path / "run" / "codec_mse.ckpt")[2]
+    assert not any(key.startswith("classifier.") for key in meta)
 
 
 def test_cli_training_stages_read_only_the_train_split(tmp_path, capsys):
@@ -556,6 +639,39 @@ def test_cli_refuses_empty_eval_lists_and_non_finite_snr(tmp_path, capsys, line,
     assert not (tmp_path / "run" / "results_mse.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("eval.snr_grid = 0,5000", "eval.snr_grid"),
+        ("eval.snr_grid = -101", "eval.snr_grid"),
+        ("train.snr_low = -4000", "train.snr_low"),
+        ("train.snr_high = 1e300", "train.snr_high"),
+        ("eval.seeds = -1", "eval.seeds"),
+        ("dataset.seed = -3", "dataset.seed"),
+    ],
+)
+def test_cli_refuses_snr_beyond_100_db_and_negative_seeds(tmp_path, capsys, line, key):
+    assert _run(tmp_path, "a.cfg", _SMALL + line + "\n", "evaluate", "--loss", "mse") == 1
+    err = capsys.readouterr().err
+    assert "line 7" in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_refuses_an_snr_range_that_is_upside_down(tmp_path, capsys):
+    assert _run(tmp_path, "a.cfg", _SMALL + "train.snr_low = 30\n", "train", "--loss", "mse") == 1
+    err = capsys.readouterr().err
+    assert "train.snr_low 30 is above train.snr_high 20" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--snr", "1e300"], ["--snr=-100.5"]])
+def test_cli_refuses_an_snr_flag_beyond_100_db(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(tmp_path, "a.cfg", _SMALL, "evaluate", "--loss", "mse", *flag)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --snr: SNR must be within ±100 dB" in err and "Traceback" not in err, err
+
+
 def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
     for key, value, field in [
         ("codec.f_s", 0, "f_s must be >= 1"),
@@ -572,7 +688,11 @@ def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "last_row, reason",
-    [("mse,mse,10", "3 fields, expected 9"), ("mse,mse,10,1,0.5,abc,0.5,20.0,0.5", "bad acc")],
+    [
+        ("mse,mse,10", "3 fields, expected 9"),
+        ("mse,mse,10,1,0.5,abc,0.5,20.0,0.5", "bad acc"),
+        ("x,x,10,1,0.5,0.5,0.5,20.0,0.5", "loss_mode 'x' is not sp or mse"),
+    ],
 )
 def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, last_row, reason):
     cfg = tmp_path / "a.cfg"

@@ -297,10 +297,15 @@ def test_evaluate_grid_cell_equals_the_cell_run_alone(random_codec_grid):
 
 
 def test_evaluate_equals_the_per_cell_loop(random_codec_grid):
-    """Each cell as the plain loop computes it: re-encode every batch, decode on the encode tape."""
+    """Each cell as the plain loop computes it: re-encode every batch, decode on the encode tape.
+
+    The noise entropy is spelled out: a cell at k = round(1000 snr) >= 0 is
+    seeded from [seed, k], and one at k < 0 from [seed, -k, 1].
+    """
     (enc, dec, clf), test = random_codec_grid
-    for r in evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7):
-        rng = np.random.default_rng(np.random.SeedSequence([r.seed, round(r.snr_db * 1000)]))
+    for r in evaluate(enc, dec, clf, test, [0.0, 10.0, -5.0], [1, 2], batch=7):
+        k = round(r.snr_db * 1000)
+        rng = np.random.default_rng(np.random.SeedSequence([r.seed, k] if k >= 0 else [r.seed, -k, 1]))
         preds, psnrs, ssims = [], [], []
         for start in range(0, len(test), 7):
             imgs = test.images[start : start + 7]
@@ -311,6 +316,16 @@ def test_evaluate_equals_the_per_cell_loop(random_codec_grid):
             ssims.extend(ssim(a, b) for a, b in zip(imgs, xp))
         assert r.acc == np.mean(np.array(preds) == test.labels)
         assert (r.psnr_db, r.ssim) == (np.mean(psnrs), np.mean(ssims))
+
+
+def test_negative_and_positive_snr_cells_draw_different_noise():
+    for seed in (0, 1, 7):
+        draws = {snr: metrics._noise_generator(seed, snr).standard_normal(16) for snr in (-5.0, 5.0, -0.5, 0.5)}
+        assert not np.array_equal(draws[-5.0], draws[5.0])
+        assert not np.array_equal(draws[-0.5], draws[0.5])
+        # a non-negative cell keeps the noise it has always had
+        same = np.random.default_rng(np.random.SeedSequence([seed, 5000])).standard_normal(16)
+        np.testing.assert_array_equal(draws[5.0], same)
 
 
 def test_evaluate_encodes_once_per_snr_and_batch(random_codec_grid, monkeypatch):

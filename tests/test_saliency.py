@@ -10,9 +10,9 @@ from spjscc.dataio import generate_shapes
 from spjscc.harness.checkpoint import StaleArtifactError
 from spjscc.numcore import Tape
 from spjscc.saliency import (
+    WeightCache,
     class_gradient,
     compute_weight_maps,
-    extract_weight_cache,
     load_weight_cache,
     normalize_weights,
     save_weight_cache,
@@ -159,8 +159,10 @@ def trained_on_shapes():
 def test_weight_cache_round_trip_and_invariants(tmp_path, trained_on_shapes):
     ds, model = trained_on_shapes
     sub = generate_shapes(11, 40, 32, 32)
+    maps, fallback = compute_weight_maps(model, sub.images)
+    cache = WeightCache(maps=maps, fallback=fallback, dataset_id=sub.dataset_id, classifier_hash=model.theta_hash())
     path = tmp_path / "weights.cache"
-    cache = extract_weight_cache(model, sub, path)
+    save_weight_cache(cache, path, meta={"classifier.seed": "2"})
     blob1 = path.read_bytes()
 
     # full-scan invariants: nonnegative, unit L2 norm
@@ -168,26 +170,17 @@ def test_weight_cache_round_trip_and_invariants(tmp_path, trained_on_shapes):
     norms = np.linalg.norm(cache.maps.reshape(len(cache), -1).astype(np.float64), axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
 
-    # reload path: same bytes, same contents, idempotent rewrite
-    again = extract_weight_cache(model, sub, path)
+    # reload path: same contents and stored ids, idempotent rewrite
+    again = load_weight_cache(path, expected_meta={"classifier.seed": "2"})
     np.testing.assert_array_equal(again.maps, cache.maps)
-    save_weight_cache(again, tmp_path / "weights2.cache")
+    np.testing.assert_array_equal(again.fallback, cache.fallback)
+    assert (again.dataset_id, again.classifier_hash) == (sub.dataset_id, model.theta_hash())
+    save_weight_cache(again, tmp_path / "weights2.cache", meta={"classifier.seed": "2"})
     assert (tmp_path / "weights2.cache").read_bytes() == blob1
 
-
-def test_weight_cache_classifier_hash_mismatch_forces_recompute(tmp_path, trained_on_shapes):
-    ds, model = trained_on_shapes
-    sub = generate_shapes(11, 20, 32, 32)
-    path = tmp_path / "weights.cache"
-    extract_weight_cache(model, sub, path)
-    with pytest.raises(StaleArtifactError, match="classifier"):
-        load_weight_cache(path, expected_classifier_hash="deadbeef")
-
-    other = init_classifier(10, (32, 32), seed=99)
-    cache2 = extract_weight_cache(other, sub, path)  # silently recomputes
-    assert cache2.classifier_hash == other.theta_hash()
-    reloaded = load_weight_cache(path)
-    assert reloaded.classifier_hash == other.theta_hash()
+    # recorded provenance is compared on load, naming the key
+    with pytest.raises(StaleArtifactError, match="weights.cache: classifier.seed differs"):
+        load_weight_cache(path, expected_meta={"classifier.seed": "5"})
 
 
 def test_determinism_same_model_same_image_same_map(trained_on_shapes):

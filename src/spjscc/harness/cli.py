@@ -5,27 +5,31 @@ method: the classifier is pretrained and frozen, semantic weights are
 extracted once from the clean training images, then a codec is trained per
 loss mode and evaluated over the SNR grid. Every binary artifact records the
 config keys it was built from. A stage rebuilds a stale artifact that it
-writes itself and refuses one that another stage writes. Reruns with an
-unchanged config reproduce every artifact byte for byte.
+writes itself and refuses one that another stage writes. `compare` reads a
+mode's reports from `results_{mode}.csv` when that file holds exactly the
+cells it would evaluate under this config, and evaluates that mode otherwise.
+Reruns with an unchanged config reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from ..classifier import ClassifierModel, TrainClassifierConfig, pretrain_classifier
 from ..dataio import LabeledImageDataset, generate_shapes, load_cache, load_cifar10, save_cache
 from ..jscc import CodecConfig, DecoderModel, EncoderModel
-from ..metrics import evaluate, mean_over_seeds
+from ..metrics import EvalReport, evaluate, mean_over_seeds
 from .. import saliency  # weight maps are computed and saved through the module, where perfbench's probes see them
 from ..saliency import load_weight_cache
 from ..training import TrainConfig, train_jscc
 from .checkpoint import CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
 from .config import SCHEMA, ConfigError, ExperimentConfig, _snr, load_config
-from .plots import emit_plots, write_results_csv
+from .plots import emit_plots, read_results_csv, write_results_csv
 
 
 class StageError(RuntimeError):
@@ -91,22 +95,22 @@ def _checked(path: Path, rerun: str):
 
 
 def _load_or_build(cfg: ExperimentConfig, out: Path, artifact: str, load, save, build):
-    """Guards an artifact the stage writes itself: loaded if current, else built and saved; a damaged one raises."""
+    """Guards an artifact the stage writes itself: (value, built), loaded if current, else built and saved; a damaged one raises."""
     path = _paths(out)[artifact]
     provenance = _provenance(cfg, artifact)
     if path.exists():
         try:
-            return load(path, expected_meta=provenance)
+            return load(path, expected_meta=provenance), False
         except StaleArtifactError:
             pass  # built from other config values: rebuild below
     value = build()
     save(value, path, meta=provenance)
-    return value
+    return value, True
 
 
 def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> LabeledImageDataset:
     """The `split` ("train" or "test") dataset the config names, rebuilt unless its cache is current."""
-    return _load_or_build(cfg, out, f"{split}_cache", load_cache, save_cache, lambda: _build_split(cfg, split))
+    return _load_or_build(cfg, out, f"{split}_cache", load_cache, save_cache, lambda: _build_split(cfg, split))[0]
 
 
 def _build_split(cfg: ExperimentConfig, split: str) -> LabeledImageDataset:
@@ -168,9 +172,12 @@ def cmd_extract_weights(cfg, out, args):
         maps, fallback = saliency.compute_weight_maps(model, train.images)
         return saliency.WeightCache(maps, fallback, dataset_id=train.dataset_id, classifier_hash=model.theta_hash())
 
-    cache = _load_or_build(cfg, out, "weights", load_weight_cache, saliency.save_weight_cache, build)
-    n_fallback = int(cache.fallback.sum())
-    print(f"wrote {_paths(out)['weights']} ({len(cache)} maps, {n_fallback} uniform fallbacks)")
+    cache, built = _load_or_build(cfg, out, "weights", load_weight_cache, saliency.save_weight_cache, build)
+    counts = f"{len(cache)} maps, {int(cache.fallback.sum())} uniform fallbacks"
+    if built:
+        print(f"wrote {_paths(out)['weights']} ({counts})")
+    else:
+        print(f"kept {_paths(out)['weights']} (current; {counts})")
     return 0
 
 
@@ -193,39 +200,81 @@ def cmd_train(cfg, out, args):
     return 0
 
 
-def _evaluate_codecs(cfg, out, modes, snr):
-    """(mode, EvalReport) pairs for the codec of each loss mode, on one load of the test split and classifier."""
+def _codec_evaluators(cfg, out, modes):
+    """mode -> a function of the SNR grid that evaluates that mode's codec.
+
+    The test split, the classifier and every mode's codec are loaded and
+    checked here, once, before any of them is evaluated.
+    """
     test = _load_split(cfg, out, "test")
     classifier = _load_classifier(cfg, out)
     codec_cfg = _codec_config(cfg, test)
-    codecs = []
+    evaluators = {}
     for mode in modes:
         with _checked(_paths(out)[f"codec_{mode}"], f"train --loss {mode}") as path:
             params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, f"codec_{mode}"))
-        codecs.append((mode, EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)))
-    snr_grid = [snr] if snr is not None else cfg["eval.snr_grid"]
-    return [
-        (mode, r)
-        for mode, enc, dec in codecs
-        for r in evaluate(enc, dec, classifier, test, snr_grid, cfg["eval.seeds"], run_id=mode)
-    ]
+        enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
+        evaluators[mode] = partial(evaluate, enc, dec, classifier, test, seeds=cfg["eval.seeds"], run_id=mode)
+    return evaluators
+
+
+def _snr_grid(cfg, snr):
+    return [snr] if snr is not None else cfg["eval.snr_grid"]
+
+
+def _reports(rows) -> list[EvalReport]:
+    """Results CSV rows (from `read_results_csv`) as the reports they were written from."""
+    return [EvalReport(**{f.name: row[f.name] for f in dataclasses.fields(EvalReport)}) for row in rows]
+
+
+def _current_results(cfg, out, mode, snr_grid):
+    """`mode`'s reports from `results_{mode}.csv`, or None unless it holds exactly what `evaluate` would write now.
+
+    Current means: written under this config hash, one `mode` row per
+    (SNR, seed) cell of `snr_grid` × `eval.seeds`, in `evaluate`'s
+    SNR-major, seed-minor order. A damaged file raises PlotError.
+    """
+    path = _paths(out)[f"results_{mode}"]
+    if not path.exists():
+        return None
+    try:
+        rows = read_results_csv(path, cfg.config_hash())
+    except StaleArtifactError:
+        return None
+    cells = [(snr, seed) for snr in snr_grid for seed in cfg["eval.seeds"]]
+    if [(r["snr_db"], r["seed"]) for r in rows] != cells or any(r["loss_mode"] != mode for r in rows):
+        return None
+    return _reports(rows)
 
 
 def cmd_evaluate(cfg, out, args):
-    mode_reports = _evaluate_codecs(cfg, out, (args.loss,), args.snr)
+    evaluate_codec = _codec_evaluators(cfg, out, (args.loss,))[args.loss]
+    reports = evaluate_codec(_snr_grid(cfg, args.snr))
     path = _paths(out)[f"results_{args.loss}"]
-    write_results_csv(path, mode_reports, cfg.config_hash())
-    print(f"wrote {path} ({len(mode_reports)} rows)")
+    write_results_csv(path, [(args.loss, r) for r in reports], cfg.config_hash())
+    print(f"wrote {path} ({len(reports)} rows)")
     return 0
 
 
 def cmd_compare(cfg, out, args):
-    all_reports = _evaluate_codecs(cfg, out, ("sp", "mse"), args.snr)
+    evaluators = _codec_evaluators(cfg, out, ("sp", "mse"))
+    snr_grid = _snr_grid(cfg, args.snr)
+    current = {mode: _current_results(cfg, out, mode, snr_grid) for mode in evaluators}
+    all_reports = []
+    for mode, reports in current.items():
+        if reports is None:
+            reports = evaluators[mode](snr_grid)
+            print(f"evaluated {mode} ({len(reports)} rows)")
+        else:
+            print(f"read {_paths(out)[f'results_{mode}']} ({len(reports)} rows, current)")
+        all_reports += [(mode, r) for r in reports]
     path = _paths(out)["compare"]
     write_results_csv(path, all_reports, cfg.config_hash())
     print(f"wrote {path} ({len(all_reports)} rows)")
-    for mode in ("sp", "mse"):
-        rows = [r for m, r in all_reports if m == mode]
+    # the means are taken over the digits written, so they are the same whether a mode was read or evaluated
+    as_written = read_results_csv(path)
+    for mode in current:
+        rows = _reports(r for r in as_written if r["loss_mode"] == mode)
         for snr, m in mean_over_seeds(rows).items():
             print(
                 f"{mode} @ {snr:g} dB: acc {m['acc']:.4f} f1 {m['f1']:.4f} "

@@ -35,6 +35,22 @@ def _seed(raw: str) -> int:
     return val
 
 
+def _positive(raw: str) -> float:
+    """A learning rate or temperature: finite and above 0."""
+    val = float(raw)
+    if not (math.isfinite(val) and val > 0):
+        raise ValueError(f"must be finite and positive, got {raw.strip()!r}")
+    return val
+
+
+def _image_side(raw: str) -> int:
+    """An image height or width: three 2x2 pools in the classifier need a positive multiple of 8."""
+    val = int(raw)
+    if val < 8 or val % 8:
+        raise ValueError(f"must be a positive multiple of 8, got {val}")
+    return val
+
+
 def _nonempty_list(parse):
     """Parser for a comma-separated list of `parse` values, at least one."""
 
@@ -54,10 +70,10 @@ SCHEMA = {
     "dataset.seed": (_seed, 7),
     "dataset.train_count": (int, 2000),
     "dataset.test_count": (int, 500),
-    "dataset.height": (int, 32),
-    "dataset.width": (int, 32),
+    "dataset.height": (_image_side, 32),
+    "dataset.width": (_image_side, 32),
     "classifier.epochs": (int, 20),
-    "classifier.lr": (float, 2e-3),
+    "classifier.lr": (_positive, 2e-3),
     "classifier.batch": (int, 32),
     "classifier.seed": (_seed, 1),
     "codec.f_s": (int, 16),
@@ -66,12 +82,12 @@ SCHEMA = {
     "train.lambda_rate": (float, 0.0),
     "train.epochs": (int, 15),
     "train.batch": (int, 32),
-    "train.lr": (float, 1e-3),
+    "train.lr": (_positive, 1e-3),
     "train.seed": (_seed, 3),
     "train.snr_low": (_snr, 0.0),
     "train.snr_high": (_snr, 20.0),
-    "train.temp_start": (float, 5.0),
-    "train.temp_end": (float, 0.5),
+    "train.temp_start": (_positive, 5.0),
+    "train.temp_end": (_positive, 0.5),
     "train.patience": (int, 5),
     "eval.snr_grid": (_nonempty_list(_snr), (0.0, 5.0, 10.0, 15.0, 20.0)),
     "eval.seeds": (_nonempty_list(_seed), (101, 102, 103, 104, 105)),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tape import NonFiniteError
@@ -26,8 +28,8 @@ def adam_step(params, grads, state, lr):
     Rejects the whole step (raises NonFiniteError, params untouched) if any
     gradient contains NaN/Inf, so the caller can snapshot and abort.
     """
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}; step rejected")

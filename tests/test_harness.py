@@ -1,5 +1,7 @@
 """Config schema, checkpoint format, SVG plots, CLI pipeline."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -507,13 +509,15 @@ def test_cli_weight_cache_of_another_classifier_refused_by_train(tmp_path, capsy
 
 
 def test_cli_extract_weights_rebuilds_a_stale_cache_and_reuses_a_current_one(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "run" / "weights.cache"
     for argv in (["pretrain-classifier"], ["extract-weights"]):
         assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
-    path = tmp_path / "run" / "weights.cache"
+    assert capsys.readouterr().out.endswith(f"wrote {path} (20 maps, 0 uniform fallbacks)\n")
     first = load_weight_cache(path)
     other = _SMALL + "classifier.seed = 5\n"
     for argv in (["pretrain-classifier"], ["extract-weights"]):
         assert _run(tmp_path, "b.cfg", other, *argv) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out.endswith(f"wrote {path} (20 maps, 0 uniform fallbacks)\n")
     rebuilt = load_weight_cache(path, expected_meta={"classifier.seed": "5"})
     retrained = cli._load_classifier(load_config(tmp_path / "b.cfg"), tmp_path / "run")
     assert rebuilt.dataset_id == first.dataset_id and rebuilt.classifier_hash == retrained.theta_hash()
@@ -527,6 +531,7 @@ def test_cli_extract_weights_rebuilds_a_stale_cache_and_reuses_a_current_one(tmp
     monkeypatch.setattr("spjscc.saliency.compute_weight_maps", no_recompute)
     (tmp_path / "run" / "classifier.ckpt").unlink()  # a current cache needs no classifier
     assert _run(tmp_path, "b.cfg", other, "extract-weights") == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == f"kept {path} (current; 20 maps, 0 uniform fallbacks)\n"
     assert path.read_bytes() == blob
 
 
@@ -597,6 +602,161 @@ def test_cli_compare_loads_the_test_split_and_classifier_once(tmp_path, capsys, 
         ("load_checkpoint", "codec_sp.ckpt"),
     ]
     assert (tmp_path / "run" / "compare.csv").read_bytes() == first
+
+
+# two SNRs and two seeds, so the order of a results CSV's cells can be checked
+_GRID = _SMALL + "eval.snr_grid = 5,15\neval.seeds = 1,2\n"
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """An --out with both codecs trained under `_GRID`, and no results CSV."""
+    root = tmp_path_factory.mktemp("trained")
+    for argv in (["pretrain-classifier"], ["extract-weights"], ["train", "--loss", "sp"], ["train", "--loss", "mse"]):
+        assert _run(root, "a.cfg", _GRID, *argv) == 0
+    return root / "run"
+
+
+def _compare(tmp_path, capsys, monkeypatch, run):
+    """`compare` on `run` under `_GRID`: (return code, stdout, stderr, the run_id of each `cli.evaluate` call)."""
+    calls = []
+    real = cli.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["run_id"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    capsys.readouterr()
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(_GRID, encoding="utf-8")
+    rc = main(["compare", "--config", str(cfg), "--out", str(run)])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err, calls
+
+
+def _outputs(run, out):
+    """compare.csv's bytes, every SVG's bytes and the per-SNR lines of `out`."""
+    svgs = {p.name: p.read_bytes() for p in sorted((run / "plots").iterdir())}
+    return (run / "compare.csv").read_bytes(), svgs, [line for line in out.splitlines() if " dB: " in line]
+
+
+def test_cli_compare_reuses_current_results_and_writes_what_a_fresh_compare_writes(tmp_path, capsys, monkeypatch, trained_run):
+    fresh, run = tmp_path / "fresh", tmp_path / "run"
+    shutil.copytree(trained_run, fresh)
+    shutil.copytree(trained_run, run)
+    for mode in ("sp", "mse"):
+        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0, capsys.readouterr().err
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 0, err
+    assert calls == []
+    assert f"read {run / 'results_sp.csv'} (4 rows, current)" in out and f"read {run / 'results_mse.csv'} (4 rows, current)" in out
+    rc, fresh_out, err, calls = _compare(tmp_path, capsys, monkeypatch, fresh)
+    assert rc == 0, err
+    assert calls == ["sp", "mse"] and "evaluated sp (4 rows)" in fresh_out and "evaluated mse (4 rows)" in fresh_out
+    reused = _outputs(run, out)
+    assert reused == _outputs(fresh, fresh_out)
+    assert len(reused[2]) == 4 and len(reused[1]) == 5
+
+
+def _sp_results_for_the_single_snr(tmp_path):
+    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "sp", "--snr", "5") == 0
+
+
+def _sp_results_under_other_seeds(tmp_path):
+    assert _run(tmp_path, "b.cfg", _GRID + "eval.seeds = 1,3\n", "evaluate", "--loss", "sp") == 0
+
+
+def _sp_results_of_another_test_split(tmp_path):
+    """The same cells, written under another config hash."""
+    assert _run(tmp_path, "b.cfg", _GRID + "dataset.test_count = 12\n", "evaluate", "--loss", "sp") == 0
+
+
+def _sp_results_holding_mse_rows(tmp_path):
+    run = tmp_path / "run"
+    (run / "results_sp.csv").write_bytes((run / "results_mse.csv").read_bytes())
+
+
+def _sp_results_in_seed_major_order(tmp_path):
+    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "sp") == 0
+    path = tmp_path / "run" / "results_sp.csv"
+    head, header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([head, header, rows[0], rows[2], rows[1], rows[3]]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "make_sp_results",
+    [
+        _sp_results_for_the_single_snr,
+        _sp_results_under_other_seeds,
+        _sp_results_of_another_test_split,
+        _sp_results_holding_mse_rows,
+        _sp_results_in_seed_major_order,
+    ],
+)
+def test_cli_compare_evaluates_only_the_mode_whose_results_are_not_current(tmp_path, capsys, monkeypatch, trained_run, make_sp_results):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "mse") == 0
+    make_sp_results(tmp_path)
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 0, err
+    assert calls == ["sp"]
+    assert "evaluated sp (4 rows)" in out and f"read {run / 'results_mse.csv'} (4 rows, current)" in out
+    rows = read_results_csv(run / "compare.csv", load_config(tmp_path / "compare.cfg").config_hash())
+    assert [(r["loss_mode"], r["snr_db"], r["seed"]) for r in rows] == [
+        (m, snr, seed) for m in ("sp", "mse") for snr in (5.0, 15.0) for seed in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["sp", "mse"])
+def test_cli_compare_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, monkeypatch, trained_run, mode):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    for m in ("sp", "mse"):
+        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", m) == 0
+    path = run / f"results_{mode}.csv"
+    path.write_text(path.read_text().replace(f"{mode},{mode},15,1,", f"{mode},{mode},15,1,abc,", 1))
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 1
+    assert f"{path}: line 5: 10 fields, expected 9" in err and "Traceback" not in err
+    assert calls == [] and not (run / "compare.csv").exists()
+
+
+def test_cli_compare_with_current_results_still_needs_both_codecs(tmp_path, capsys, monkeypatch, trained_run):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    for mode in ("sp", "mse"):
+        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0
+    (run / "codec_mse.ckpt").unlink()
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 1
+    assert "codec_mse.ckpt" in err and "run train --loss mse" in err
+    assert calls == [] and not (run / "compare.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("classifier.lr = inf", "classifier.lr"),
+        ("classifier.lr = 0", "classifier.lr"),
+        ("train.lr = nan", "train.lr"),
+        ("train.lr = -0.001", "train.lr"),
+        ("train.temp_start = -inf", "train.temp_start"),
+        ("train.temp_end = -5", "train.temp_end"),
+        ("train.temp_end = 0", "train.temp_end"),
+        ("dataset.height = 30", "dataset.height"),
+        ("dataset.height = 4", "dataset.height"),
+        ("dataset.width = 0", "dataset.width"),
+        ("dataset.width = -32", "dataset.width"),
+    ],
+)
+def test_cli_refuses_learning_rates_temperatures_and_image_sizes_the_stages_cannot_use(tmp_path, capsys, line, key):
+    for argv in (["pretrain-classifier"], ["train", "--loss", "mse"]):
+        assert _run(tmp_path, "a.cfg", _SMALL + line + "\n", *argv) == 1
+        err = capsys.readouterr().err
+        assert f"line 7: bad value for {key}: must be" in err and "Traceback" not in err, err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["pretrain-classifier", "extract-weights", "train", "evaluate", "compare", "plot"])

@@ -625,6 +625,14 @@ def test_adam_rejects_nonfinite_gradient():
     np.testing.assert_array_equal(p["w"], before)
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan"), float("inf")])
+def test_adam_refuses_a_learning_rate_that_is_not_finite_and_positive(lr):
+    p = {"w": np.array([1.0])}
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
+        adam_step(p, {"w": np.array([0.5])}, AdamState(), lr=lr)
+    np.testing.assert_array_equal(p["w"], [1.0])
+
+
 def test_ste_threshold_forward_hard_backward_identity():
     t = Tape(dtype=np.float64)
     x = t.leaf([0.2, 0.7, 0.5])

@@ -5,16 +5,17 @@ method: the classifier is pretrained and frozen, semantic weights are
 extracted once from the clean training images, then a codec is trained per
 loss mode and evaluated over the SNR grid. Every binary artifact records the
 config keys it was built from. A stage rebuilds a stale artifact that it
-writes itself and refuses one that another stage writes. `compare` reads a
-mode's reports from `results_{mode}.csv` when that file holds exactly the
-cells it would evaluate under this config, and evaluates that mode otherwise.
+writes itself and refuses one that another stage writes. A results CSV
+follows the same rule: `evaluate --loss M` writes `results_M.csv` for exactly
+`eval.snr_grid` × `eval.seeds`, and `compare` takes each mode's rows only
+from that file, writing it first through the same code when it is missing or
+stale, and refusing it when it holds other cells under this config.
 Reruns with an unchanged config reproduce every artifact byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -23,12 +24,12 @@ from pathlib import Path
 from ..classifier import ClassifierModel, TrainClassifierConfig, pretrain_classifier
 from ..dataio import LabeledImageDataset, generate_shapes, load_cache, load_cifar10, save_cache
 from ..jscc import CodecConfig, DecoderModel, EncoderModel
-from ..metrics import EvalReport, evaluate, mean_over_seeds
+from ..metrics import evaluate, mean_over_seeds
 from .. import saliency  # weight maps are computed and saved through the module, where perfbench's probes see them
 from ..saliency import load_weight_cache
 from ..training import TrainConfig, train_jscc
 from .checkpoint import CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
-from .config import SCHEMA, ConfigError, ExperimentConfig, _snr, load_config
+from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .plots import emit_plots, read_results_csv, write_results_csv
 
 
@@ -201,7 +202,7 @@ def cmd_train(cfg, out, args):
 
 
 def _codec_evaluators(cfg, out, modes):
-    """mode -> a function of the SNR grid that evaluates that mode's codec.
+    """mode -> a function that evaluates that mode's codec over `eval.snr_grid` × `eval.seeds`.
 
     The test split, the classifier and every mode's codec are loaded and
     checked here, once, before any of them is evaluated.
@@ -214,74 +215,61 @@ def _codec_evaluators(cfg, out, modes):
         with _checked(_paths(out)[f"codec_{mode}"], f"train --loss {mode}") as path:
             params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, f"codec_{mode}"))
         enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
-        evaluators[mode] = partial(evaluate, enc, dec, classifier, test, seeds=cfg["eval.seeds"], run_id=mode)
+        evaluators[mode] = partial(evaluate, enc, dec, classifier, test, cfg["eval.snr_grid"], cfg["eval.seeds"], run_id=mode)
     return evaluators
 
 
-def _snr_grid(cfg, snr):
-    return [snr] if snr is not None else cfg["eval.snr_grid"]
+def _write_results(cfg, out, mode, evaluate_codec) -> None:
+    """The one writer of `results_{mode}.csv`: `evaluate` always, `compare` for a missing or stale file."""
+    reports = evaluate_codec()
+    path = _paths(out)[f"results_{mode}"]
+    write_results_csv(path, [(mode, r) for r in reports], cfg.config_hash())
+    print(f"wrote {path} ({len(reports)} rows)")
 
 
-def _reports(rows) -> list[EvalReport]:
-    """Results CSV rows (from `read_results_csv`) as the reports they were written from."""
-    return [EvalReport(**{f.name: row[f.name] for f in dataclasses.fields(EvalReport)}) for row in rows]
+def _results(cfg, out, mode, evaluate_codec):
+    """`mode`'s (mode, report) pairs as `results_{mode}.csv` holds them, written first if missing or written under another config.
 
-
-def _current_results(cfg, out, mode, snr_grid):
-    """`mode`'s reports from `results_{mode}.csv`, or None unless it holds exactly what `evaluate` would write now.
-
-    Current means: written under this config hash, one `mode` row per
-    (SNR, seed) cell of `snr_grid` × `eval.seeds`, in `evaluate`'s
-    SNR-major, seed-minor order. A damaged file raises PlotError.
+    A file written under this config must hold exactly `mode`'s (SNR, seed)
+    cells of `eval.snr_grid` × `eval.seeds`, in `evaluate`'s SNR-major,
+    seed-minor order; one that does not is damaged, and is never rewritten.
     """
     path = _paths(out)[f"results_{mode}"]
-    if not path.exists():
-        return None
     try:
-        rows = read_results_csv(path, cfg.config_hash())
-    except StaleArtifactError:
-        return None
-    cells = [(snr, seed) for snr in snr_grid for seed in cfg["eval.seeds"]]
-    if [(r["snr_db"], r["seed"]) for r in rows] != cells or any(r["loss_mode"] != mode for r in rows):
-        return None
-    return _reports(rows)
+        pairs = read_results_csv(path, cfg.config_hash())
+    except (FileNotFoundError, StaleArtifactError):
+        _write_results(cfg, out, mode, evaluate_codec)
+        return read_results_csv(path)
+    # snr_db as `write_results_csv` writes it, to 6 significant digits
+    cells = [(mode, float(f"{snr:.6g}"), seed) for snr in cfg["eval.snr_grid"] for seed in cfg["eval.seeds"]]
+    if [(m, r.snr_db, r.seed) for m, r in pairs] != cells:
+        raise StageError(
+            f"{path}: does not hold the {len(cells)} {mode} rows of eval.snr_grid × eval.seeds in order; "
+            f"delete it or run evaluate --loss {mode}"
+        )
+    print(f"kept {path} (current; {len(pairs)} rows)")
+    return pairs
 
 
 def cmd_evaluate(cfg, out, args):
-    evaluate_codec = _codec_evaluators(cfg, out, (args.loss,))[args.loss]
-    reports = evaluate_codec(_snr_grid(cfg, args.snr))
-    path = _paths(out)[f"results_{args.loss}"]
-    write_results_csv(path, [(args.loss, r) for r in reports], cfg.config_hash())
-    print(f"wrote {path} ({len(reports)} rows)")
+    _write_results(cfg, out, args.loss, _codec_evaluators(cfg, out, (args.loss,))[args.loss])
     return 0
 
 
 def cmd_compare(cfg, out, args):
     evaluators = _codec_evaluators(cfg, out, ("sp", "mse"))
-    snr_grid = _snr_grid(cfg, args.snr)
-    current = {mode: _current_results(cfg, out, mode, snr_grid) for mode in evaluators}
-    all_reports = []
-    for mode, reports in current.items():
-        if reports is None:
-            reports = evaluators[mode](snr_grid)
-            print(f"evaluated {mode} ({len(reports)} rows)")
-        else:
-            print(f"read {_paths(out)[f'results_{mode}']} ({len(reports)} rows, current)")
-        all_reports += [(mode, r) for r in reports]
+    results = {mode: _results(cfg, out, mode, evaluate_codec) for mode, evaluate_codec in evaluators.items()}
     path = _paths(out)["compare"]
-    write_results_csv(path, all_reports, cfg.config_hash())
-    print(f"wrote {path} ({len(all_reports)} rows)")
-    # the means are taken over the digits written, so they are the same whether a mode was read or evaluated
-    as_written = read_results_csv(path)
-    for mode in current:
-        rows = _reports(r for r in as_written if r["loss_mode"] == mode)
-        for snr, m in mean_over_seeds(rows).items():
+    rows = [pair for pairs in results.values() for pair in pairs]
+    write_results_csv(path, rows, cfg.config_hash())
+    print(f"wrote {path} ({len(rows)} rows)")
+    for mode, pairs in results.items():
+        for snr, m in mean_over_seeds([r for _, r in pairs]).items():
             print(
                 f"{mode} @ {snr:g} dB: acc {m['acc']:.4f} f1 {m['f1']:.4f} "
                 f"psnr {m['psnr_db']:.2f} ssim {m['ssim']:.4f} cpp {m['cpp']:.4f}"
             )
-    written = emit_plots(path, _paths(out)["plots"], config_hash=cfg.config_hash())
-    for p in written:
+    for p in emit_plots(path, _paths(out)["plots"], config_hash=cfg.config_hash()):
         print(f"wrote {p}")
     return 0
 
@@ -310,14 +298,6 @@ _COMMANDS = {
 }
 
 
-def _snr_arg(raw: str) -> float:
-    """`--snr` by the config's SNR rule; argparse then names the flag and the value."""
-    try:
-        return _snr(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spjscc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="artifact directory")
         if name in ("train", "evaluate"):
             p.add_argument("--loss", choices=("sp", "mse"), required=True)
-        if name in ("evaluate", "compare"):
-            p.add_argument("--snr", type=_snr_arg, default=None, help="evaluate a single SNR (dB)")
     return parser
 
 

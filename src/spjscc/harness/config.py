@@ -24,40 +24,60 @@ def _snr(raw: str) -> float:
         raise ValueError(f"SNR must be finite, got {raw.strip()!r}")
     if abs(val) > 100.0:
         raise ValueError(f"SNR must be within ±100 dB, got {raw.strip()!r}")
-    return val
+    return val + 0.0  # -0.0 as 0.0: numpy's uniform(0.0, -0.0) refuses a high below its low
 
 
-def _seed(raw: str) -> int:
-    """A seed: numpy's generators take non-negative entropy only."""
-    val = int(raw)
-    if val < 0:
-        raise ValueError(f"seed must be >= 0, got {val}")
-    return val
+def _at_least(low: int):
+    """Parser for an integer >= `low`: a count, epoch or batch size, channel count or seed."""
+
+    def parse(raw: str) -> int:
+        val = int(raw)
+        if val < low:
+            raise ValueError(f"must be >= {low}, got {val}")
+        return val
+
+    return parse
+
+
+# float32's largest finite value: the stages compute in float32, where a larger
+# learning rate or rate weight overflows at the first step
+_FLOAT32_MAX = 3.4028234663852886e38
 
 
 def _positive(raw: str) -> float:
-    """A learning rate or temperature: finite and above 0."""
+    """A learning rate or temperature: above 0 and finite in float32."""
     val = float(raw)
-    if not (math.isfinite(val) and val > 0):
-        raise ValueError(f"must be finite and positive, got {raw.strip()!r}")
+    if not 0 < val <= _FLOAT32_MAX:
+        raise ValueError(f"must be above 0 and finite in float32, got {raw.strip()!r}")
+    return val
+
+
+def _rate_weight(raw: str) -> float:
+    """`train.lambda_rate`: 0 (no rate term) or above, finite in float32."""
+    val = float(raw)
+    if not 0 <= val <= _FLOAT32_MAX:
+        raise ValueError(f"must be >= 0 and finite in float32, got {raw.strip()!r}")
     return val
 
 
 def _image_side(raw: str) -> int:
-    """An image height or width: three 2x2 pools in the classifier need a positive multiple of 8."""
+    """An image height or width: three 2x2 pools in the classifier need a multiple of 8, and the synthetic shapes 16 pixels."""
     val = int(raw)
-    if val < 8 or val % 8:
-        raise ValueError(f"must be a positive multiple of 8, got {val}")
+    if val < 16 or val % 8:
+        raise ValueError(f"must be a multiple of 8 and at least 16, got {val}")
     return val
 
 
 def _nonempty_list(parse):
-    """Parser for a comma-separated list of `parse` values, at least one."""
+    """Parser for a comma-separated list of distinct `parse` values, at least one."""
 
     def parse_list(raw: str):
         vals = [parse(v) for v in raw.split(",") if v.strip() != ""]
         if not vals:
             raise ValueError("empty list")
+        for i, v in enumerate(vals):
+            if v in vals[:i]:
+                raise ValueError(f"must be distinct, got {v:g} twice")
         return vals
 
     return parse_list
@@ -67,30 +87,30 @@ def _nonempty_list(parse):
 SCHEMA = {
     "dataset.kind": (str, "synthetic"),  # synthetic | cifar10
     "dataset.path": (str, ""),  # directory of CIFAR-10 binary batches
-    "dataset.seed": (_seed, 7),
-    "dataset.train_count": (int, 2000),
-    "dataset.test_count": (int, 500),
+    "dataset.seed": (_at_least(0), 7),
+    "dataset.train_count": (_at_least(10), 2000),
+    "dataset.test_count": (_at_least(10), 500),
     "dataset.height": (_image_side, 32),
     "dataset.width": (_image_side, 32),
-    "classifier.epochs": (int, 20),
+    "classifier.epochs": (_at_least(1), 20),
     "classifier.lr": (_positive, 2e-3),
-    "classifier.batch": (int, 32),
-    "classifier.seed": (_seed, 1),
-    "codec.f_s": (int, 16),
-    "codec.f_n": (int, 16),
-    "codec.width": (int, 32),
-    "train.lambda_rate": (float, 0.0),
-    "train.epochs": (int, 15),
-    "train.batch": (int, 32),
+    "classifier.batch": (_at_least(1), 32),
+    "classifier.seed": (_at_least(0), 1),
+    "codec.f_s": (_at_least(1), 16),
+    "codec.f_n": (_at_least(0), 16),
+    "codec.width": (_at_least(2), 32),
+    "train.lambda_rate": (_rate_weight, 0.0),
+    "train.epochs": (_at_least(1), 15),
+    "train.batch": (_at_least(1), 32),
     "train.lr": (_positive, 1e-3),
-    "train.seed": (_seed, 3),
+    "train.seed": (_at_least(0), 3),
     "train.snr_low": (_snr, 0.0),
     "train.snr_high": (_snr, 20.0),
     "train.temp_start": (_positive, 5.0),
     "train.temp_end": (_positive, 0.5),
-    "train.patience": (int, 5),
+    "train.patience": (_at_least(1), 5),
     "eval.snr_grid": (_nonempty_list(_snr), (0.0, 5.0, 10.0, 15.0, 20.0)),
-    "eval.seeds": (_nonempty_list(_seed), (101, 102, 103, 104, 105)),
+    "eval.seeds": (_nonempty_list(_at_least(0)), (101, 102, 103, 104, 105)),
 }
 
 

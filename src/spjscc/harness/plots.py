@@ -1,9 +1,11 @@
 """The results CSV, and deterministic SVG plots from it (no plotting dependency).
 
 A results CSV starts with a `# config_hash=` line, then a header and one row
-per (loss mode, SNR, seed) cell. One SVG per metric: the metric's per-SNR
-mean (over seeds) on the y axis, SNR in dB on the x axis, one polyline per
-loss mode. Identical CSV input produces byte-identical SVG output.
+per (loss mode, SNR, seed) cell; it is read back as the (loss_mode,
+EvalReport) pairs it was written from. One SVG per metric: the metric's
+per-SNR mean over seeds (`metrics.mean_over_seeds`, as `compare` prints it)
+on the y axis, SNR in dB on the x axis, one polyline per loss mode.
+Identical CSV input produces byte-identical SVG output.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
+from ..metrics import EvalReport, mean_over_seeds
 from .checkpoint import StaleArtifactError
 
 RESULTS_COLUMNS = ("run_id", "loss_mode", "snr_db", "seed", "cpp", "acc", "f1", "psnr_db", "ssim")
@@ -37,20 +40,16 @@ def write_results_csv(path: str | Path, mode_reports, config_hash: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_results_csv(path: str | Path, config_hash: str | None = None):
-    """Rows of the results CSV as dicts, numeric columns parsed; `#` comment lines are skipped.
+def read_results_csv(path: str | Path, config_hash: str | None = None) -> list[tuple[str, EvalReport]]:
+    """The (loss_mode, EvalReport) pairs `write_results_csv` wrote; `#` comment lines are skipped.
 
-    With `config_hash`, a file whose first line records another hash raises
-    StaleArtifactError naming the file and both hashes. A row without every
-    column, with a numeric field that does not parse, or with a loss mode
-    other than sp or mse raises PlotError naming the file and the line.
+    A file without a header and a data row, a row without every column, with
+    a numeric field that does not parse, or with a loss mode other than sp or
+    mse is damaged: PlotError names the file (and the line). Only then, with
+    `config_hash`, a file whose first line records another hash raises
+    StaleArtifactError naming the file and both hashes.
     """
     lines = Path(path).read_text().splitlines()
-    if config_hash is not None:
-        first = lines[0] if lines else ""
-        recorded = first.removeprefix("# config_hash=") if first.startswith("# config_hash=") else None
-        if recorded != config_hash:
-            raise StaleArtifactError(f"{path}: config_hash differs (results have {recorded}, expected {config_hash})")
     numbered = [(i, l) for i, l in enumerate(lines, start=1) if l and not l.startswith("#")]
     if not numbered:
         raise PlotError(f"{path}: empty results file")
@@ -60,7 +59,7 @@ def read_results_csv(path: str | Path, config_hash: str | None = None):
             raise PlotError(f"{path}: missing column {col!r}")
     if not body:
         raise PlotError(f"{path}: no data rows")
-    rows = []
+    pairs = []
     for (lineno, _), fields in zip(numbered[1:], body):
         if len(fields) != len(header):
             raise PlotError(f"{path}: line {lineno}: {len(fields)} fields, expected {len(header)}")
@@ -72,20 +71,12 @@ def read_results_csv(path: str | Path, config_hash: str | None = None):
                 row[col] = parse(row[col])
             except ValueError as exc:
                 raise PlotError(f"{path}: line {lineno}: bad {col}: {exc}") from None
-        rows.append(row)
-    return rows
-
-
-def _series(rows, metric):
-    """mode -> [(snr, mean metric over seeds)] sorted by snr."""
-    acc: dict[str, dict[float, list[float]]] = {}
-    for row in rows:
-        mode = row["loss_mode"]
-        acc.setdefault(mode, {}).setdefault(row["snr_db"], []).append(row[metric])
-    return {
-        mode: [(snr, sum(vals) / len(vals)) for snr, vals in sorted(by_snr.items())]
-        for mode, by_snr in sorted(acc.items())
-    }
+        pairs.append((row["loss_mode"], EvalReport(run_id=row["run_id"], **{col: row[col] for col in _NUMERIC})))
+    if config_hash is not None:
+        recorded = lines[0].removeprefix("# config_hash=") if lines[0].startswith("# config_hash=") else None
+        if recorded != config_hash:
+            raise StaleArtifactError(f"{path}: config_hash differs (results have {recorded}, expected {config_hash})")
+    return pairs
 
 
 def _ticks(lo, hi, n=5):
@@ -149,12 +140,15 @@ def _svg_for_metric(metric, series, config_hash):
 
 def emit_plots(results_csv: str | Path, out_dir: str | Path, config_hash: str) -> list[Path]:
     """Write one SVG per metric from a results CSV written under `config_hash`; returns the paths written."""
-    rows = read_results_csv(results_csv, config_hash)
+    by_mode: dict[str, list[EvalReport]] = {}
+    for mode, report in read_results_csv(results_csv, config_hash):
+        by_mode.setdefault(mode, []).append(report)
+    means = {mode: mean_over_seeds(reports) for mode, reports in sorted(by_mode.items())}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for metric in PLOT_METRICS:
-        series = _series(rows, metric)
+        series = {mode: [(snr, m[metric]) for snr, m in by_snr.items()] for mode, by_snr in means.items()}
         path = out_dir / f"{metric}.svg"
         path.write_text(_svg_for_metric(metric, series, config_hash), encoding="ascii")
         written.append(path)

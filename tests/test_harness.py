@@ -1,16 +1,20 @@
 """Config schema, checkpoint format, SVG plots, CLI pipeline."""
 
+import contextlib
+import io
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spjscc.classifier import init_classifier
 from spjscc.dataio import generate_shapes, load_cache, save_cache
 from spjscc.harness.checkpoint import FORMAT_LINE, CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
 from spjscc.harness import cli
 from spjscc.harness.cli import build_parser, main
-from spjscc.harness.config import ConfigError, default_config, load_config, parse_config
+from spjscc.harness.config import SCHEMA, ConfigError, default_config, load_config, parse_config
 from spjscc.harness.plots import PlotError, emit_plots, read_results_csv, write_results_csv
 from spjscc.jscc import CodecConfig, init_decoder, init_encoder
 from spjscc.metrics import EvalReport
@@ -285,8 +289,7 @@ def test_results_csv_round_trip_and_hash_check(tmp_path):
     report = EvalReport(run_id="sp", snr_db=-5.0, seed=3, cpp=0.5, acc=0.25, f1=0.2, psnr_db=12.5, ssim=0.3)
     path = tmp_path / "r.csv"
     write_results_csv(path, [("sp", report)], "abc")
-    (row,) = read_results_csv(path, "abc")
-    assert row == {"run_id": "sp", "loss_mode": "sp", **{k: v for k, v in vars(report).items() if k != "run_id"}}
+    assert read_results_csv(path, "abc") == [("sp", report)]
     with pytest.raises(StaleArtifactError, match=r"r\.csv: config_hash differs \(results have abc, expected def\)"):
         read_results_csv(path, "def")
 
@@ -295,6 +298,10 @@ def test_plots_empty_csv_rejected(tmp_path):
     (tmp_path / "r.csv").write_text("# config_hash=abc\n")
     with pytest.raises(PlotError, match="empty"):
         read_results_csv(tmp_path / "r.csv")
+    # damaged before stale: an empty file records no hash, and is refused as empty
+    (tmp_path / "r0.csv").write_text("")
+    with pytest.raises(PlotError, match=r"r0\.csv: empty results file"):
+        read_results_csv(tmp_path / "r0.csv", "abc")
     (tmp_path / "r2.csv").write_text("run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n")
     with pytest.raises(PlotError, match="no data rows"):
         read_results_csv(tmp_path / "r2.csv")
@@ -360,13 +367,20 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     assert compare.exists()
     rows = read_results_csv(compare)
     assert len(rows) == 8  # 2 modes x 2 snr x 2 seeds
-    assert {r["loss_mode"] for r in rows} == {"sp", "mse"}
+    assert {mode for mode, _ in rows} == {"sp", "mse"}
     for name in ("acc.svg", "f1.svg", "psnr_db.svg", "ssim.svg", "cpp.svg"):
         assert (tmp_path / "run" / "plots" / name).exists()
 
-    # byte-identical rerun of evaluation with unchanged config + seed
+    # evaluating again from scratch reproduces the results compare wrote, byte for byte
+    results = {mode: (tmp_path / "run" / f"results_{mode}.csv").read_bytes() for mode in ("sp", "mse")}
+    for mode in ("sp", "mse"):
+        assert main(["evaluate", "--loss", mode, "--config", cfg, "--out", out]) == 0
+        assert (tmp_path / "run" / f"results_{mode}.csv").read_bytes() == results[mode]
+    # a rerun of compare reads those results and rewrites compare.csv byte for byte
     first = compare.read_bytes()
+    capsys.readouterr()
     assert main(["compare", "--config", cfg, "--out", out]) == 0
+    assert "kept" in capsys.readouterr().out
     assert compare.read_bytes() == first
 
     # stage idempotence: re-running pretrain reproduces the checkpoint bytes
@@ -392,10 +406,7 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(compare) in err and chash in err and load_config(other).config_hash() in err and "run compare" in err
 
-    # single-snr override writes a per-mode results file
-    assert main(["evaluate", "--loss", "sp", "--config", cfg, "--out", out, "--snr", "5"]) == 0
-    res = read_results_csv(tmp_path / "run" / "results_sp.csv")
-    assert {float(r["snr_db"]) for r in res} == {5.0}
+    # without compare.csv, plot falls back to results_sp.csv and names the stage that writes it
     compare.unlink()
     assert main(["plot", "--config", str(other), "--out", out]) == 1
     err = capsys.readouterr().err
@@ -547,7 +558,7 @@ def test_cli_test_count_and_eval_keys_retrain_nothing(tmp_path, capsys):
             assert _run(tmp_path, "b.cfg", _SMALL + change + "\n", *argv) == 0, (change, capsys.readouterr().err)
         assert {name: (run / name).read_bytes() for name in trained} == trained, change
     rows = read_results_csv(run / "compare.csv")
-    assert {(r["loss_mode"], r["snr_db"]) for r in rows} == {(m, s) for m in ("sp", "mse") for s in (-5.0, 0.0, 10.0)}
+    assert {(m, r.snr_db) for m, r in rows} == {(m, s) for m in ("sp", "mse") for s in (-5.0, 0.0, 10.0)}
     changed = _SMALL + "dataset.test_count = 12\n"
     assert _run(tmp_path, "b.cfg", changed, "evaluate", "--loss", "sp") == 0, capsys.readouterr().err
     assert len(load_cache(run / "dataset_test.cache", expected_meta={"dataset.test_count": "12"})) == 12
@@ -650,17 +661,56 @@ def test_cli_compare_reuses_current_results_and_writes_what_a_fresh_compare_writ
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
     assert rc == 0, err
     assert calls == []
-    assert f"read {run / 'results_sp.csv'} (4 rows, current)" in out and f"read {run / 'results_mse.csv'} (4 rows, current)" in out
+    assert f"kept {run / 'results_sp.csv'} (current; 4 rows)" in out and f"kept {run / 'results_mse.csv'} (current; 4 rows)" in out
     rc, fresh_out, err, calls = _compare(tmp_path, capsys, monkeypatch, fresh)
     assert rc == 0, err
-    assert calls == ["sp", "mse"] and "evaluated sp (4 rows)" in fresh_out and "evaluated mse (4 rows)" in fresh_out
+    assert calls == ["sp", "mse"]
+    for mode in ("sp", "mse"):
+        assert f"wrote {fresh / f'results_{mode}.csv'} (4 rows)" in fresh_out
+        # a compare with no results CSV writes the ones evaluate writes
+        assert (fresh / f"results_{mode}.csv").read_bytes() == (run / f"results_{mode}.csv").read_bytes()
     reused = _outputs(run, out)
     assert reused == _outputs(fresh, fresh_out)
     assert len(reused[2]) == 4 and len(reused[1]) == 5
 
 
-def _sp_results_for_the_single_snr(tmp_path):
-    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "sp", "--snr", "5") == 0
+_EDGE_VALUES = ("0", "1", "-1", "1e300", "nan", "inf", "-inf", "-0.0", "abc")
+# the smallest run the config admits, so that a value the config accepts runs its stage in well under a second
+_TINIEST = _SMALL + "dataset.train_count = 10\ndataset.height = 16\ndataset.width = 16\n"
+
+
+@pytest.fixture(scope="module")
+def tiniest_mse_run(tmp_path_factory):
+    """An --out with the classifier and the mse codec trained under `_TINIEST`."""
+    root = tmp_path_factory.mktemp("tiniest")
+    for argv in (["pretrain-classifier"], ["train", "--loss", "mse"]):
+        assert _run(root, "a.cfg", _TINIEST, *argv) == 0
+    return root / "run"
+
+
+def _first_stage_reading(key):
+    if key.startswith("eval.") or key == "dataset.test_count":
+        return ["evaluate", "--loss", "mse"]
+    if key.startswith(("train.", "codec.")):
+        return ["train", "--loss", "mse"]
+    return ["pretrain-classifier"]
+
+
+@given(key=st.sampled_from(sorted(SCHEMA)), value=st.sampled_from(_EDGE_VALUES))
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_an_edge_value_of_any_key_runs_or_is_refused_naming_the_key(tmp_path_factory, tiniest_mse_run, key, value):
+    """The first stage that reads `key` exits 0, or exits 1 naming the key: never a traceback."""
+    stage = _first_stage_reading(key)
+    run = tmp_path_factory.mktemp("edge") / "run"
+    if stage[0] == "evaluate":
+        shutil.copytree(tiniest_mse_run, run)
+    cfg = run.parent / "edge.cfg"
+    cfg.write_text(_TINIEST + f"{key} = {value}\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([*stage, "--config", str(cfg), "--out", str(run)])
+    assert rc in (0, 1) and "Traceback" not in err.getvalue()
+    assert rc == 0 or key in err.getvalue(), err.getvalue()
 
 
 def _sp_results_under_other_seeds(tmp_path):
@@ -672,28 +722,7 @@ def _sp_results_of_another_test_split(tmp_path):
     assert _run(tmp_path, "b.cfg", _GRID + "dataset.test_count = 12\n", "evaluate", "--loss", "sp") == 0
 
 
-def _sp_results_holding_mse_rows(tmp_path):
-    run = tmp_path / "run"
-    (run / "results_sp.csv").write_bytes((run / "results_mse.csv").read_bytes())
-
-
-def _sp_results_in_seed_major_order(tmp_path):
-    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "sp") == 0
-    path = tmp_path / "run" / "results_sp.csv"
-    head, header, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([head, header, rows[0], rows[2], rows[1], rows[3]]) + "\n")
-
-
-@pytest.mark.parametrize(
-    "make_sp_results",
-    [
-        _sp_results_for_the_single_snr,
-        _sp_results_under_other_seeds,
-        _sp_results_of_another_test_split,
-        _sp_results_holding_mse_rows,
-        _sp_results_in_seed_major_order,
-    ],
-)
+@pytest.mark.parametrize("make_sp_results", [_sp_results_under_other_seeds, _sp_results_of_another_test_split])
 def test_cli_compare_evaluates_only_the_mode_whose_results_are_not_current(tmp_path, capsys, monkeypatch, trained_run, make_sp_results):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
@@ -702,11 +731,44 @@ def test_cli_compare_evaluates_only_the_mode_whose_results_are_not_current(tmp_p
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
     assert rc == 0, err
     assert calls == ["sp"]
-    assert "evaluated sp (4 rows)" in out and f"read {run / 'results_mse.csv'} (4 rows, current)" in out
-    rows = read_results_csv(run / "compare.csv", load_config(tmp_path / "compare.cfg").config_hash())
-    assert [(r["loss_mode"], r["snr_db"], r["seed"]) for r in rows] == [
-        (m, snr, seed) for m in ("sp", "mse") for snr in (5.0, 15.0) for seed in (1, 2)
-    ]
+    assert f"wrote {run / 'results_sp.csv'} (4 rows)" in out and f"kept {run / 'results_mse.csv'} (current; 4 rows)" in out
+    chash = load_config(tmp_path / "compare.cfg").config_hash()
+    assert read_results_csv(run / "results_sp.csv", chash) == read_results_csv(run / "compare.csv", chash)[:4]
+    rows = read_results_csv(run / "compare.csv", chash)
+    assert [(m, r.snr_db, r.seed) for m, r in rows] == [(m, snr, seed) for m in ("sp", "mse") for snr in (5.0, 15.0) for seed in (1, 2)]
+
+
+def _holding_mse_rows(path):
+    path.write_bytes((path.parent / "results_mse.csv").read_bytes())
+
+
+def _in_seed_major_order(path):
+    head, header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([head, header, rows[0], rows[2], rows[1], rows[3]]) + "\n")
+
+
+def _cut_at_a_row_boundary(path):
+    """What `head -n 4` keeps: the hash line, the header and two of the four rows."""
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:4]))
+
+
+def _emptied(path):
+    path.write_text("")
+
+
+@pytest.mark.parametrize("damage", [_holding_mse_rows, _in_seed_major_order, _cut_at_a_row_boundary, _emptied])
+def test_cli_compare_refuses_results_that_do_not_hold_this_configs_cells(tmp_path, capsys, monkeypatch, trained_run, damage):
+    """A results CSV under this config's hash, or with no hash at all, is damaged unless it holds exactly its cells: never re-evaluated."""
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    for mode in ("sp", "mse"):
+        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0
+    path = run / "results_sp.csv"
+    damage(path)
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 1
+    assert str(path) in err and "Traceback" not in err, err
+    assert calls == [] and not (run / "compare.csv").exists()
 
 
 @pytest.mark.parametrize("mode", ["sp", "mse"])
@@ -747,11 +809,25 @@ def test_cli_compare_with_current_results_still_needs_both_codecs(tmp_path, caps
         ("train.temp_end = 0", "train.temp_end"),
         ("dataset.height = 30", "dataset.height"),
         ("dataset.height = 4", "dataset.height"),
+        ("dataset.height = 8", "dataset.height"),
         ("dataset.width = 0", "dataset.width"),
         ("dataset.width = -32", "dataset.width"),
+        ("classifier.lr = 1e300", "classifier.lr"),
+        ("dataset.train_count = 5", "dataset.train_count"),
+        ("dataset.test_count = 9", "dataset.test_count"),
+        ("classifier.epochs = 0", "classifier.epochs"),
+        ("classifier.batch = 0", "classifier.batch"),
+        ("train.epochs = 0", "train.epochs"),
+        ("train.patience = -3", "train.patience"),
+        ("train.lambda_rate = nan", "train.lambda_rate"),
+        ("train.lambda_rate = inf", "train.lambda_rate"),
+        ("train.lambda_rate = -0.5", "train.lambda_rate"),
+        ("train.lambda_rate = 1e39", "train.lambda_rate"),
+        ("eval.seeds = 11,11", "eval.seeds"),
+        ("eval.snr_grid = 0,-0", "eval.snr_grid"),
     ],
 )
-def test_cli_refuses_learning_rates_temperatures_and_image_sizes_the_stages_cannot_use(tmp_path, capsys, line, key):
+def test_cli_refuses_config_values_the_stages_cannot_use(tmp_path, capsys, line, key):
     for argv in (["pretrain-classifier"], ["train", "--loss", "mse"]):
         assert _run(tmp_path, "a.cfg", _SMALL + line + "\n", *argv) == 1
         err = capsys.readouterr().err
@@ -760,26 +836,12 @@ def test_cli_refuses_learning_rates_temperatures_and_image_sizes_the_stages_cann
 
 
 @pytest.mark.parametrize("command", ["pretrain-classifier", "extract-weights", "train", "evaluate", "compare", "plot"])
-def test_cli_has_no_seed_option_and_snr_only_where_it_evaluates(command, capsys):
+def test_cli_has_no_seed_or_snr_option(command, capsys):
+    """Seeds and the SNR grid are config keys only."""
     argv = [command, "--config", "exp.cfg", "--out", "run"] + (["--loss", "mse"] if command in ("train", "evaluate") else [])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(argv + ["--seed", "3"])
-    if command in ("evaluate", "compare"):
-        assert build_parser().parse_args(argv + ["--snr", "5"]).snr == 5.0
-    else:
+    for flag in ("--seed", "--snr"):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(argv + ["--snr", "5"])
-
-
-@pytest.mark.parametrize("flag", [["--snr", "inf"], ["--snr", "nan"], ["--snr=-inf"], ["--snr", "1e400"]])
-@pytest.mark.parametrize("command", [["evaluate", "--loss", "mse"], ["compare"]])
-def test_cli_refuses_a_non_finite_snr_flag(tmp_path, capsys, command, flag):
-    with pytest.raises(SystemExit) as exit_info:
-        _run(tmp_path, "a.cfg", _SMALL, *command, *flag)
-    assert exit_info.value.code != 0
-    err = capsys.readouterr().err
-    assert "argument --snr: SNR must be finite" in err and "Traceback" not in err, err
-
+            build_parser().parse_args(argv + [flag, "3"])
 
 
 @pytest.mark.parametrize(
@@ -821,29 +883,22 @@ def test_cli_refuses_an_snr_range_that_is_upside_down(tmp_path, capsys):
     assert _run(tmp_path, "a.cfg", _SMALL + "train.snr_low = 30\n", "train", "--loss", "mse") == 1
     err = capsys.readouterr().err
     assert "train.snr_low 30 is above train.snr_high 20" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("flag", [["--snr", "1e300"], ["--snr=-100.5"]])
-def test_cli_refuses_an_snr_flag_beyond_100_db(tmp_path, capsys, flag):
-    with pytest.raises(SystemExit) as exit_info:
-        _run(tmp_path, "a.cfg", _SMALL, "evaluate", "--loss", "mse", *flag)
-    assert exit_info.value.code == 2
-    err = capsys.readouterr().err
-    assert "argument --snr: SNR must be within ±100 dB" in err and "Traceback" not in err, err
+    # -0 is 0, not a high end below a low end of 0
+    assert _run(tmp_path, "a.cfg", _SMALL + "train.snr_low = 0\ntrain.snr_high = -0.0\n", "train", "--loss", "mse") == 0
 
 
 def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
-    for key, value, field in [
-        ("codec.f_s", 0, "f_s must be >= 1"),
-        ("train.batch", 0, "batch_size must be >= 1"),
-        ("codec.width", 1, "width_es must be >= 2"),
-        ("codec.width", 0, "width_es must be >= 2"),
-        ("codec.f_n", -1, "f_n must be >= 0"),
+    for key, value, bound in [
+        ("codec.f_s", 0, "must be >= 1"),
+        ("train.batch", 0, "must be >= 1"),
+        ("codec.width", 1, "must be >= 2"),
+        ("codec.width", 0, "must be >= 2"),
+        ("codec.f_n", -1, "must be >= 0"),
     ]:
         assert _run(tmp_path, "a.cfg", _SMALL + f"{key} = {value}\n", "train", "--loss", "mse") == 1, key
         err = capsys.readouterr().err
-        assert field in err and f"got {value}" in err and "Traceback" not in err, err
-        assert not (tmp_path / "run" / "codec_mse.ckpt").exists()
+        assert f"bad value for {key}: {bound}, got {value}" in err and "Traceback" not in err, err
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -869,3 +924,14 @@ def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, cap
     err = capsys.readouterr().err
     assert f"{results}: line 4: {reason}" in err and "Traceback" not in err
     assert not (tmp_path / "run" / "plots").exists()
+
+
+def test_cli_plot_refuses_an_empty_results_csv_as_damaged_not_stale(tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(_SMALL, encoding="utf-8")
+    compare = tmp_path / "run" / "compare.csv"
+    compare.parent.mkdir()
+    compare.write_text("")
+    assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{compare}: empty results file" in err and "config_hash" not in err and "Traceback" not in err

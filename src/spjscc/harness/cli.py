@@ -9,7 +9,8 @@ writes itself and refuses one that another stage writes. A results CSV
 follows the same rule: `evaluate --loss M` writes `results_M.csv` for exactly
 `eval.snr_grid` × `eval.seeds`, and `compare` takes each mode's rows only
 from that file, writing it first through the same code when it is missing or
-stale, and refusing it when it holds other cells under this config.
+stale, and refusing it when it holds other cells under this config; it
+checks both modes' files before it evaluates either.
 Reruns with an unchanged config reproduce every artifact byte for byte.
 """
 
@@ -29,7 +30,7 @@ from .. import saliency  # weight maps are computed and saved through the module
 from ..saliency import load_weight_cache
 from ..training import TrainConfig, train_jscc
 from .checkpoint import CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
-from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
+from .config import SCHEMA, ConfigError, ExperimentConfig, load_config, snr_as_written
 from .plots import emit_plots, read_results_csv, write_results_csv
 
 
@@ -219,16 +220,17 @@ def _codec_evaluators(cfg, out, modes):
     return evaluators
 
 
-def _write_results(cfg, out, mode, evaluate_codec) -> None:
-    """The one writer of `results_{mode}.csv`: `evaluate` always, `compare` for a missing or stale file."""
+def _write_results(cfg, out, mode, evaluate_codec):
+    """The one writer of `results_{mode}.csv`, `evaluate` always and `compare` for a missing or stale file; returns the pairs as written."""
     reports = evaluate_codec()
     path = _paths(out)[f"results_{mode}"]
     write_results_csv(path, [(mode, r) for r in reports], cfg.config_hash())
     print(f"wrote {path} ({len(reports)} rows)")
+    return read_results_csv(path)
 
 
-def _results(cfg, out, mode, evaluate_codec):
-    """`mode`'s (mode, report) pairs as `results_{mode}.csv` holds them, written first if missing or written under another config.
+def _kept_results(cfg, out, mode):
+    """`mode`'s (mode, report) pairs as a current `results_{mode}.csv` holds them; None if it is missing or written under another config.
 
     A file written under this config must hold exactly `mode`'s (SNR, seed)
     cells of `eval.snr_grid` × `eval.seeds`, in `evaluate`'s SNR-major,
@@ -238,11 +240,9 @@ def _results(cfg, out, mode, evaluate_codec):
     try:
         pairs = read_results_csv(path, cfg.config_hash())
     except (FileNotFoundError, StaleArtifactError):
-        _write_results(cfg, out, mode, evaluate_codec)
-        return read_results_csv(path)
-    # snr_db as `write_results_csv` writes it, to 6 significant digits
-    cells = [(mode, float(f"{snr:.6g}"), seed) for snr in cfg["eval.snr_grid"] for seed in cfg["eval.seeds"]]
-    if [(m, r.snr_db, r.seed) for m, r in pairs] != cells:
+        return None
+    cells = [(mode, snr_as_written(snr), seed) for snr in cfg["eval.snr_grid"] for seed in cfg["eval.seeds"]]
+    if [(m, snr_as_written(r.snr_db), r.seed) for m, r in pairs] != cells:
         raise StageError(
             f"{path}: does not hold the {len(cells)} {mode} rows of eval.snr_grid × eval.seeds in order; "
             f"delete it or run evaluate --loss {mode}"
@@ -258,7 +258,8 @@ def cmd_evaluate(cfg, out, args):
 
 def cmd_compare(cfg, out, args):
     evaluators = _codec_evaluators(cfg, out, ("sp", "mse"))
-    results = {mode: _results(cfg, out, mode, evaluate_codec) for mode, evaluate_codec in evaluators.items()}
+    kept = {mode: _kept_results(cfg, out, mode) for mode in evaluators}  # every file checked before any is written
+    results = {mode: pairs or _write_results(cfg, out, mode, evaluators[mode]) for mode, pairs in kept.items()}
     path = _paths(out)["compare"]
     rows = [pair for pairs in results.values() for pair in pairs]
     write_results_csv(path, rows, cfg.config_hash())

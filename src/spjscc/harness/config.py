@@ -44,20 +44,17 @@ def _at_least(low: int):
 _FLOAT32_MAX = 3.4028234663852886e38
 
 
-def _positive(raw: str) -> float:
-    """A learning rate or temperature: above 0 and finite in float32."""
-    val = float(raw)
-    if not 0 < val <= _FLOAT32_MAX:
-        raise ValueError(f"must be above 0 and finite in float32, got {raw.strip()!r}")
-    return val
+def _real_up_to_f32(zero_ok: bool):
+    """Parser for a real above 0 (>= 0 if `zero_ok`) and finite in float32: a learning rate, temperature or rate weight."""
+    bound = ">= 0" if zero_ok else "above 0"
 
+    def parse(raw: str) -> float:
+        val = float(raw)
+        if not ((val >= 0 if zero_ok else val > 0) and val <= _FLOAT32_MAX):
+            raise ValueError(f"must be {bound} and finite in float32, got {raw.strip()!r}")
+        return val
 
-def _rate_weight(raw: str) -> float:
-    """`train.lambda_rate`: 0 (no rate term) or above, finite in float32."""
-    val = float(raw)
-    if not 0 <= val <= _FLOAT32_MAX:
-        raise ValueError(f"must be >= 0 and finite in float32, got {raw.strip()!r}")
-    return val
+    return parse
 
 
 def _image_side(raw: str) -> int:
@@ -68,16 +65,22 @@ def _image_side(raw: str) -> int:
     return val
 
 
-def _nonempty_list(parse):
-    """Parser for a comma-separated list of distinct `parse` values, at least one."""
+def snr_as_written(snr_db: float) -> str:
+    """An SNR as a results CSV records it, to 6 significant digits: grid entries written alike would be one plotted point."""
+    return f"{snr_db:.6g}"
+
+
+def _nonempty_list(parse, written=str):
+    """Parser for a comma-separated list of `parse` values, at least one, no two `written` alike."""
 
     def parse_list(raw: str):
         vals = [parse(v) for v in raw.split(",") if v.strip() != ""]
         if not vals:
             raise ValueError("empty list")
-        for i, v in enumerate(vals):
-            if v in vals[:i]:
-                raise ValueError(f"must be distinct, got {v:g} twice")
+        seen = [written(v) for v in vals]
+        for i, w in enumerate(seen):
+            if w in seen[:i]:
+                raise ValueError(f"must be distinct, got {w} twice")
         return vals
 
     return parse_list
@@ -93,23 +96,23 @@ SCHEMA = {
     "dataset.height": (_image_side, 32),
     "dataset.width": (_image_side, 32),
     "classifier.epochs": (_at_least(1), 20),
-    "classifier.lr": (_positive, 2e-3),
+    "classifier.lr": (_real_up_to_f32(zero_ok=False), 2e-3),
     "classifier.batch": (_at_least(1), 32),
     "classifier.seed": (_at_least(0), 1),
     "codec.f_s": (_at_least(1), 16),
     "codec.f_n": (_at_least(0), 16),
     "codec.width": (_at_least(2), 32),
-    "train.lambda_rate": (_rate_weight, 0.0),
+    "train.lambda_rate": (_real_up_to_f32(zero_ok=True), 0.0),
     "train.epochs": (_at_least(1), 15),
     "train.batch": (_at_least(1), 32),
-    "train.lr": (_positive, 1e-3),
+    "train.lr": (_real_up_to_f32(zero_ok=False), 1e-3),
     "train.seed": (_at_least(0), 3),
     "train.snr_low": (_snr, 0.0),
     "train.snr_high": (_snr, 20.0),
-    "train.temp_start": (_positive, 5.0),
-    "train.temp_end": (_positive, 0.5),
+    "train.temp_start": (_real_up_to_f32(zero_ok=False), 5.0),
+    "train.temp_end": (_real_up_to_f32(zero_ok=False), 0.5),
     "train.patience": (_at_least(1), 5),
-    "eval.snr_grid": (_nonempty_list(_snr), (0.0, 5.0, 10.0, 15.0, 20.0)),
+    "eval.snr_grid": (_nonempty_list(_snr, snr_as_written), (0.0, 5.0, 10.0, 15.0, 20.0)),
     "eval.seeds": (_nonempty_list(_at_least(0)), (101, 102, 103, 104, 105)),
 }
 

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from ..metrics import EvalReport, mean_over_seeds
 from .checkpoint import StaleArtifactError
+from .config import snr_as_written
 
 RESULTS_COLUMNS = ("run_id", "loss_mode", "snr_db", "seed", "cpp", "acc", "f1", "psnr_db", "ssim")
 _NUMERIC = {"snr_db": float, "seed": int, "cpp": float, "acc": float, "f1": float, "psnr_db": float, "ssim": float}
@@ -34,7 +35,7 @@ def write_results_csv(path: str | Path, mode_reports, config_hash: str) -> None:
     lines = [f"# config_hash={config_hash}", ",".join(RESULTS_COLUMNS)]
     for mode, r in mode_reports:
         lines.append(
-            f"{r.run_id},{mode},{r.snr_db:.6g},{r.seed},"
+            f"{r.run_id},{mode},{snr_as_written(r.snr_db)},{r.seed},"
             f"{r.cpp:.9g},{r.acc:.9g},{r.f1:.9g},{r.psnr_db:.9g},{r.ssim:.9g}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

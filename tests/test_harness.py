@@ -2,12 +2,12 @@
 
 import contextlib
 import io
+import itertools
+import re
 import shutil
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from spjscc.classifier import init_classifier
 from spjscc.dataio import generate_shapes, load_cache, save_cache
@@ -19,6 +19,7 @@ from spjscc.harness.plots import PlotError, emit_plots, read_results_csv, write_
 from spjscc.jscc import CodecConfig, init_decoder, init_encoder
 from spjscc.metrics import EvalReport
 from spjscc.saliency import WeightCache, load_weight_cache, save_weight_cache
+from spjscc.training import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -696,15 +697,14 @@ def _first_stage_reading(key):
     return ["pretrain-classifier"]
 
 
-@given(key=st.sampled_from(sorted(SCHEMA)), value=st.sampled_from(_EDGE_VALUES))
-@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-def test_cli_an_edge_value_of_any_key_runs_or_is_refused_naming_the_key(tmp_path_factory, tiniest_mse_run, key, value):
-    """The first stage that reads `key` exits 0, or exits 1 naming the key: never a traceback."""
+@pytest.mark.parametrize("key, value", list(itertools.product(sorted(SCHEMA), _EDGE_VALUES)))
+def test_cli_an_edge_value_of_any_key_runs_or_is_refused_naming_the_key(tmp_path, tiniest_mse_run, key, value):
+    """The first stage that reads `key` exits 0, or exits 1 naming the key: never a traceback. Every pair runs."""
     stage = _first_stage_reading(key)
-    run = tmp_path_factory.mktemp("edge") / "run"
+    run = tmp_path / "run"
     if stage[0] == "evaluate":
         shutil.copytree(tiniest_mse_run, run)
-    cfg = run.parent / "edge.cfg"
+    cfg = tmp_path / "edge.cfg"
     cfg.write_text(_TINIEST + f"{key} = {value}\n", encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -771,6 +771,19 @@ def test_cli_compare_refuses_results_that_do_not_hold_this_configs_cells(tmp_pat
     assert calls == [] and not (run / "compare.csv").exists()
 
 
+def test_cli_compare_checks_every_results_csv_before_it_evaluates_any(tmp_path, capsys, monkeypatch, trained_run):
+    """sp's results CSV is missing and mse's is damaged: compare evaluates nothing, not sp first."""
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "mse") == 0
+    path = run / "results_mse.csv"
+    _cut_at_a_row_boundary(path)
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 1
+    assert str(path) in err and "Traceback" not in err, err
+    assert calls == [] and not (run / "results_sp.csv").exists() and not (run / "compare.csv").exists()
+
+
 @pytest.mark.parametrize("mode", ["sp", "mse"])
 def test_cli_compare_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, monkeypatch, trained_run, mode):
     run = tmp_path / "run"
@@ -825,6 +838,8 @@ def test_cli_compare_with_current_results_still_needs_both_codecs(tmp_path, caps
         ("train.lambda_rate = 1e39", "train.lambda_rate"),
         ("eval.seeds = 11,11", "eval.seeds"),
         ("eval.snr_grid = 0,-0", "eval.snr_grid"),
+        # one cell in a results CSV, which records 6 significant digits
+        ("eval.snr_grid = 5,5.0000001", "eval.snr_grid"),
     ],
 )
 def test_cli_refuses_config_values_the_stages_cannot_use(tmp_path, capsys, line, key):
@@ -899,6 +914,24 @@ def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"bad value for {key}: {bound}, got {value}" in err and "Traceback" not in err, err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, message",
+    [
+        (CodecConfig, {"f_s": 0}, "f_s must be >= 1, got 0"),
+        (CodecConfig, {"f_n": -1}, "f_n must be >= 0, got -1"),
+        (CodecConfig, {"width_es": 1}, "width_es must be >= 2"),
+        (CodecConfig, {"width_es": 0}, "width_es must be >= 2"),
+        (TrainConfig, {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+        (TrainConfig, {"epochs": 0}, "epochs must be >= 1, got 0"),
+        (TrainConfig, {"lambda_rate": -0.5}, "lambda_rate must be >= 0, got -0.5"),
+    ],
+)
+def test_codec_and_train_dataclasses_refuse_what_the_config_refuses(build, kwargs, message):
+    """Code that builds them directly, not from a config file, meets the same bounds."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(**kwargs)
 
 
 @pytest.mark.parametrize(

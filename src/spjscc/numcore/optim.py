@@ -26,13 +26,16 @@ def adam_step(params, grads, state, lr):
     """One Adam update, in place on `params`.
 
     Rejects the whole step (raises NonFiniteError, params untouched) if any
-    gradient contains NaN/Inf, so the caller can snapshot and abort.
+    gradient contains NaN/Inf, or a value whose square, the second-moment
+    update, overflows the gradient's dtype, so the caller can snapshot and abort.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and positive, got {lr}")
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFiniteError(f"non-finite gradient for parameter {name!r}; step rejected")
+        if np.abs(g).max(initial=0) > math.sqrt(np.finfo(g.dtype).max):
+            raise NonFiniteError(f"gradient for parameter {name!r} overflows {g.dtype} when squared; step rejected")
     state.t += 1
     t = state.t
     for name, g in grads.items():

@@ -28,11 +28,21 @@ a scatter-add, its input gradient a correlation.
 
 Each pass contracts c channels into o (_weight_grad: A input channels against
 B output channels), and _form picks its loop from those two counts alone:
-- offsets, when neither side is thin: kernel offset (i, j) reads or writes
-  one strided (N*ho*wo, C) block of rows, with one GEMM per offset against
-  that offset's (C_in, C_out) tap matrix. Every middle layer runs this way:
-  a k*k-wide column matrix of a wide side moves k*k feature maps, and it
-  measured slower than the k*k GEMMs at 32 -> 32 channels.
+- offsets, when neither side is thin. Every middle layer runs this way.
+  _correlate and _weight_grad run one GEMM per block of whole samples against
+  the block's window matrix, (rows, k*k*c): a copy of the sliding-window view
+  of the padded map, at most _WINDOW_BLOCK values unless one sample alone is
+  larger. One product with K = k*k*c replaces k*k products with K = c that each
+  re-read and re-accumulate the whole output, and the block stays in cache
+  while its GEMM reads it. Unblocked, the window matrix of the whole batch is
+  written out to memory and read back: at batch 32, 32 -> 32 channels, 16x16
+  (one BLAS thread), the forward measured 7.3 ms as k*k GEMMs, 6.5 ms as one
+  whole-batch GEMM, 5.6 ms in 1024-row blocks and 5.0 ms in 128 Ki blocks.
+  _scatter_add at stride 1 is the correlation of its padded rows with the
+  flipped, transposed taps, so it runs the same way. At stride 2 those rows
+  would be dilated by zeros, 4x the GEMM work (the decoder's ds1 forward
+  measured 8.7 -> 14.8 ms), so a strided scatter keeps one GEMM per kernel
+  offset, each adding into that offset's strided block of the padded output.
 - columns, when 4*c <= o (the RGB input of a conv2d): one GEMM per sample
   against its (k*k*c, ho*wo) column matrix, K = 27 for RGB, instead of k*k
   GEMMs with K = 3 that each move a whole feature map for almost no
@@ -46,6 +56,9 @@ B output channels), and _form picks its loop from those two counts alone:
   _scatter_add could also take the correlation route here, but padding its
   wide rows is one more feature-map copy: at batch 64 it was slower and
   raised the peak memory of weight-map extraction by about 9 MB.
+The blocked window matrix measured slower than both thin forms (conv0 forward
+3.9 -> 6.2 ms, the decoder's ds2 input gradient 2.5 -> 3.7 ms): with K = k*k*c
+small, copying the windows costs more than the products save.
 The thin-side forms return NCHW memory behind an NHWC view, so the op's
 _nchw copy after them costs nothing. Each form adds in its own order, so
 float32 results differ between forms by rounding only.
@@ -166,10 +179,31 @@ def _form(c, o):
     return "offsets"
 
 
+# window-matrix values per block of samples in the offsets form: of budgets
+# from 16 Ki to 2 Mi values, 128 Ki (512 KB of float32) measured fastest
+_WINDOW_BLOCK = 128 * 1024
+
+
+def _windows(xp, kh, kw, s):
+    """Padded NHWC xp -> (N, ho, wo, kh, kw, A) view: the window each output pixel reads."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
+    return win.transpose(0, 1, 2, 4, 5, 3)
+
+
 def _columns(xp, kh, kw, s):
     """Padded NHWC xp -> (N, kh*kw*A, ho*wo): per sample, the column of each output pixel's window."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::s, ::s]
-    return win.transpose(0, 4, 5, 3, 1, 2).reshape(xp.shape[0], kh * kw * xp.shape[3], -1)
+    win = _windows(xp, kh, kw, s).transpose(0, 3, 4, 5, 1, 2)
+    return win.reshape(xp.shape[0], kh * kw * xp.shape[3], -1)
+
+
+def _window_blocks(xp, kh, kw, s):
+    """Per block of whole samples: its slice of the batch and its (rows, kh*kw*A) window matrix."""
+    win = _windows(xp, kh, kw, s)
+    n, ho, wo = win.shape[:3]
+    k = kh * kw * xp.shape[3]
+    step = max(1, _WINDOW_BLOCK // (ho * wo * k))
+    for i in range(0, n, step):
+        yield np.s_[i:i + step], win[i:i + step].reshape(-1, k)
 
 
 def _correlate(xp, taps, s):
@@ -188,10 +222,11 @@ def _correlate(xp, taps, s):
         for i, j, r, c in _blocks(ho, wo, kh, kw, s):
             out += y[:, i, j, :, r, c]
         return out.transpose(0, 2, 3, 1)
-    out = np.zeros((n * ho * wo, b), dtype=xp.dtype)
-    for i, j, r, c in _blocks(ho, wo, kh, kw, s):
-        out += xp[:, r, c].reshape(-1, a) @ taps[i, j]
-    return out.reshape(n, ho, wo, b)
+    out = np.empty((n, ho, wo, b), dtype=xp.dtype)
+    taps = taps.reshape(-1, b)
+    for blk, cols in _window_blocks(xp, kh, kw, s):
+        np.matmul(cols, taps, out=out[blk].reshape(-1, b))
+    return out
 
 
 def _scatter_add(rows, taps, s, h, w):
@@ -200,7 +235,7 @@ def _scatter_add(rows, taps, s, h, w):
     kh, kw, a, _ = taps.shape
     ph, pw = kh // 2, kw // 2
     form = _form(b, a)
-    if form == "columns":
+    if form == "columns" or form == "offsets" and s == 1:
         # a stride-1 correlation of the rows, dilated by s and padded, with the flipped transposed taps
         lh, lw = kh - 1 - ph, kw - 1 - pw
         gd = np.zeros((n, h + kh - 1, w + kw - 1, b), dtype=rows.dtype)
@@ -235,10 +270,8 @@ def _weight_grad(xp, rows, kh, kw, s):
         gw = (gs.reshape(n, kh * kw * b, -1) @ xp.reshape(n, -1, a)).sum(axis=0)
         gw = gw.reshape(kh, kw, b, a).transpose(0, 1, 3, 2)
     else:
-        flat = rows.reshape(-1, b)
-        gw = np.empty((kh, kw, a, b), dtype=xp.dtype)
-        for i, j, r, c in _blocks(ho, wo, kh, kw, s):
-            gw[i, j] = xp[:, r, c].reshape(-1, a).T @ flat
+        gw = sum(cols.T @ rows[blk].reshape(-1, b) for blk, cols in _window_blocks(xp, kh, kw, s))
+        gw = gw.reshape(kh, kw, a, b)
     return np.ascontiguousarray(gw.transpose(3, 2, 0, 1))
 
 
@@ -335,7 +368,11 @@ def _prelu_bwd(attrs, g, inputs, out, need):
 def _mean_pool_fwd(attrs, x):
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise ShapeError(f"2x2 mean-pool needs even H and W, got {x.shape}")
-    return sum(x[:, :, i::2, j::2] for i in range(2) for j in range(2)) * 0.25
+    out = x[:, :, ::2, ::2] + x[:, :, ::2, 1::2]
+    out += x[:, :, 1::2, ::2]
+    out += x[:, :, 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def _mean_pool_bwd(attrs, g, inputs, out, need):

@@ -713,6 +713,14 @@ def test_cli_an_edge_value_of_any_key_runs_or_is_refused_naming_the_key(tmp_path
     assert rc == 0 or key in err.getvalue(), err.getvalue()
 
 
+def test_cli_train_whose_rate_gradient_overflows_adam_exits_1_before_writing_a_codec(tmp_path, capsys):
+    """At λ = 1e30 a gradient's square overflows float32: the step is refused, not taken with an inf moment."""
+    assert _run(tmp_path, "a.cfg", _TINIEST + "train.lambda_rate = 1e30\n", "train", "--loss", "mse") == 1
+    err = capsys.readouterr().err
+    assert "diverged" in err and "overflows float32 when squared" in err, err
+    assert not (tmp_path / "run" / "codec_mse.ckpt").exists()
+
+
 def _sp_results_under_other_seeds(tmp_path):
     assert _run(tmp_path, "b.cfg", _GRID + "eval.seeds = 1,3\n", "evaluate", "--loss", "sp") == 0
 

@@ -513,12 +513,11 @@ KERNEL_GEOMETRIES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "kind,x_shape,w_shape,stride", KERNEL_GEOMETRIES,
-    ids=["{}-x{}-w{}-s{}".format(g[0], "x".join(map(str, g[1])), "x".join(map(str, g[2])), g[3])
-         for g in KERNEL_GEOMETRIES],
-)
-def test_conv_kernels_match_direct_definition(kind, x_shape, w_shape, stride):
+def _geometry_id(g):
+    return "{}-x{}-w{}-s{}".format(g[0], "x".join(map(str, g[1])), "x".join(map(str, g[2])), g[3])
+
+
+def _check_against_direct_definition(kind, x_shape, w_shape, stride):
     rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + stride)
     x = rng.normal(size=x_shape)
     w = rng.normal(size=w_shape)
@@ -537,6 +536,44 @@ def test_conv_kernels_match_direct_definition(kind, x_shape, w_shape, stride):
     for name, a, e in zip(("output", "grad x", "grad w", "grad b"), got, want):
         assert a.shape == e.shape, name
         np.testing.assert_allclose(a, e, rtol=0, atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "kind,x_shape,w_shape,stride", KERNEL_GEOMETRIES,
+    ids=[_geometry_id(g) for g in KERNEL_GEOMETRIES],
+)
+def test_conv_kernels_match_direct_definition(kind, x_shape, w_shape, stride):
+    _check_against_direct_definition(kind, x_shape, w_shape, stride)
+
+
+# (op, input shape, weight shape, stride, window values of one sample): wide
+# passes at batch 5 whose blocked passes (forward, both gradients, less the
+# stride-2 scatters) all read windows of one size per sample
+MULTI_BLOCK_GEOMETRIES = [
+    ("conv2d", (5, 8, 5, 5), (8, 8, 3, 3), 1, 25 * 9 * 8),
+    ("conv2d", (5, 8, 6, 6), (8, 8, 3, 3), 2, 9 * 9 * 8),
+    ("transposed-conv2d", (5, 8, 3, 3), (8, 8, 3, 3), 2, 9 * 9 * 8),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,x_shape,w_shape,stride,per_sample", MULTI_BLOCK_GEOMETRIES,
+    ids=[_geometry_id(g) for g in MULTI_BLOCK_GEOMETRIES],
+)
+def test_wide_conv_passes_match_direct_definition_across_blocks(monkeypatch, kind, x_shape, w_shape, stride, per_sample):
+    """Two samples a block: every blocked pass runs blocks of 2, 2 and 1 samples."""
+    monkeypatch.setattr(tape_mod, "_WINDOW_BLOCK", 2 * per_sample)
+    samples = []
+
+    def recorded(*args, real=tape_mod._window_blocks):
+        for blk, cols in real(*args):
+            samples.append(cols.size // per_sample)
+            yield blk, cols
+
+    monkeypatch.setattr(tape_mod, "_window_blocks", recorded)
+    _check_against_direct_definition(kind, x_shape, w_shape, stride)
+    passes = 3 if stride == 1 else 2
+    assert samples == [2, 2, 1] * passes
 
 
 def test_kernel_geometries_reach_every_form(monkeypatch):
@@ -615,6 +652,21 @@ def test_adam_reaches_quadratic_minimum():
         adam_step(p, {"p": g}, state, lr=0.05)
     loss = p["p"][0] ** 2 + 4 * p["p"][1] ** 2
     assert loss < 1e-3
+
+
+def test_adam_rejects_a_gradient_whose_square_overflows_before_any_parameter_moves():
+    p = {"a": np.array([1.0], dtype=np.float32), "b": np.array([1.0, 2.0], dtype=np.float32)}
+    state = AdamState()
+    grads = {"a": np.array([0.5], dtype=np.float32), "b": np.array([1.0, 2e19], dtype=np.float32)}
+    with pytest.raises(NonFiniteError, match="'b'.*overflows float32 when squared"):
+        adam_step(p, grads, state, lr=0.1)
+    np.testing.assert_array_equal(p["a"], [1.0])
+    np.testing.assert_array_equal(p["b"], [1.0, 2.0])
+    assert state.t == 0 and state.v == {}
+    # the largest float32 whose square is finite still steps, with no overflow warning
+    grads["b"][1] = np.sqrt(np.finfo(np.float32).max, dtype=np.float32)
+    adam_step(p, grads, state, lr=0.1)
+    assert np.isfinite(state.v["b"]).all() and (p["b"] < [1.0, 2.0]).all()
 
 
 def test_adam_rejects_nonfinite_gradient():

@@ -87,11 +87,6 @@ def awgn_transmit(e: ComplexSymbolVector, snr_db: float, rng: np.random.Generato
     return ComplexSymbolVector(coeffs=out, active=e.active.copy(), gamma=e.gamma)
 
 
-def sample_training_snr(rng: np.random.Generator, low: float = 0.0, high: float = 20.0) -> float:
-    """Uniform SNR draw in dB for training-time channel conditions."""
-    return float(rng.uniform(low, high))
-
-
 def empirical_snr_db(clean: np.ndarray, noisy: np.ndarray, active: np.ndarray) -> float:
     """10 log10(P_signal / P_noise) measured over active coefficients."""
     msk = np.repeat(active, 2, axis=1)

@@ -119,13 +119,9 @@ def pretrain_classifier(train_set: LabeledImageDataset, config: TrainClassifierC
     for epoch in range(config.epochs):
         for b in batch_iter(train_set, config.batch, shuffle_seed=config.seed * 100003 + epoch):
             try:
-                tape = Tape()
-                x = tape.leaf(b.images)
-                logits = logits_graph(tape, model.params, x)
+                tape, _, logits = perceive_with_tape(model, b.images)
                 loss = tape.cross_entropy(logits, b.labels)
-                if not np.isfinite(loss.value):
-                    raise NonFiniteError("non-finite loss")
-                grads = tape.grad_by_name(loss, names=sorted(model.params))
+                grads = tape.grad_by_name(loss)
                 adam_step(model.params, grads, state, lr=config.lr)
             except NonFiniteError as exc:
                 raise FloatingPointError(f"classifier training diverged at epoch {epoch}: {exc}") from exc

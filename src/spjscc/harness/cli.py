@@ -10,7 +10,10 @@ follows the same rule: `evaluate --loss M` writes `results_M.csv` for exactly
 `eval.snr_grid` × `eval.seeds`, and `compare` takes each mode's rows only
 from that file, writing it first through the same code when it is missing or
 stale, and refusing it when it holds other cells under this config; it
-checks both modes' files before it evaluates either.
+checks both modes' files before it evaluates either. Having written
+`compare.csv` and the plots, `compare` exits 1 if the two modes' mean CPP
+differs by more than `CPP_TOLERANCE` at any SNR: they were not compared at
+the same rate.
 Reruns with an unchanged config reproduce every artifact byte for byte.
 """
 
@@ -36,6 +39,10 @@ from .plots import emit_plots, read_results_csv, write_results_csv
 
 class StageError(RuntimeError):
     """A pipeline stage cannot run (missing prerequisite, bad artifact)."""
+
+
+# the largest |ΔCPP| at which `compare` takes the two modes to run at the same rate (acceptance criterion 6)
+CPP_TOLERANCE = 0.02
 
 
 # -- artifact paths under --out ---------------------------------------------
@@ -194,7 +201,7 @@ def cmd_train(cfg, out, args):
     tcfg = TrainConfig(loss_mode=mode, batch_size=options.pop("batch"), **options)
     enc, dec, log = train_jscc(tcfg, train, weight_cache, None, _codec_config(cfg, train))
     meta = _provenance(cfg, f"codec_{mode}")
-    save_checkpoint({**enc.params, **dec.params}, f"codec-{mode}", _paths(out)[f"codec_{mode}"], meta=meta)
+    save_checkpoint(enc.params, f"codec-{mode}", _paths(out)[f"codec_{mode}"], meta=meta)
     log.to_csv(_paths(out)[f"trainlog_{mode}"], config_hash=cfg.config_hash())
     final = log.epoch_mean_loss(log.last_epoch())
     print(f"wrote {_paths(out)[f'codec_{mode}']} (final epoch mean loss {final:.6g})")
@@ -264,14 +271,25 @@ def cmd_compare(cfg, out, args):
     rows = [pair for pairs in results.values() for pair in pairs]
     write_results_csv(path, rows, cfg.config_hash())
     print(f"wrote {path} ({len(rows)} rows)")
-    for mode, pairs in results.items():
-        for snr, m in mean_over_seeds([r for _, r in pairs]).items():
+    means = {mode: mean_over_seeds([r for _, r in pairs]) for mode, pairs in results.items()}
+    for mode, per_snr in means.items():
+        for snr, m in per_snr.items():
             print(
                 f"{mode} @ {snr:g} dB: acc {m['acc']:.4f} f1 {m['f1']:.4f} "
                 f"psnr {m['psnr_db']:.2f} ssim {m['ssim']:.4f} cpp {m['cpp']:.4f}"
             )
     for p in emit_plots(path, _paths(out)["plots"], config_hash=cfg.config_hash()):
         print(f"wrote {p}")
+    apart = [
+        f"{snr:g} dB (sp cpp {m['cpp']:.4f}, mse cpp {means['mse'][snr]['cpp']:.4f})"
+        for snr, m in means["sp"].items()
+        if abs(m["cpp"] - means["mse"][snr]["cpp"]) > CPP_TOLERANCE
+    ]
+    if apart:
+        raise StageError(
+            f"sp and mse were not compared at the same rate: their mean CPP differs by more than {CPP_TOLERANCE} "
+            f"at {', '.join(apart)}; compare.csv and the plots are written"
+        )
     return 0
 
 

@@ -45,7 +45,7 @@ _FLOAT32_MAX = 3.4028234663852886e38
 
 
 def _real_up_to_f32(zero_ok: bool):
-    """Parser for a real above 0 (>= 0 if `zero_ok`) and finite in float32: a learning rate, temperature or rate weight."""
+    """Parser for a real above 0 (>= 0 if `zero_ok`) and finite in float32: a temperature or rate weight."""
     bound = ">= 0" if zero_ok else "above 0"
 
     def parse(raw: str) -> float:
@@ -55,6 +55,14 @@ def _real_up_to_f32(zero_ok: bool):
         return val
 
     return parse
+
+
+def _learning_rate(raw: str) -> float:
+    """A learning rate in (0, 1]: Adam moves every parameter by up to about lr per step, and the initial weights are at most ~0.3."""
+    val = float(raw)
+    if not 0 < val <= 1:
+        raise ValueError(f"must be above 0 and at most 1, got {raw.strip()!r}")
+    return val
 
 
 def _image_side(raw: str) -> int:
@@ -96,7 +104,7 @@ SCHEMA = {
     "dataset.height": (_image_side, 32),
     "dataset.width": (_image_side, 32),
     "classifier.epochs": (_at_least(1), 20),
-    "classifier.lr": (_real_up_to_f32(zero_ok=False), 2e-3),
+    "classifier.lr": (_learning_rate, 2e-3),
     "classifier.batch": (_at_least(1), 32),
     "classifier.seed": (_at_least(0), 1),
     "codec.f_s": (_at_least(1), 16),
@@ -105,7 +113,7 @@ SCHEMA = {
     "train.lambda_rate": (_real_up_to_f32(zero_ok=True), 0.0),
     "train.epochs": (_at_least(1), 15),
     "train.batch": (_at_least(1), 32),
-    "train.lr": (_real_up_to_f32(zero_ok=False), 1e-3),
+    "train.lr": (_learning_rate, 1e-3),
     "train.seed": (_at_least(0), 3),
     "train.snr_low": (_snr, 0.0),
     "train.snr_high": (_snr, 20.0),

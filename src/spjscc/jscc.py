@@ -88,12 +88,16 @@ class CodecConfig:
 
 @dataclass
 class EncoderModel:
+    """The sending half; a trained or loaded codec's two halves hold one table, its `enc.*` and `dec.*` parameters."""
+
     params: dict[str, np.ndarray]  # keyed by tape name: "enc.es0.w", ...
     config: CodecConfig
 
 
 @dataclass
 class DecoderModel:
+    """The receiving half; holds the same one table as its EncoderModel."""
+
     params: dict[str, np.ndarray]  # keyed by tape name: "dec.dc0.w", ...
     config: CodecConfig
 

@@ -23,6 +23,7 @@ from .classifier import ClassifierModel, perceive_with_tape
 from .harness.checkpoint import load_checkpoint, save_checkpoint
 
 ZERO_GRAD_EPS = 1e-12
+WEIGHT_MAP_BATCH = 64  # images per forward/backward pass in compute_weight_maps
 
 
 @dataclass
@@ -64,7 +65,7 @@ def normalize_weights(w: np.ndarray) -> tuple[np.ndarray, bool]:
     return (mag / norm).astype(np.float32), False
 
 
-def compute_weight_maps(model: ClassifierModel, images: np.ndarray, batch: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def compute_weight_maps(model: ClassifierModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weight map per image: mean-over-classes input gradient -> rectified unit norm.
 
     One forward and one backward pass per batch, the backward seeded with 1/C
@@ -73,8 +74,8 @@ def compute_weight_maps(model: ClassifierModel, images: np.ndarray, batch: int =
     n = len(images)
     maps = np.empty((n,) + images.shape[1:], dtype=np.float32)
     fallback = np.zeros(n, dtype=bool)
-    for start in range(0, n, batch):
-        tape, x, logits = perceive_with_tape(model, images[start : start + batch])
+    for start in range(0, n, WEIGHT_MAP_BATCH):
+        tape, x, logits = perceive_with_tape(model, images[start : start + WEIGHT_MAP_BATCH])
         seed = np.full(logits.shape, 1.0 / model.class_count, dtype=np.float32)
         (grad,) = tape.backward(logits, seed=seed, wrt=(x,))
         for j, w in enumerate(grad):

@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .channel import awgn_transmit, sample_training_snr
+from .channel import awgn_transmit
 from .classifier import ClassifierModel
 from .dataio import LabeledImageDataset, batch_iter
 from .jscc import CodecConfig, DecoderModel, EncoderModel, decode, encode, init_decoder, init_encoder
@@ -47,7 +48,7 @@ class TrainConfig:
     temp_start: float = 5.0
     temp_end: float = 0.5
     patience: int = 5
-    val_fraction: float = 0.1
+    val_fraction: ClassVar[float] = 0.1  # held-out share of the dataset for validation
 
     def __post_init__(self):
         if self.loss_mode not in ("sp", "mse"):
@@ -125,11 +126,8 @@ def loss_sp(tape: Tape, x: Tensor, x_prime: Tensor, weights: np.ndarray) -> Tens
 
 
 def total_loss(tape: Tape, distortion: Tensor, mask: Tensor, lambda_rate: float) -> Tensor:
-    """distortion + lambda * mean(mask); lambda 0 returns distortion itself."""
-    if lambda_rate == 0.0:
-        return distortion
-    rate = tape.reduce_mean(mask)
-    return tape.add(distortion, tape.scalar_mul(rate, lambda_rate))
+    """distortion + lambda * mean(mask)."""
+    return tape.add(distortion, tape.scalar_mul(tape.reduce_mean(mask), lambda_rate))
 
 
 def _step_loss(enc, dec, imgs, weights, snr_db, mode, rng, temperature, config):
@@ -146,6 +144,12 @@ def _step_loss(enc, dec, imgs, weights, snr_db, mode, rng, temperature, config):
         distortion = loss_mse(tape, r.x, xp)
     total = total_loss(tape, distortion, r.mask, config.lambda_rate)
     return tape, total, distortion, r.mask
+
+
+def _diverged(where: str, exc: NonFiniteError, snr_db: float, log: TrainLog) -> TrainingDiverged:
+    """The error a non-finite op output at `where` becomes, with the SNR and the last logged losses."""
+    recent = [f"{r[2]:.4g}" for r in log.rows[-3:]]
+    return TrainingDiverged(f"diverged at {where}: {exc} (snr {snr_db:.2f} dB, last losses {recent})")
 
 
 def train_jscc(
@@ -189,9 +193,11 @@ def train_jscc(
     val_images = dataset.images[n_train:]
     val_weights = weight_cache.maps[n_train:] if config.loss_mode == "sp" else None
 
-    enc = init_encoder(codec_config, seed=config.seed * 7 + 1)
-    dec = init_decoder(codec_config, seed=config.seed * 7 + 2)
-    merged = {**enc.params, **dec.params}
+    params = {
+        **init_encoder(codec_config, seed=config.seed * 7 + 1).params,
+        **init_decoder(codec_config, seed=config.seed * 7 + 2).params,
+    }
+    enc, dec = EncoderModel(params, codec_config), DecoderModel(params, codec_config)
     state = AdamState()
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0xC0DEC]))
 
@@ -205,22 +211,16 @@ def train_jscc(
 
     for epoch in range(config.epochs):
         for b in batch_iter(train_view, config.batch_size, shuffle_seed=config.seed * 100003 + epoch):
-            snr_db = sample_training_snr(rng, config.snr_low, config.snr_high)
+            snr_db = rng.uniform(config.snr_low, config.snr_high)
             frac = global_step / total_steps
             temperature = config.temp_start + (config.temp_end - config.temp_start) * frac
             weights = weight_cache.maps[b.indices] if config.loss_mode == "sp" else None
             try:
                 tape, total, distortion, mask = _step_loss(enc, dec, b.images, weights, snr_db, "train", rng, temperature, config)
-                if not np.isfinite(total.value):
-                    raise NonFiniteError("non-finite total loss")
                 grads = tape.grad_by_name(total)
-                adam_step(merged, grads, state, lr=config.lr)
+                adam_step(params, grads, state, lr=config.lr)
             except NonFiniteError as exc:
-                recent = [f"{r[2]:.4g}" for r in log.rows[-3:]]
-                raise TrainingDiverged(
-                    f"diverged at epoch {epoch} step {global_step}: {exc} "
-                    f"(snr {snr_db:.2f} dB, last losses {recent})"
-                ) from exc
+                raise _diverged(f"epoch {epoch} step {global_step}", exc, snr_db, log) from exc
             mask_mean = float(mask.value.mean())
             log.append(epoch, global_step, float(total.value), float(distortion.value), config.lambda_rate * mask_mean, mask_mean, snr_db)
             global_step += 1
@@ -231,13 +231,16 @@ def train_jscc(
         for start in range(0, len(val_images), config.batch_size):
             imgs = val_images[start : start + config.batch_size]
             w = val_weights[start : start + config.batch_size] if val_weights is not None else None
-            snr_db = sample_training_snr(val_rng, config.snr_low, config.snr_high)
-            _, vtotal, _, _ = _step_loss(enc, dec, imgs, w, snr_db, "eval", val_rng, 1.0, config)
+            snr_db = val_rng.uniform(config.snr_low, config.snr_high)
+            try:
+                _, vtotal, _, _ = _step_loss(enc, dec, imgs, w, snr_db, "eval", val_rng, 1.0, config)
+            except NonFiniteError as exc:
+                raise _diverged(f"epoch {epoch} (validation)", exc, snr_db, log) from exc
             val_losses.append(float(vtotal.value))
         val_loss = float(np.mean(val_losses))
         if val_loss < best_val - 1e-9:
             best_val = val_loss
-            best_params = {k: v.copy() for k, v in merged.items()}
+            best_params = {k: v.copy() for k, v in params.items()}
             stale = 0
         else:
             stale += 1
@@ -245,7 +248,7 @@ def train_jscc(
                 break
 
     if best_params is not None:
-        for k, v in merged.items():
+        for k, v in params.items():
             v[...] = best_params[k]
     if theta0_before is not None and classifier.theta_hash() != theta0_before:
         raise RuntimeError("frozen classifier parameters changed during codec training")

@@ -1,4 +1,4 @@
-"""Power normalization, AWGN statistics, SNR sampling."""
+"""Power normalization, AWGN statistics."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from spjscc.channel import (
     empirical_snr_db,
     noise_variance,
     normalize_power,
-    sample_training_snr,
 )
 from spjscc.numcore import Tape
 
@@ -158,20 +157,3 @@ def test_awgn_gradient_transparent():
     s = tape.reduce_sum(tape.mul(out.coeffs, weights))
     g_in, g_out = tape.backward(s, wrt=(e.coeffs, out.coeffs))
     np.testing.assert_array_equal(g_in, g_out)
-
-
-def test_sample_training_snr_statistics():
-    rng = np.random.default_rng(0)
-    draws = np.array([sample_training_snr(rng) for _ in range(100_000)])
-    assert draws.min() >= 0.0 and draws.max() <= 20.0
-    assert 9.8 <= draws.mean() <= 10.2
-
-
-def test_sample_training_snr_deterministic():
-    a = [sample_training_snr(np.random.default_rng(3)) for _ in range(1)]
-    b = [sample_training_snr(np.random.default_rng(3)) for _ in range(1)]
-    assert a == b
-    seq1 = [sample_training_snr(np.random.default_rng(9))]
-    rng = np.random.default_rng(9)
-    seq2 = [sample_training_snr(rng)]
-    assert seq1 == seq2

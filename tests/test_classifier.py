@@ -25,6 +25,7 @@ def small_trained():
     return ds, model
 
 
+@pytest.mark.slow
 def test_pretrain_reaches_high_train_accuracy(small_trained):
     ds, model = small_trained
     assert classify_accuracy(model, ds.images, ds.labels) > 0.90
@@ -97,6 +98,7 @@ def test_tiny_dense_model_matches_manual_matrix_product():
     np.testing.assert_allclose(res.logits, manual, rtol=1e-5)
 
 
+@pytest.mark.slow
 def test_accuracy_trivials(small_trained):
     ds, model = small_trained
     pred = perceive(model, ds.images[:50]).predicted
@@ -112,6 +114,7 @@ def test_accuracy_trivials(small_trained):
         classify_accuracy(model, ds.images[:0], ds.labels[:0])
 
 
+@pytest.mark.slow
 def test_theta_hash_unchanged_by_inference(small_trained):
     ds, model = small_trained
     before = model.theta_hash()

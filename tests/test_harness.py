@@ -44,6 +44,11 @@ def test_config_bad_value_rejected():
         parse_config("train.epochs = soon\n")
 
 
+def test_config_learning_rates_reach_1():
+    cfg = parse_config("classifier.lr = 1\ntrain.lr = 1\n")
+    assert (cfg["classifier.lr"], cfg["train.lr"]) == (1.0, 1.0)
+
+
 def test_config_hash_stable_and_sensitive():
     a = parse_config("train.epochs = 3\n")
     b = parse_config("# differently written\ntrain.epochs =   3\n")
@@ -579,8 +584,10 @@ def test_cli_mse_codec_does_not_depend_on_the_classifier(tmp_path, capsys):
     other = _SMALL + "classifier.seed = 5\n"
     for argv in (["pretrain-classifier"], ["evaluate", "--loss", "mse"]):
         assert _run(tmp_path, "b.cfg", other, *argv) == 0, capsys.readouterr().err
-    meta = load_checkpoint(tmp_path / "run" / "codec_mse.ckpt")[2]
+    params, _, meta = load_checkpoint(tmp_path / "run" / "codec_mse.ckpt")
     assert not any(key.startswith("classifier.") for key in meta)
+    # the one parameter table: exactly the encoder's and the decoder's names
+    assert set(params) == set(init_encoder(CodecConfig(), seed=0).params) | set(init_decoder(CodecConfig(), seed=0).params)
 
 
 def test_cli_training_stages_read_only_the_train_split(tmp_path, capsys):
@@ -806,6 +813,42 @@ def test_cli_compare_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, 
     assert calls == [] and not (run / "compare.csv").exists()
 
 
+def _with_mse_cpp_moved_by(run, delta):
+    """Hand-edit every cpp of `run`'s results_mse.csv by `delta`, keeping its hash line and its cells; returns the path."""
+    path = run / "results_mse.csv"
+    head, header, *rows = path.read_text().splitlines()
+    col = header.split(",").index("cpp")
+    edited = []
+    for row in rows:
+        fields = row.split(",")
+        fields[col] = f"{float(fields[col]) + delta:.9g}"
+        edited.append(",".join(fields))
+    path.write_text("\n".join([head, header, *edited]) + "\n")
+    return path
+
+
+def test_cli_compare_exits_1_naming_each_snr_where_the_modes_ran_at_different_rates(tmp_path, capsys, monkeypatch, trained_run):
+    """Within 0.02 the rates are the same; past it compare keeps the edited file, writes compare.csv and the plots, and exits 1."""
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    for mode in ("sp", "mse"):
+        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0
+    sp_cpp = {r.snr_db: r.cpp for _, r in read_results_csv(run / "results_sp.csv")}
+    _with_mse_cpp_moved_by(run, -0.015)
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 0 and calls == [], err
+    path = _with_mse_cpp_moved_by(run, -0.11)
+    edited = path.read_bytes()
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 1 and calls == [] and "Traceback" not in err
+    assert f"kept {path} (current; 4 rows)" in out and path.read_bytes() == edited
+    for snr in (5.0, 15.0):
+        assert f"{snr:g} dB (sp cpp {sp_cpp[snr]:.4f}, mse cpp {sp_cpp[snr] - 0.125:.4f})" in err, err
+    chash = load_config(tmp_path / "compare.cfg").config_hash()
+    assert read_results_csv(run / "compare.csv", chash)[4:] == read_results_csv(path, chash)
+    assert len(list((run / "plots").iterdir())) == 5
+
+
 def test_cli_compare_with_current_results_still_needs_both_codecs(tmp_path, capsys, monkeypatch, trained_run):
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
@@ -834,6 +877,9 @@ def test_cli_compare_with_current_results_still_needs_both_codecs(tmp_path, caps
         ("dataset.width = 0", "dataset.width"),
         ("dataset.width = -32", "dataset.width"),
         ("classifier.lr = 1e300", "classifier.lr"),
+        ("classifier.lr = 1e30", "classifier.lr"),
+        ("classifier.lr = 1.0001", "classifier.lr"),
+        ("train.lr = 10", "train.lr"),
         ("dataset.train_count = 5", "dataset.train_count"),
         ("dataset.test_count = 9", "dataset.test_count"),
         ("classifier.epochs = 0", "classifier.epochs"),

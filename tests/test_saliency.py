@@ -124,10 +124,11 @@ def test_scaling_all_class_maps_leaves_weights_unchanged(k):
     np.testing.assert_allclose(w1, w2, rtol=1e-5, atol=1e-7)
 
 
-def test_weight_maps_match_per_class_oracle():
+def test_weight_maps_match_per_class_oracle(monkeypatch):
+    monkeypatch.setattr("spjscc.saliency.WEIGHT_MAP_BATCH", 2)  # two full batches and a partial one
     model = init_classifier(10, (32, 32), seed=6)
     imgs = generate_shapes(5, 12, 32, 32).images[[0, 4, 7, 9, 11]]
-    maps, fallback = compute_weight_maps(model, imgs, batch=2)  # two full batches and a partial one
+    maps, fallback = compute_weight_maps(model, imgs)
     for j, img in enumerate(imgs):
         mean = np.mean([class_gradient(model, img, c) for c in range(model.class_count)], axis=0)
         expect, flagged = normalize_weights(mean)
@@ -144,8 +145,9 @@ def test_weight_maps_take_one_backward_per_batch(monkeypatch):
         return real(self, *args, **kwargs)
 
     monkeypatch.setattr(Tape, "backward", counting)
+    monkeypatch.setattr("spjscc.saliency.WEIGHT_MAP_BATCH", 2)
     model = init_classifier(10, (32, 32), seed=6)
-    compute_weight_maps(model, generate_shapes(5, 12, 32, 32).images[:5], batch=2)
+    compute_weight_maps(model, generate_shapes(5, 12, 32, 32).images[:5])
     assert len(calls) == 3
 
 
@@ -156,6 +158,7 @@ def trained_on_shapes():
     return ds, model
 
 
+@pytest.mark.slow
 def test_weight_cache_round_trip_and_invariants(tmp_path, trained_on_shapes):
     ds, model = trained_on_shapes
     sub = generate_shapes(11, 40, 32, 32)
@@ -183,6 +186,7 @@ def test_weight_cache_round_trip_and_invariants(tmp_path, trained_on_shapes):
         load_weight_cache(path, expected_meta={"classifier.seed": "5"})
 
 
+@pytest.mark.slow
 def test_determinism_same_model_same_image_same_map(trained_on_shapes):
     ds, model = trained_on_shapes
     m1, _ = compute_weight_maps(model, ds.images[:4])
@@ -190,6 +194,7 @@ def test_determinism_same_model_same_image_same_map(trained_on_shapes):
     assert m1.tobytes() == m2.tobytes()
 
 
+@pytest.mark.slow
 def test_foreground_gets_more_weight_than_background(trained_on_shapes):
     ds, model = trained_on_shapes
     sub_imgs, sub_fg = ds.images[:100], ds.foreground[:100]

@@ -99,7 +99,7 @@ def test_total_loss_fixtures():
     distortion = tape.leaf(np.asarray(1.0))
     mask = tape.leaf(np.array([[1.0, 0.0], [1.0, 0.0]]))  # mean 0.5
     t0 = total_loss(tape, distortion, mask, 0.0)
-    assert t0 is distortion  # lambda 0: exactly the distortion node
+    assert t0.value.tobytes() == distortion.value.tobytes()  # lambda 0: the distortion, bit for bit
     t1 = total_loss(tape, distortion, mask, 0.1)
     np.testing.assert_allclose(float(t1.value), 1.05)
 
@@ -176,8 +176,11 @@ def test_all_black_image_trains():
     # a fresh encoder maps an all-black image to all-zero coefficients, sent with gamma = 1
     ds = generate_shapes(5, 40, 32, 32)
     ds.images[0] = 0
-    _, _, log = train_jscc(TrainConfig(loss_mode="mse", epochs=1, batch_size=20, seed=1), ds, None, None)
+    cfg = TrainConfig(loss_mode="mse", epochs=1, batch_size=20, seed=1)
+    enc, dec, log = train_jscc(cfg, ds, None, None)
     assert log.rows and all(np.isfinite(r[2]) for r in log.rows)
+    assert all(cfg.snr_low <= r[6] <= cfg.snr_high for r in log.rows)
+    assert enc.params is dec.params  # one table for both halves
 
 
 def test_divergence_aborts_with_snapshot():
@@ -186,6 +189,14 @@ def test_divergence_aborts_with_snapshot():
     cfg = TrainConfig(loss_mode="mse", lambda_rate=1e39, epochs=1, batch_size=20, seed=1)
     with pytest.raises(TrainingDiverged, match="epoch 0 step 0"):
         train_jscc(cfg, ds, None, None, CodecConfig())
+
+
+def test_divergence_in_the_validation_pass_is_reported_as_divergence():
+    # lr 10 takes the one training step, and the validation pass then overflows
+    ds = generate_shapes(7, 10, 16, 16)
+    cfg = TrainConfig(loss_mode="mse", epochs=1, lr=10.0, seed=3)
+    with pytest.raises(TrainingDiverged, match=r"diverged at epoch 0 \(validation\): op '\w+' produced non-finite values"):
+        train_jscc(cfg, ds, None, None, CodecConfig(height=16, width=16))
 
 
 def test_sp_mode_requires_matching_cache():

@@ -6,11 +6,10 @@ extracted once from the clean training images, then a codec is trained per
 loss mode and evaluated over the SNR grid. Every binary artifact records the
 config keys it was built from. A stage rebuilds a stale artifact that it
 writes itself and refuses one that another stage writes. A results CSV
-follows the same rule: `evaluate --loss M` writes `results_M.csv` for exactly
-`eval.snr_grid` × `eval.seeds`, and `compare` takes each mode's rows only
-from that file, writing it first through the same code when it is missing or
-stale, and refusing it when it holds other cells under this config; it
-checks both modes' files before it evaluates either. Having written
+follows the same rule: `evaluate --loss M` is the one stage that writes
+`results_M.csv`, for exactly `eval.snr_grid` × `eval.seeds`, and `compare`
+only reads the two modes' files, refusing one that is missing, stale, or
+holds other cells under this config; it loads nothing else. Having written
 `compare.csv` and the plots, `compare` exits 1 if the two modes' mean CPP
 differs by more than `CPP_TOLERANCE` at any SNR: they were not compared at
 the same rate.
@@ -22,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 
 from ..classifier import ClassifierModel, TrainClassifierConfig, pretrain_classifier
@@ -209,64 +207,41 @@ def cmd_train(cfg, out, args):
     return 0
 
 
-def _codec_evaluators(cfg, out, modes):
-    """mode -> a function that evaluates that mode's codec over `eval.snr_grid` × `eval.seeds`.
-
-    The test split, the classifier and every mode's codec are loaded and
-    checked here, once, before any of them is evaluated.
-    """
+def cmd_evaluate(cfg, out, args):
+    mode = args.loss
     test = _load_split(cfg, out, "test")
     classifier = _load_classifier(cfg, out)
     codec_cfg = _codec_config(cfg, test)
-    evaluators = {}
-    for mode in modes:
-        with _checked(_paths(out)[f"codec_{mode}"], f"train --loss {mode}") as path:
-            params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, f"codec_{mode}"))
-        enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
-        evaluators[mode] = partial(evaluate, enc, dec, classifier, test, cfg["eval.snr_grid"], cfg["eval.seeds"], run_id=mode)
-    return evaluators
-
-
-def _write_results(cfg, out, mode, evaluate_codec):
-    """The one writer of `results_{mode}.csv`, `evaluate` always and `compare` for a missing or stale file; returns the pairs as written."""
-    reports = evaluate_codec()
+    with _checked(_paths(out)[f"codec_{mode}"], f"train --loss {mode}") as path:
+        params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, f"codec_{mode}"))
+    enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
+    reports = evaluate(enc, dec, classifier, test, cfg["eval.snr_grid"], cfg["eval.seeds"], run_id=mode)
     path = _paths(out)[f"results_{mode}"]
     write_results_csv(path, [(mode, r) for r in reports], cfg.config_hash())
     print(f"wrote {path} ({len(reports)} rows)")
-    return read_results_csv(path)
+    return 0
 
 
-def _kept_results(cfg, out, mode):
-    """`mode`'s (mode, report) pairs as a current `results_{mode}.csv` holds them; None if it is missing or written under another config.
+def _results(cfg, out, mode):
+    """`mode`'s (mode, report) pairs from the `results_{mode}.csv` that `evaluate --loss {mode}` wrote under this config.
 
-    A file written under this config must hold exactly `mode`'s (SNR, seed)
-    cells of `eval.snr_grid` × `eval.seeds`, in `evaluate`'s SNR-major,
-    seed-minor order; one that does not is damaged, and is never rewritten.
+    The file must hold exactly `mode`'s (SNR, seed) cells of `eval.snr_grid`
+    × `eval.seeds`, in `evaluate`'s SNR-major, seed-minor order; one that
+    does not is damaged.
     """
-    path = _paths(out)[f"results_{mode}"]
-    try:
+    with _checked(_paths(out)[f"results_{mode}"], f"evaluate --loss {mode}") as path:
         pairs = read_results_csv(path, cfg.config_hash())
-    except (FileNotFoundError, StaleArtifactError):
-        return None
     cells = [(mode, snr_as_written(snr), seed) for snr in cfg["eval.snr_grid"] for seed in cfg["eval.seeds"]]
     if [(m, snr_as_written(r.snr_db), r.seed) for m, r in pairs] != cells:
         raise StageError(
             f"{path}: does not hold the {len(cells)} {mode} rows of eval.snr_grid × eval.seeds in order; "
             f"delete it or run evaluate --loss {mode}"
         )
-    print(f"kept {path} (current; {len(pairs)} rows)")
     return pairs
 
 
-def cmd_evaluate(cfg, out, args):
-    _write_results(cfg, out, args.loss, _codec_evaluators(cfg, out, (args.loss,))[args.loss])
-    return 0
-
-
 def cmd_compare(cfg, out, args):
-    evaluators = _codec_evaluators(cfg, out, ("sp", "mse"))
-    kept = {mode: _kept_results(cfg, out, mode) for mode in evaluators}  # every file checked before any is written
-    results = {mode: pairs or _write_results(cfg, out, mode, evaluators[mode]) for mode, pairs in kept.items()}
+    results = {mode: _results(cfg, out, mode) for mode in ("sp", "mse")}
     path = _paths(out)["compare"]
     rows = [pair for pairs in results.values() for pair in pairs]
     write_results_csv(path, rows, cfg.config_hash())
@@ -299,7 +274,7 @@ def cmd_plot(cfg, out, args):
         if src.exists():
             break
     else:
-        raise StageError(f"no results CSV under {out}; run evaluate or compare first")
+        raise StageError(f"no results CSV under {out}; run evaluate first")
     with _checked(src, rerun):
         written = emit_plots(src, _paths(out)["plots"], config_hash=cfg.config_hash())
     for p in written:

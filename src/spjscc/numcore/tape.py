@@ -131,10 +131,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def size(self):
-        return self.value.size
-
     def __repr__(self):
         return f"Tensor(nid={self.nid}, shape={self.shape})"
 

@@ -204,8 +204,7 @@ def train_jscc(
     steps_per_epoch = (n_train + config.batch_size - 1) // config.batch_size
     total_steps = max(1, config.epochs * steps_per_epoch)
     log = TrainLog()
-    best_val = np.inf
-    best_params = None
+    best_val = np.inf  # the first epoch's validation loss is finite (else it raised), so it sets best_params
     stale = 0
     global_step = 0
 
@@ -247,9 +246,8 @@ def train_jscc(
             if stale >= config.patience:
                 break
 
-    if best_params is not None:
-        for k, v in params.items():
-            v[...] = best_params[k]
+    for k, v in params.items():
+        v[...] = best_params[k]
     if theta0_before is not None and classifier.theta_hash() != theta0_before:
         raise RuntimeError("frozen classifier parameters changed during codec training")
     return enc, dec, log

@@ -98,6 +98,12 @@ def test_tiny_dense_model_matches_manual_matrix_product():
     np.testing.assert_allclose(res.logits, manual, rtol=1e-5)
 
 
+def test_pretraining_that_overflows_is_refused_naming_the_epoch_and_op():
+    ds = generate_shapes(3, 40, 16, 16)
+    with pytest.raises(FloatingPointError, match=r"classifier training diverged at epoch 0: op 'conv2d' produced non-finite values"):
+        pretrain_classifier(ds, TrainClassifierConfig(epochs=2, lr=1e30, batch=20, seed=0))
+
+
 @pytest.mark.slow
 def test_accuracy_trivials(small_trained):
     ds, model = small_trained

@@ -365,6 +365,8 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
         ["extract-weights", "--config", cfg, "--out", out],
         ["train", "--loss", "sp", "--config", cfg, "--out", out],
         ["train", "--loss", "mse", "--config", cfg, "--out", out],
+        ["evaluate", "--loss", "sp", "--config", cfg, "--out", out],
+        ["evaluate", "--loss", "mse", "--config", cfg, "--out", out],
         ["compare", "--config", cfg, "--out", out],
     ):
         assert main(cmd) == 0, f"{cmd} failed: {capsys.readouterr().err}"
@@ -377,7 +379,7 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     for name in ("acc.svg", "f1.svg", "psnr_db.svg", "ssim.svg", "cpp.svg"):
         assert (tmp_path / "run" / "plots" / name).exists()
 
-    # evaluating again from scratch reproduces the results compare wrote, byte for byte
+    # evaluating again reproduces the results compare read, byte for byte
     results = {mode: (tmp_path / "run" / f"results_{mode}.csv").read_bytes() for mode in ("sp", "mse")}
     for mode in ("sp", "mse"):
         assert main(["evaluate", "--loss", mode, "--config", cfg, "--out", out]) == 0
@@ -386,7 +388,6 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     first = compare.read_bytes()
     capsys.readouterr()
     assert main(["compare", "--config", cfg, "--out", out]) == 0
-    assert "kept" in capsys.readouterr().out
     assert compare.read_bytes() == first
 
     # stage idempotence: re-running pretrain reproduces the checkpoint bytes
@@ -560,7 +561,7 @@ def test_cli_test_count_and_eval_keys_retrain_nothing(tmp_path, capsys):
     run = tmp_path / "run"
     trained = {name: (run / name).read_bytes() for name in ("classifier.ckpt", "weights.cache", "codec_sp.ckpt", "codec_mse.ckpt")}
     for change in ("dataset.test_count = 12", "eval.seeds = 3,4", "eval.snr_grid = -5,0,10"):
-        for argv in (["extract-weights"], ["compare"]):
+        for argv in (["extract-weights"], ["evaluate", "--loss", "sp"], ["evaluate", "--loss", "mse"], ["compare"]):
             assert _run(tmp_path, "b.cfg", _SMALL + change + "\n", *argv) == 0, (change, capsys.readouterr().err)
         assert {name: (run / name).read_bytes() for name in trained} == trained, change
     rows = read_results_csv(run / "compare.csv")
@@ -594,33 +595,6 @@ def test_cli_training_stages_read_only_the_train_split(tmp_path, capsys):
     assert _run(tmp_path, "a.cfg", _SMALL, "train", "--loss", "mse") == 0, capsys.readouterr().err
     assert (tmp_path / "run" / "dataset_train.cache").exists()
     assert not (tmp_path / "run" / "dataset_test.cache").exists()
-
-
-def test_cli_compare_loads_the_test_split_and_classifier_once(tmp_path, capsys, monkeypatch):
-    for argv in (["pretrain-classifier"], ["extract-weights"], ["train", "--loss", "sp"], ["train", "--loss", "mse"], ["compare"]):
-        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
-    first = (tmp_path / "run" / "compare.csv").read_bytes()
-    calls = []
-
-    def counted(name):
-        real = getattr(cli, name)
-
-        def wrapper(path, *args, **kwargs):
-            calls.append((name, path.name))
-            return real(path, *args, **kwargs)
-
-        return wrapper
-
-    for name in ("load_cache", "load_checkpoint"):
-        monkeypatch.setattr(cli, name, counted(name))
-    assert _run(tmp_path, "a.cfg", _SMALL, "compare") == 0
-    assert sorted(calls) == [
-        ("load_cache", "dataset_test.cache"),
-        ("load_checkpoint", "classifier.ckpt"),
-        ("load_checkpoint", "codec_mse.ckpt"),
-        ("load_checkpoint", "codec_sp.ckpt"),
-    ]
-    assert (tmp_path / "run" / "compare.csv").read_bytes() == first
 
 
 # two SNRs and two seeds, so the order of a results CSV's cells can be checked
@@ -660,26 +634,41 @@ def _outputs(run, out):
     return (run / "compare.csv").read_bytes(), svgs, [line for line in out.splitlines() if " dB: " in line]
 
 
-def test_cli_compare_reuses_current_results_and_writes_what_a_fresh_compare_writes(tmp_path, capsys, monkeypatch, trained_run):
-    fresh, run = tmp_path / "fresh", tmp_path / "run"
-    shutil.copytree(trained_run, fresh)
+def _evaluated_run(tmp_path, trained_run):
+    """A copy of `trained_run` in which `evaluate` wrote both modes' results under `_GRID`."""
+    run = tmp_path / "run"
     shutil.copytree(trained_run, run)
     for mode in ("sp", "mse"):
-        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0, capsys.readouterr().err
+        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0
+    return run
+
+
+def test_cli_compare_reads_only_the_two_results_csvs(tmp_path, capsys, monkeypatch, trained_run):
+    """With every other artifact deleted from --out, compare writes what it writes beside them."""
+    run = _evaluated_run(tmp_path, trained_run)
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
-    assert rc == 0, err
-    assert calls == []
-    assert f"kept {run / 'results_sp.csv'} (current; 4 rows)" in out and f"kept {run / 'results_mse.csv'} (current; 4 rows)" in out
-    rc, fresh_out, err, calls = _compare(tmp_path, capsys, monkeypatch, fresh)
-    assert rc == 0, err
-    assert calls == ["sp", "mse"]
-    for mode in ("sp", "mse"):
-        assert f"wrote {fresh / f'results_{mode}.csv'} (4 rows)" in fresh_out
-        # a compare with no results CSV writes the ones evaluate writes
-        assert (fresh / f"results_{mode}.csv").read_bytes() == (run / f"results_{mode}.csv").read_bytes()
-    reused = _outputs(run, out)
-    assert reused == _outputs(fresh, fresh_out)
-    assert len(reused[2]) == 4 and len(reused[1]) == 5
+    assert rc == 0 and calls == [], err
+    written = _outputs(run, out)
+    assert len(written[2]) == 4 and len(written[1]) == 5
+    for path in run.iterdir():
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.name not in ("results_sp.csv", "results_mse.csv"):
+            path.unlink()
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 0 and calls == [], err
+    assert _outputs(run, out) == written
+
+
+@pytest.mark.parametrize("mode", ["sp", "mse"])
+def test_cli_compare_refuses_a_missing_results_csv_naming_the_evaluate_that_writes_it(tmp_path, capsys, monkeypatch, trained_run, mode):
+    run = _evaluated_run(tmp_path, trained_run)
+    path = run / f"results_{mode}.csv"
+    path.unlink()
+    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
+    assert rc == 1 and calls == []
+    assert f"missing {path}; run evaluate --loss {mode} first" in err and "Traceback" not in err, err
+    assert not (run / "compare.csv").exists()
 
 
 _EDGE_VALUES = ("0", "1", "-1", "1e300", "nan", "inf", "-inf", "-0.0", "abc")
@@ -738,19 +727,20 @@ def _sp_results_of_another_test_split(tmp_path):
 
 
 @pytest.mark.parametrize("make_sp_results", [_sp_results_under_other_seeds, _sp_results_of_another_test_split])
-def test_cli_compare_evaluates_only_the_mode_whose_results_are_not_current(tmp_path, capsys, monkeypatch, trained_run, make_sp_results):
-    run = tmp_path / "run"
-    shutil.copytree(trained_run, run)
-    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "mse") == 0
+def test_cli_compare_refuses_results_written_under_another_config(tmp_path, capsys, monkeypatch, trained_run, make_sp_results):
+    """A stale results CSV is never re-evaluated: compare exits 1 naming the file, both hashes and the stage that writes it."""
+    run = _evaluated_run(tmp_path, trained_run)
+    assert _compare(tmp_path, capsys, monkeypatch, run)[0] == 0
+    before = (run / "compare.csv").read_bytes()
     make_sp_results(tmp_path)
+    path = run / "results_sp.csv"
+    stale = path.read_text().splitlines()[0].removeprefix("# config_hash=")
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
-    assert rc == 0, err
-    assert calls == ["sp"]
-    assert f"wrote {run / 'results_sp.csv'} (4 rows)" in out and f"kept {run / 'results_mse.csv'} (current; 4 rows)" in out
+    assert rc == 1 and calls == [] and "Traceback" not in err
     chash = load_config(tmp_path / "compare.cfg").config_hash()
-    assert read_results_csv(run / "results_sp.csv", chash) == read_results_csv(run / "compare.csv", chash)[:4]
-    rows = read_results_csv(run / "compare.csv", chash)
-    assert [(m, r.snr_db, r.seed) for m, r in rows] == [(m, snr, seed) for m in ("sp", "mse") for snr in (5.0, 15.0) for seed in (1, 2)]
+    assert stale != chash
+    assert str(path) in err and stale in err and chash in err and "run evaluate --loss sp" in err, err
+    assert (run / "compare.csv").read_bytes() == before
 
 
 def _holding_mse_rows(path):
@@ -774,10 +764,7 @@ def _emptied(path):
 @pytest.mark.parametrize("damage", [_holding_mse_rows, _in_seed_major_order, _cut_at_a_row_boundary, _emptied])
 def test_cli_compare_refuses_results_that_do_not_hold_this_configs_cells(tmp_path, capsys, monkeypatch, trained_run, damage):
     """A results CSV under this config's hash, or with no hash at all, is damaged unless it holds exactly its cells: never re-evaluated."""
-    run = tmp_path / "run"
-    shutil.copytree(trained_run, run)
-    for mode in ("sp", "mse"):
-        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0
+    run = _evaluated_run(tmp_path, trained_run)
     path = run / "results_sp.csv"
     damage(path)
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
@@ -786,25 +773,9 @@ def test_cli_compare_refuses_results_that_do_not_hold_this_configs_cells(tmp_pat
     assert calls == [] and not (run / "compare.csv").exists()
 
 
-def test_cli_compare_checks_every_results_csv_before_it_evaluates_any(tmp_path, capsys, monkeypatch, trained_run):
-    """sp's results CSV is missing and mse's is damaged: compare evaluates nothing, not sp first."""
-    run = tmp_path / "run"
-    shutil.copytree(trained_run, run)
-    assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", "mse") == 0
-    path = run / "results_mse.csv"
-    _cut_at_a_row_boundary(path)
-    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
-    assert rc == 1
-    assert str(path) in err and "Traceback" not in err, err
-    assert calls == [] and not (run / "results_sp.csv").exists() and not (run / "compare.csv").exists()
-
-
 @pytest.mark.parametrize("mode", ["sp", "mse"])
 def test_cli_compare_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, monkeypatch, trained_run, mode):
-    run = tmp_path / "run"
-    shutil.copytree(trained_run, run)
-    for m in ("sp", "mse"):
-        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", m) == 0
+    run = _evaluated_run(tmp_path, trained_run)
     path = run / f"results_{mode}.csv"
     path.write_text(path.read_text().replace(f"{mode},{mode},15,1,", f"{mode},{mode},15,1,abc,", 1))
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
@@ -829,10 +800,7 @@ def _with_mse_cpp_moved_by(run, delta):
 
 def test_cli_compare_exits_1_naming_each_snr_where_the_modes_ran_at_different_rates(tmp_path, capsys, monkeypatch, trained_run):
     """Within 0.02 the rates are the same; past it compare keeps the edited file, writes compare.csv and the plots, and exits 1."""
-    run = tmp_path / "run"
-    shutil.copytree(trained_run, run)
-    for mode in ("sp", "mse"):
-        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0
+    run = _evaluated_run(tmp_path, trained_run)
     sp_cpp = {r.snr_db: r.cpp for _, r in read_results_csv(run / "results_sp.csv")}
     _with_mse_cpp_moved_by(run, -0.015)
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
@@ -841,24 +809,12 @@ def test_cli_compare_exits_1_naming_each_snr_where_the_modes_ran_at_different_ra
     edited = path.read_bytes()
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
     assert rc == 1 and calls == [] and "Traceback" not in err
-    assert f"kept {path} (current; 4 rows)" in out and path.read_bytes() == edited
+    assert path.read_bytes() == edited
     for snr in (5.0, 15.0):
         assert f"{snr:g} dB (sp cpp {sp_cpp[snr]:.4f}, mse cpp {sp_cpp[snr] - 0.125:.4f})" in err, err
     chash = load_config(tmp_path / "compare.cfg").config_hash()
     assert read_results_csv(run / "compare.csv", chash)[4:] == read_results_csv(path, chash)
     assert len(list((run / "plots").iterdir())) == 5
-
-
-def test_cli_compare_with_current_results_still_needs_both_codecs(tmp_path, capsys, monkeypatch, trained_run):
-    run = tmp_path / "run"
-    shutil.copytree(trained_run, run)
-    for mode in ("sp", "mse"):
-        assert _run(tmp_path, "a.cfg", _GRID, "evaluate", "--loss", mode) == 0
-    (run / "codec_mse.ckpt").unlink()
-    rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
-    assert rc == 1
-    assert "codec_mse.ckpt" in err and "run train --loss mse" in err
-    assert calls == [] and not (run / "compare.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1022,3 +978,11 @@ def test_cli_plot_refuses_an_empty_results_csv_as_damaged_not_stale(tmp_path, ca
     assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert f"{compare}: empty results file" in err and "config_hash" not in err and "Traceback" not in err
+
+
+def test_cli_plot_without_a_results_csv_says_to_run_evaluate(tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(_SMALL, encoding="utf-8")
+    assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"no results CSV under {tmp_path / 'run'}; run evaluate first" in err and "Traceback" not in err

@@ -7,7 +7,7 @@ import pytest
 
 from spjscc import metrics
 from spjscc.channel import awgn_transmit
-from spjscc.classifier import TrainClassifierConfig, classify_accuracy, init_classifier, perceive, pretrain_classifier
+from spjscc.classifier import classify_accuracy, init_classifier, perceive
 from spjscc.dataio import LabeledImageDataset, generate_shapes
 from spjscc.jscc import CodecConfig, decode, encode, init_decoder, init_encoder
 from spjscc.metrics import cpp, evaluate, f1_macro, mean_over_seeds, psnr, ssim
@@ -209,10 +209,9 @@ def test_cpp_batch_mask_mean():
 
 
 @pytest.fixture(scope="module")
-def overfit_setup():
+def overfit_setup(shapes_classifier):
     """Classifier + codec overfit noiselessly on 10 confidently-classified images."""
-    clf_ds = generate_shapes(11, 400, 32, 32)
-    model = pretrain_classifier(clf_ds, TrainClassifierConfig(epochs=12, lr=2e-3, batch=32, seed=2))
+    _, model = shapes_classifier
 
     pool = generate_shapes(31, 60, 32, 32)
     res = perceive(model, pool.images)

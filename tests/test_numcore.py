@@ -312,7 +312,7 @@ def _fd_cases(rng):
 
     def red(t, y):
         # deterministic scalarization with non-uniform weights
-        w = t.leaf(np.linspace(0.5, 1.5, y.size).reshape(y.value.shape))
+        w = t.leaf(np.linspace(0.5, 1.5, y.value.size).reshape(y.value.shape))
         return t.reduce_sum(t.mul(y, w))
 
     cases = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spjscc.classifier import ClassifierModel, TrainClassifierConfig, init_classifier, pretrain_classifier
+from spjscc.classifier import ClassifierModel, init_classifier
 from spjscc.dataio import generate_shapes
 from spjscc.harness.checkpoint import StaleArtifactError
 from spjscc.numcore import Tape
@@ -151,16 +151,9 @@ def test_weight_maps_take_one_backward_per_batch(monkeypatch):
     assert len(calls) == 3
 
 
-@pytest.fixture(scope="module")
-def trained_on_shapes():
-    ds = generate_shapes(11, 400, 32, 32)
-    model = pretrain_classifier(ds, TrainClassifierConfig(epochs=12, lr=2e-3, batch=32, seed=2))
-    return ds, model
-
-
 @pytest.mark.slow
-def test_weight_cache_round_trip_and_invariants(tmp_path, trained_on_shapes):
-    ds, model = trained_on_shapes
+def test_weight_cache_round_trip_and_invariants(tmp_path, shapes_classifier):
+    ds, model = shapes_classifier
     sub = generate_shapes(11, 40, 32, 32)
     maps, fallback = compute_weight_maps(model, sub.images)
     cache = WeightCache(maps=maps, fallback=fallback, dataset_id=sub.dataset_id, classifier_hash=model.theta_hash())
@@ -187,16 +180,16 @@ def test_weight_cache_round_trip_and_invariants(tmp_path, trained_on_shapes):
 
 
 @pytest.mark.slow
-def test_determinism_same_model_same_image_same_map(trained_on_shapes):
-    ds, model = trained_on_shapes
+def test_determinism_same_model_same_image_same_map(shapes_classifier):
+    ds, model = shapes_classifier
     m1, _ = compute_weight_maps(model, ds.images[:4])
     m2, _ = compute_weight_maps(model, ds.images[:4])
     assert m1.tobytes() == m2.tobytes()
 
 
 @pytest.mark.slow
-def test_foreground_gets_more_weight_than_background(trained_on_shapes):
-    ds, model = trained_on_shapes
+def test_foreground_gets_more_weight_than_background(shapes_classifier):
+    ds, model = shapes_classifier
     sub_imgs, sub_fg = ds.images[:100], ds.foreground[:100]
     maps, _ = compute_weight_maps(model, sub_imgs)
     wins = 0

@@ -199,6 +199,15 @@ def test_divergence_in_the_validation_pass_is_reported_as_divergence():
         train_jscc(cfg, ds, None, None, CodecConfig(height=16, width=16))
 
 
+def test_training_stops_after_patience_epochs_without_a_better_validation_loss():
+    # at lr 1e-30 no step moves the validation loss: epoch 0 sets the best, epochs 1 and 2 are stale
+    ds = generate_shapes(3, 40, 16, 16)
+    cfg = TrainConfig(loss_mode="mse", epochs=6, patience=2, lr=1e-30, batch_size=20, seed=1)
+    _, _, log = train_jscc(cfg, ds, None, None, CodecConfig(height=16, width=16))
+    assert log.last_epoch() == 2
+    assert len(log.rows) == 6  # 36 training images: 2 steps in each of 3 epochs
+
+
 def test_sp_mode_requires_matching_cache():
     ds = generate_shapes(5, 40, 32, 32)
     cfg = TrainConfig(loss_mode="sp", epochs=1, batch_size=16, seed=1)

@@ -1,3 +1,3 @@
-from .config import default_config, load_config
+from .config import load_config
 
-__all__ = ["default_config", "load_config"]
+__all__ = ["load_config"]

@@ -15,14 +15,15 @@ Layout (single file, the manifest is UTF-8):
 
 A dtype is one of `<f4`, `<i8` or `|b1`. The hash covers the whole file
 except its own line, so an edited manifest fails like a damaged blob. The
-`meta` lines also carry an artifact's provenance: the config values it was
-built from, which `load_checkpoint` compares against `expected_meta`.
+`meta` lines carry an artifact's provenance (its config values), which
+`check_meta` compares against `expected_meta`; a CSV records them on line 1.
 save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,18 @@ class CheckpointError(ValueError):
 
 class StaleArtifactError(CheckpointError):
     """Intact artifact whose recorded provenance differs from what the caller expects."""
+
+
+def check_meta(path, meta: dict[str, str], expected_meta: dict[str, str] | None) -> None:
+    """Raises StaleArtifactError naming `path`, the first `expected_meta` key `meta` records otherwise, and both values."""
+    for key, want in (expected_meta or {}).items():
+        if meta.get(key) != str(want):
+            raise StaleArtifactError(f"{path}: {key} differs (artifact has {meta.get(key)!r}, expected {str(want)!r})")
+
+
+def meta_line(meta: dict[str, str]) -> str:
+    """A CSV artifact's first line: `# ` and `meta` as one sorted JSON object, ASCII only."""
+    return "# " + json.dumps(meta, sort_keys=True)
 
 
 def save_checkpoint(params: dict[str, np.ndarray], kind: str, path: str | Path, meta: dict[str, str] | None = None) -> None:
@@ -117,9 +130,7 @@ def load_checkpoint(
         raise CheckpointError(f"{path}: hash mismatch; the file is damaged or was edited")
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r} is not {expected_kind!r}")
-    for key, want in (expected_meta or {}).items():
-        if meta.get(key) != str(want):
-            raise StaleArtifactError(f"{path}: {key} differs (artifact has {meta.get(key)!r}, expected {str(want)!r})")
+    check_meta(path, meta, expected_meta)
     params = {}
     for name, dtype, shape, offset, nbytes in tensors:
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype=dtype)

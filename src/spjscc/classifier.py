@@ -117,7 +117,7 @@ def pretrain_classifier(train_set: LabeledImageDataset, config: TrainClassifierC
     model = init_classifier(train_set.class_count, (train_set.height, train_set.width), config.seed)
     state = AdamState()
     for epoch in range(config.epochs):
-        for b in batch_iter(train_set, config.batch, shuffle_seed=config.seed * 100003 + epoch):
+        for b in batch_iter(train_set, config.batch, config.seed, epoch):
             try:
                 tape, _, logits = perceive_with_tape(model, b.images)
                 loss = tape.cross_entropy(logits, b.labels)

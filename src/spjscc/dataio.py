@@ -193,18 +193,15 @@ def generate_shapes(seed: int, count: int, height: int, width: int, split: str =
 # ---------------------------------------------------------------------------
 
 
-def batch_iter(dataset: LabeledImageDataset, batch_size: int, shuffle_seed: int | None = None) -> Iterator[ImageBatch]:
-    """Yield batches covering every index once; final partial batch included.
+def batch_iter(dataset: LabeledImageDataset, batch_size: int, seed: int, epoch: int) -> Iterator[ImageBatch]:
+    """Yield epoch `epoch`'s batches of a training run seeded `seed`, covering every index once; final partial batch included.
 
-    With a shuffle seed the permutation is a deterministic function of the
-    seed; without one, dataset order is kept.
+    The order is a permutation that is a deterministic function of (seed, epoch).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = len(dataset)
-    order = np.arange(n)
-    if shuffle_seed is not None:
-        order = np.random.default_rng(np.random.PCG64(shuffle_seed)).permutation(n)
+    order = np.random.default_rng(np.random.PCG64(seed * 100003 + epoch)).permutation(n)
     for start in range(0, n, batch_size):
         idx = order[start : start + batch_size]
         yield ImageBatch(idx, dataset.images[idx], dataset.labels[idx])

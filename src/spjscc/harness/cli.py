@@ -3,10 +3,12 @@
 Every command reads and writes only under --out. Stage order follows the
 method: the classifier is pretrained and frozen, semantic weights are
 extracted once from the clean training images, then a codec is trained per
-loss mode and evaluated over the SNR grid. Every artifact but the SVGs records
-the config keys it was built from (`_RECORDED_KEYS`): a binary one in its
-manifest, a CSV on its first line. A stage rebuilds a stale artifact that it
-writes itself and refuses one that another stage writes, naming the key.
+loss mode and evaluated over the SNR grid. An artifact is named by its file
+under --out, and `_RECORDED_KEYS` is the one table of them: each file but the
+SVGs records the config keys it was built from, a binary one in its manifest,
+a CSV on its first line. A stage rebuilds a stale artifact that it writes
+itself (`_load_or_build`) and refuses one that another stage writes
+(`_read`), naming the file, the key and the stage to rerun.
 `evaluate --loss M` is the one stage that writes `results_M.csv`, for exactly
 `eval.snr_grid` × `eval.seeds`, and `compare` only reads the two modes'
 files, refusing one that is missing, stale, or holds other cells; it loads
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from ..classifier import ClassifierModel, TrainClassifierConfig, pretrain_classifier
@@ -43,73 +44,57 @@ class StageError(RuntimeError):
 CPP_TOLERANCE = 0.02
 
 
-# -- artifact paths under --out ---------------------------------------------
-
-
-def _paths(out: Path) -> dict[str, Path]:
-    return {
-        "train_cache": out / "dataset_train.cache",
-        "test_cache": out / "dataset_test.cache",
-        "classifier": out / "classifier.ckpt",
-        "weights": out / "weights.cache",
-        "codec_sp": out / "codec_sp.ckpt",
-        "codec_mse": out / "codec_mse.ckpt",
-        "trainlog_sp": out / "trainlog_sp.csv",
-        "trainlog_mse": out / "trainlog_mse.csv",
-        "results_sp": out / "results_sp.csv",
-        "results_mse": out / "results_mse.csv",
-        "compare": out / "compare.csv",
-        "plots": out / "plots",
-    }
+# -- artifacts under --out --------------------------------------------------
 
 
 def _section(name: str) -> tuple[str, ...]:
     return tuple(k for k in SCHEMA if k.startswith(name + "."))
 
 
-# The config keys each artifact (each `_paths` key but `plots`) records as meta
-# and is checked against: exactly the keys it was built from. So a split does
-# not record the other split's size, the mse codec and log, which never see the
-# classifier, do not record `classifier.*`, and a results CSV records them all.
+# Every file a run writes under --out but the SVGs in plots/, keyed by its name,
+# with the config keys it records as meta and is checked against: exactly the
+# keys it was built from. So a split does not record the other split's size,
+# the mse codec and log, which never see the classifier, do not record
+# `classifier.*`, and a results CSV records them all.
 _IMAGES = tuple(k for k in _section("dataset") if not k.endswith("_count"))
 _TRAIN_SPLIT = _IMAGES + ("dataset.train_count",)
 _CLASSIFIER = _TRAIN_SPLIT + _section("classifier")
 _CODEC = _section("codec") + _section("train")
 _RECORDED_KEYS = {
-    "train_cache": _TRAIN_SPLIT,
-    "test_cache": _IMAGES + ("dataset.test_count",),
-    "classifier": _CLASSIFIER,
-    "weights": _CLASSIFIER,
-    "codec_sp": _CLASSIFIER + _CODEC,
-    "codec_mse": _TRAIN_SPLIT + _CODEC,
-    "trainlog_sp": _CLASSIFIER + _CODEC,
-    "trainlog_mse": _TRAIN_SPLIT + _CODEC,
-    "results_sp": tuple(SCHEMA),
-    "results_mse": tuple(SCHEMA),
-    "compare": tuple(SCHEMA),
+    "dataset_train.cache": _TRAIN_SPLIT,
+    "dataset_test.cache": _IMAGES + ("dataset.test_count",),
+    "classifier.ckpt": _CLASSIFIER,
+    "weights.cache": _CLASSIFIER,
+    "codec_sp.ckpt": _CLASSIFIER + _CODEC,
+    "codec_mse.ckpt": _TRAIN_SPLIT + _CODEC,
+    "trainlog_sp.csv": _CLASSIFIER + _CODEC,
+    "trainlog_mse.csv": _TRAIN_SPLIT + _CODEC,
+    "results_sp.csv": tuple(SCHEMA),
+    "results_mse.csv": tuple(SCHEMA),
+    "compare.csv": tuple(SCHEMA),
 }
 
 
-def _provenance(cfg: ExperimentConfig, artifact: str) -> dict[str, str]:
-    """The config values `artifact` records as meta, e.g. {"dataset.seed": "7"}."""
-    return {k: str(cfg[k]) for k in _RECORDED_KEYS[artifact]}
+def _provenance(cfg: ExperimentConfig, name: str) -> dict[str, str]:
+    """The config values the artifact file `name` records as meta, e.g. {"dataset.seed": "7"}."""
+    return {k: str(cfg[k]) for k in _RECORDED_KEYS[name]}
 
 
-@contextmanager
-def _checked(path: Path, rerun: str):
-    """Guards loading an artifact another stage writes: missing or stale, it is a StageError that says to run `rerun`."""
+def _read(cfg: ExperimentConfig, out: Path, name: str, rerun: str, load, **kwargs):
+    """`load(out / name, ...)` of an artifact another stage writes: missing or stale, it is a StageError that says to run `rerun`."""
+    path = out / name
     if not path.exists():
         raise StageError(f"missing {path}; run {rerun} first")
     try:
-        yield path
+        return load(path, expected_meta=_provenance(cfg, name), **kwargs)
     except StaleArtifactError as exc:
         raise StageError(f"{exc}; run {rerun}") from None
 
 
-def _load_or_build(cfg: ExperimentConfig, out: Path, artifact: str, load, save, build):
+def _load_or_build(cfg: ExperimentConfig, out: Path, name: str, load, save, build):
     """Guards an artifact the stage writes itself: (value, built), loaded if current, else built and saved; a damaged one raises."""
-    path = _paths(out)[artifact]
-    provenance = _provenance(cfg, artifact)
+    path = out / name
+    provenance = _provenance(cfg, name)
     if path.exists():
         try:
             return load(path, expected_meta=provenance), False
@@ -122,24 +107,21 @@ def _load_or_build(cfg: ExperimentConfig, out: Path, artifact: str, load, save, 
 
 def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> LabeledImageDataset:
     """The `split` ("train" or "test") dataset the config names, rebuilt unless its cache is current."""
-    return _load_or_build(cfg, out, f"{split}_cache", load_cache, save_cache, lambda: _build_split(cfg, split))[0]
+    return _load_or_build(cfg, out, f"dataset_{split}.cache", load_cache, save_cache, lambda: _build_split(cfg, split))[0]
 
 
 def _build_split(cfg: ExperimentConfig, split: str) -> LabeledImageDataset:
-    kind = cfg["dataset.kind"]
-    if kind == "synthetic":
+    if cfg["dataset.kind"] == "synthetic":
         seed = cfg["dataset.seed"] + (1 if split == "test" else 0)
         return generate_shapes(seed, cfg[f"dataset.{split}_count"], cfg["dataset.height"], cfg["dataset.width"], split=split)
-    if kind == "cifar10":
-        root = Path(cfg["dataset.path"])
-        if not root.is_dir():
-            raise StageError(f"dataset.path {root} is not a directory of CIFAR-10 binary batches")
-        pattern = "data_batch_*.bin" if split == "train" else "test_batch.bin"
-        files = sorted(root.glob(pattern))
-        if not files:
-            raise StageError(f"no {pattern} under {root}")
-        return load_cifar10(files, split=split)
-    raise StageError(f"unknown dataset.kind {kind!r}")
+    root = Path(cfg["dataset.path"])
+    if not root.is_dir():
+        raise StageError(f"dataset.path {root} is not a directory of CIFAR-10 binary batches")
+    pattern = "data_batch_*.bin" if split == "train" else "test_batch.bin"
+    files = sorted(root.glob(pattern))
+    if not files:
+        raise StageError(f"no {pattern} under {root}")
+    return load_cifar10(files, split=split)
 
 
 def _codec_config(cfg: ExperimentConfig, data: LabeledImageDataset) -> CodecConfig:
@@ -154,8 +136,7 @@ def _codec_config(cfg: ExperimentConfig, data: LabeledImageDataset) -> CodecConf
 
 
 def _load_classifier(cfg: ExperimentConfig, out: Path) -> ClassifierModel:
-    with _checked(_paths(out)["classifier"], "pretrain-classifier") as path:
-        params, _, meta = load_checkpoint(path, expected_kind="classifier", expected_meta=_provenance(cfg, "classifier"))
+    params, _, meta = _read(cfg, out, "classifier.ckpt", "pretrain-classifier", load_checkpoint, expected_kind="classifier")
     return ClassifierModel(
         params=params,
         class_count=int(meta["class_count"]),
@@ -170,9 +151,9 @@ def cmd_pretrain_classifier(cfg, out, args):
     train = _load_split(cfg, out, "train")
     model = pretrain_classifier(train, TrainClassifierConfig(**cfg.section("classifier")))
     shape = {"class_count": model.class_count, "height": model.in_hw[0], "width": model.in_hw[1]}
-    meta = {**shape, **_provenance(cfg, "classifier")}
-    save_checkpoint(model.params, "classifier", _paths(out)["classifier"], meta=meta)
-    print(f"wrote {_paths(out)['classifier']} (theta {model.theta_hash()[:12]})")
+    path = out / "classifier.ckpt"
+    save_checkpoint(model.params, "classifier", path, meta={**shape, **_provenance(cfg, path.name)})
+    print(f"wrote {path} (theta {model.theta_hash()[:12]})")
     return 0
 
 
@@ -184,31 +165,28 @@ def cmd_extract_weights(cfg, out, args):
         maps, fallback = saliency.compute_weight_maps(model, train.images)
         return saliency.WeightCache(maps, fallback, dataset_id=train.dataset_id, classifier_hash=model.theta_hash())
 
-    cache, built = _load_or_build(cfg, out, "weights", load_weight_cache, saliency.save_weight_cache, build)
+    cache, built = _load_or_build(cfg, out, "weights.cache", load_weight_cache, saliency.save_weight_cache, build)
     counts = f"{len(cache)} maps, {int(cache.fallback.sum())} uniform fallbacks"
     if built:
-        print(f"wrote {_paths(out)['weights']} ({counts})")
+        print(f"wrote {out / 'weights.cache'} ({counts})")
     else:
-        print(f"kept {_paths(out)['weights']} (current; {counts})")
+        print(f"kept {out / 'weights.cache'} (current; {counts})")
     return 0
 
 
 def cmd_train(cfg, out, args):
     train = _load_split(cfg, out, "train")
     mode = args.loss
-    weight_cache = None
-    if mode == "sp":
-        with _checked(_paths(out)["weights"], "extract-weights") as path:
-            weight_cache = load_weight_cache(path, expected_meta=_provenance(cfg, "weights"))
+    weight_cache = _read(cfg, out, "weights.cache", "extract-weights", load_weight_cache) if mode == "sp" else None
     options = cfg.section("train")
     tcfg = TrainConfig(loss_mode=mode, batch_size=options.pop("batch"), **options)
     enc, dec, log = train_jscc(tcfg, train, weight_cache, None, _codec_config(cfg, train))
-    meta = _provenance(cfg, f"codec_{mode}")
-    save_checkpoint(enc.params, f"codec-{mode}", _paths(out)[f"codec_{mode}"], meta=meta)
-    log.to_csv(_paths(out)[f"trainlog_{mode}"], _provenance(cfg, f"trainlog_{mode}"))
+    codec, trainlog = out / f"codec_{mode}.ckpt", out / f"trainlog_{mode}.csv"
+    save_checkpoint(enc.params, f"codec-{mode}", codec, meta=_provenance(cfg, codec.name))
+    log.to_csv(trainlog, _provenance(cfg, trainlog.name))
     final = log.epoch_mean_loss(log.last_epoch())
-    print(f"wrote {_paths(out)[f'codec_{mode}']} (final epoch mean loss {final:.6g})")
-    print(f"wrote {_paths(out)[f'trainlog_{mode}']}")
+    print(f"wrote {codec} (final epoch mean loss {final:.6g})")
+    print(f"wrote {trainlog}")
     return 0
 
 
@@ -217,12 +195,11 @@ def cmd_evaluate(cfg, out, args):
     test = _load_split(cfg, out, "test")
     classifier = _load_classifier(cfg, out)
     codec_cfg = _codec_config(cfg, test)
-    with _checked(_paths(out)[f"codec_{mode}"], f"train --loss {mode}") as path:
-        params, _, _ = load_checkpoint(path, expected_kind=f"codec-{mode}", expected_meta=_provenance(cfg, f"codec_{mode}"))
+    params, _, _ = _read(cfg, out, f"codec_{mode}.ckpt", f"train --loss {mode}", load_checkpoint, expected_kind=f"codec-{mode}")
     enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
     reports = evaluate(enc, dec, classifier, test, cfg["eval.snr_grid"], cfg["eval.seeds"], run_id=mode)
-    path = _paths(out)[f"results_{mode}"]
-    write_results_csv(path, [(mode, r) for r in reports], _provenance(cfg, f"results_{mode}"))
+    path = out / f"results_{mode}.csv"
+    write_results_csv(path, [(mode, r) for r in reports], _provenance(cfg, path.name))
     print(f"wrote {path} ({len(reports)} rows)")
     return 0
 
@@ -234,12 +211,12 @@ def _results(cfg, out, mode):
     × `eval.seeds`, in `evaluate`'s SNR-major, seed-minor order; one that
     does not is damaged.
     """
-    with _checked(_paths(out)[f"results_{mode}"], f"evaluate --loss {mode}") as path:
-        pairs = read_results_csv(path, _provenance(cfg, f"results_{mode}"))
+    name = f"results_{mode}.csv"
+    pairs = _read(cfg, out, name, f"evaluate --loss {mode}", read_results_csv)
     cells = [(mode, snr_as_written(snr), seed) for snr in cfg["eval.snr_grid"] for seed in cfg["eval.seeds"]]
     if [(m, snr_as_written(r.snr_db), r.seed) for m, r in pairs] != cells:
         raise StageError(
-            f"{path}: does not hold the {len(cells)} {mode} rows of eval.snr_grid × eval.seeds in order; "
+            f"{out / name}: does not hold the {len(cells)} {mode} rows of eval.snr_grid × eval.seeds in order; "
             f"delete it or run evaluate --loss {mode}"
         )
     return pairs
@@ -247,9 +224,9 @@ def _results(cfg, out, mode):
 
 def cmd_compare(cfg, out, args):
     results = {mode: _results(cfg, out, mode) for mode in ("sp", "mse")}
-    path = _paths(out)["compare"]
+    path = out / "compare.csv"
     rows = [pair for pairs in results.values() for pair in pairs]
-    write_results_csv(path, rows, _provenance(cfg, "compare"))
+    write_results_csv(path, rows, _provenance(cfg, path.name))
     print(f"wrote {path} ({len(rows)} rows)")
     means = {mode: mean_over_seeds([r for _, r in pairs]) for mode, pairs in results.items()}
     for mode, per_snr in means.items():
@@ -258,7 +235,7 @@ def cmd_compare(cfg, out, args):
                 f"{mode} @ {snr:g} dB: acc {m['acc']:.4f} f1 {m['f1']:.4f} "
                 f"psnr {m['psnr_db']:.2f} ssim {m['ssim']:.4f} cpp {m['cpp']:.4f}"
             )
-    for p in emit_plots(path, _paths(out)["plots"], _provenance(cfg, "compare")):
+    for p in emit_plots(path, out / "plots", _provenance(cfg, path.name)):
         print(f"wrote {p}")
     apart = [
         f"{snr:g} dB (sp cpp {m['cpp']:.4f}, mse cpp {means['mse'][snr]['cpp']:.4f})"
@@ -274,15 +251,12 @@ def cmd_compare(cfg, out, args):
 
 
 def cmd_plot(cfg, out, args):
-    for key, rerun in (("compare", "compare"), ("results_sp", "evaluate --loss sp"), ("results_mse", "evaluate --loss mse")):
-        src = _paths(out)[key]
-        if src.exists():
+    for name, rerun in (("compare.csv", "compare"), ("results_sp.csv", "evaluate --loss sp"), ("results_mse.csv", "evaluate --loss mse")):
+        if (out / name).exists():
             break
     else:
         raise StageError(f"no results CSV under {out}; run evaluate first")
-    with _checked(src, rerun):
-        written = emit_plots(src, _paths(out)["plots"], _provenance(cfg, key))
-    for p in written:
+    for p in _read(cfg, out, name, rerun, emit_plots, out_dir=out / "plots"):
         print(f"wrote {p}")
     return 0
 

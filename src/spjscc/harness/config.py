@@ -64,6 +64,13 @@ def _learning_rate(raw: str) -> float:
     return val
 
 
+def _dataset_kind(raw: str) -> str:
+    """The dataset a run reads: generated shapes, or the CIFAR-10 binary batches under dataset.path."""
+    if raw not in ("synthetic", "cifar10"):
+        raise ValueError(f"must be synthetic or cifar10, got {raw!r}")
+    return raw
+
+
 def _image_side(raw: str) -> int:
     """An image height or width: three 2x2 pools in the classifier need a multiple of 8, and the synthetic shapes 16 pixels."""
     val = int(raw)
@@ -95,7 +102,7 @@ def _nonempty_list(parse, written=str):
 
 # key -> (parser, default)
 SCHEMA = {
-    "dataset.kind": (str, "synthetic"),  # synthetic | cifar10
+    "dataset.kind": (_dataset_kind, "synthetic"),
     "dataset.path": (str, ""),  # directory of CIFAR-10 binary batches
     "dataset.seed": (_at_least(0), 7),
     "dataset.train_count": (_at_least(10), 2000),
@@ -107,7 +114,7 @@ SCHEMA = {
     "classifier.batch": (_at_least(1), 32),
     "classifier.seed": (_at_least(0), 1),
     "codec.f_s": (_at_least(1), 16),
-    "codec.f_n": (_at_least(0), 16),
+    "codec.f_n": (_at_least(1), 16),  # the non-selective part is always sent: see CodecConfig
     "codec.width": (_at_least(2), 32),
     "train.lambda_rate": (_real_up_to_f32(zero_ok=True), 0.0),
     "train.epochs": (_at_least(1), 15),

@@ -50,8 +50,9 @@ class CodecConfig:
     def __post_init__(self):
         if self.f_s < 1:
             raise ValueError(f"f_s must be >= 1, got {self.f_s}")
-        if self.f_n < 0:
-            raise ValueError(f"f_n must be >= 0, got {self.f_n}")
+        # without a non-selective channel, an image whose selective gates all close has no symbol to send
+        if self.f_n < 1:
+            raise ValueError(f"f_n must be >= 1, got {self.f_n}")
         if self.width_es < 2:
             raise ValueError(f"width_es must be >= 2 (dec.ds2 reads width_es // 2 channels), got {self.width_es}")
         if self.height % 4 or self.width % 4:

@@ -209,7 +209,7 @@ def train_jscc(
     global_step = 0
 
     for epoch in range(config.epochs):
-        for b in batch_iter(train_view, config.batch_size, shuffle_seed=config.seed * 100003 + epoch):
+        for b in batch_iter(train_view, config.batch_size, config.seed, epoch):
             snr_db = rng.uniform(config.snr_low, config.snr_high)
             frac = global_step / total_steps
             temperature = config.temp_start + (config.temp_end - config.temp_start) * frac

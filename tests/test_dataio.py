@@ -101,22 +101,22 @@ def test_shapes_pixels_and_labels_in_range():
 
 def test_batch_iter_sizes_and_partial_batch():
     ds = generate_shapes(3, 10, 32, 32)
-    sizes = [len(b.labels) for b in batch_iter(ds, 3)]
+    sizes = [len(b.labels) for b in batch_iter(ds, 3, 0, 0)]
     assert sizes == [3, 3, 3, 1]
 
 
 def test_batch_iter_shuffle_deterministic():
     ds = generate_shapes(3, 25, 32, 32)
-    a = [b.indices.tolist() for b in batch_iter(ds, 4, shuffle_seed=99)]
-    b = [b.indices.tolist() for b in batch_iter(ds, 4, shuffle_seed=99)]
+    a = [b.indices.tolist() for b in batch_iter(ds, 4, 1, 0)]
+    b = [b.indices.tolist() for b in batch_iter(ds, 4, 1, 0)]
     assert a == b
-    c = [b.indices.tolist() for b in batch_iter(ds, 4, shuffle_seed=100)]
+    c = [b.indices.tolist() for b in batch_iter(ds, 4, 1, 1)]
     assert a != c
 
 
 def test_batch_iter_covers_every_index_once():
     ds = generate_shapes(3, 23, 32, 32)
-    emitted = np.concatenate([b.indices for b in batch_iter(ds, 5, shuffle_seed=1)])
+    emitted = np.concatenate([b.indices for b in batch_iter(ds, 5, 0, 1)])
     assert sorted(emitted.tolist()) == list(range(23))
 
 

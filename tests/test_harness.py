@@ -5,7 +5,6 @@ import io
 import itertools
 import re
 import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,13 +55,8 @@ def test_provenance_stable_and_sensitive():
     c = parse_config("train.epochs = 4\neval.seeds = 1,2\n")
     for artifact in cli._RECORDED_KEYS:
         assert cli._provenance(a, artifact) == cli._provenance(b, artifact)
-    assert cli._provenance(a, "codec_mse") != cli._provenance(c, "codec_mse")
-    assert cli._provenance(a, "classifier") == cli._provenance(c, "classifier")  # built without train.*
-
-
-def test_every_artifact_but_the_plots_records_its_keys():
-    """A new artifact under --out cannot ship without the config keys it records."""
-    assert set(cli._paths(Path("run"))) - {"plots"} == set(cli._RECORDED_KEYS)
+    assert cli._provenance(a, "codec_mse.ckpt") != cli._provenance(c, "codec_mse.ckpt")
+    assert cli._provenance(a, "classifier.ckpt") == cli._provenance(c, "classifier.ckpt")  # built without train.*
 
 
 # ---------------------------------------------------------------------------
@@ -349,19 +343,22 @@ def _cfg_file(tmp_path):
     return str(p)
 
 
-def test_cli_extract_weights_requires_classifier(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path)
-    rc = main(["extract-weights", "--config", cfg, "--out", str(tmp_path / "run")])
-    assert rc == 1
+@pytest.mark.parametrize(
+    "before, argv, missing, rerun",
+    [
+        ([], ["extract-weights"], "classifier.ckpt", "pretrain-classifier"),
+        ([], ["train", "--loss", "sp"], "weights.cache", "extract-weights"),
+        (["pretrain-classifier"], ["evaluate", "--loss", "sp"], "codec_sp.ckpt", "train --loss sp"),
+        (["pretrain-classifier"], ["evaluate", "--loss", "mse"], "codec_mse.ckpt", "train --loss mse"),
+    ],
+)
+def test_cli_refuses_a_missing_artifact_naming_the_stage_that_writes_it(tmp_path, capsys, before, argv, missing, rerun):
+    if before:
+        assert _run(tmp_path, "a.cfg", _SMALL, *before) == 0
+    capsys.readouterr()
+    assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 1
     err = capsys.readouterr().err
-    assert "classifier" in err and "pretrain-classifier" in err
-
-
-def test_cli_train_sp_requires_weight_cache(tmp_path, capsys):
-    cfg = _cfg_file(tmp_path)
-    rc = main(["train", "--loss", "sp", "--config", cfg, "--out", str(tmp_path / "run")])
-    assert rc == 1
-    assert "weight" in capsys.readouterr().err
+    assert f"missing {tmp_path / 'run' / missing}; run {rerun} first" in err and "Traceback" not in err, err
 
 
 def test_cli_missing_config_is_error(tmp_path, capsys):
@@ -409,10 +406,13 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     assert main(["pretrain-classifier", "--config", cfg, "--out", out]) == 0
     assert (tmp_path / "run" / "classifier.ckpt").read_bytes() == ckpt
 
+    # a run writes exactly the files `_RECORDED_KEYS` names, beside the plots; a new artifact cannot ship without its keys
+    run = tmp_path / "run"
+    assert {p.name for p in run.iterdir()} == set(cli._RECORDED_KEYS) | {"plots"}
     # every CSV's first line records exactly the config values it was built from
-    for artifact, path in cli._paths(tmp_path / "run").items():
-        if path.suffix == ".csv":
-            assert path.read_text().splitlines()[0] == meta_line(cli._provenance(load_config(cfg), artifact)), artifact
+    for name in cli._RECORDED_KEYS:
+        if name.endswith(".csv"):
+            assert (run / name).read_text().splitlines()[0] == meta_line(cli._provenance(load_config(cfg), name)), name
 
     # plot re-renders compare's SVGs byte for byte, and refuses results written under another config
     plots = tmp_path / "run" / "plots"
@@ -825,8 +825,8 @@ def test_cli_compare_exits_1_naming_each_snr_where_the_modes_ran_at_different_ra
     for snr in (5.0, 15.0):
         assert f"{snr:g} dB (sp cpp {sp_cpp[snr]:.4f}, mse cpp {sp_cpp[snr] - 0.125:.4f})" in err, err
     cfg = load_config(tmp_path / "compare.cfg")
-    compared = read_results_csv(run / "compare.csv", cli._provenance(cfg, "compare"))
-    assert compared[4:] == read_results_csv(path, cli._provenance(cfg, "results_mse"))
+    compared = read_results_csv(run / "compare.csv", cli._provenance(cfg, "compare.csv"))
+    assert compared[4:] == read_results_csv(path, cli._provenance(cfg, "results_mse.csv"))
     assert len(list((run / "plots").iterdir())) == 5
 
 
@@ -925,13 +925,23 @@ def test_cli_refuses_an_snr_range_that_is_upside_down(tmp_path, capsys):
     assert _run(tmp_path, "a.cfg", _SMALL + "train.snr_low = 0\ntrain.snr_high = -0.0\n", "train", "--loss", "mse") == 0
 
 
+def test_cli_refuses_a_dataset_kind_it_cannot_read_before_writing_anything(tmp_path, capsys):
+    assert parse_config("dataset.kind = cifar10\n")["dataset.kind"] == "cifar10"
+    with pytest.raises(ConfigError, match=re.escape("bad value for dataset.kind: must be synthetic or cifar10, got 'CIFAR10'")):
+        parse_config("dataset.kind = CIFAR10\n")
+    assert _run(tmp_path, "a.cfg", _SMALL + "dataset.kind = CIFAR10\n", "pretrain-classifier") == 1
+    err = capsys.readouterr().err
+    assert "line 7: bad value for dataset.kind" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
     for key, value, bound in [
         ("codec.f_s", 0, "must be >= 1"),
         ("train.batch", 0, "must be >= 1"),
         ("codec.width", 1, "must be >= 2"),
         ("codec.width", 0, "must be >= 2"),
-        ("codec.f_n", -1, "must be >= 0"),
+        ("codec.f_n", 0, "must be >= 1"),
     ]:
         assert _run(tmp_path, "a.cfg", _SMALL + f"{key} = {value}\n", "train", "--loss", "mse") == 1, key
         err = capsys.readouterr().err
@@ -943,7 +953,7 @@ def test_cli_train_refuses_zero_selective_channels(tmp_path, capsys):
     "build, kwargs, message",
     [
         (CodecConfig, {"f_s": 0}, "f_s must be >= 1, got 0"),
-        (CodecConfig, {"f_n": -1}, "f_n must be >= 0, got -1"),
+        (CodecConfig, {"f_n": 0}, "f_n must be >= 1, got 0"),
         (CodecConfig, {"width_es": 1}, "width_es must be >= 2"),
         (CodecConfig, {"width_es": 0}, "width_es must be >= 2"),
         (TrainConfig, {"batch_size": 0}, "batch_size must be >= 1, got 0"),
@@ -973,7 +983,7 @@ def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, cap
     results = tmp_path / "run" / "results_mse.csv"
     results.parent.mkdir()
     results.write_text(
-        f"{meta_line(cli._provenance(load_config(cfg), 'results_mse'))}\n"
+        f"{meta_line(cli._provenance(load_config(cfg), 'results_mse.csv'))}\n"
         "run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n"
         "mse,mse,5,1,0.5,0.5,0.5,20.0,0.5\n"
         f"{last_row}\n"

@@ -55,7 +55,8 @@ def _section(name: str) -> tuple[str, ...]:
 # with the config keys it records as meta and is checked against: exactly the
 # keys it was built from. So a split does not record the other split's size,
 # the mse codec and log, which never see the classifier, do not record
-# `classifier.*`, and a results CSV records them all.
+# `classifier.*`, and a results CSV records them all. Beside a `dataset.path` the
+# config refuses the keys only the shapes read, so those keep their defaults there.
 _IMAGES = tuple(k for k in _section("dataset") if not k.endswith("_count"))
 _TRAIN_SPLIT = _IMAGES + ("dataset.train_count",)
 _CLASSIFIER = _TRAIN_SPLIT + _section("classifier")
@@ -111,7 +112,8 @@ def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> LabeledImageDat
 
 
 def _build_split(cfg: ExperimentConfig, split: str) -> LabeledImageDataset:
-    if cfg["dataset.kind"] == "synthetic":
+    """The synthetic shapes if dataset.path is empty, else the CIFAR-10 binary batches under it."""
+    if not cfg["dataset.path"]:
         seed = cfg["dataset.seed"] + (1 if split == "test" else 0)
         return generate_shapes(seed, cfg[f"dataset.{split}_count"], cfg["dataset.height"], cfg["dataset.width"], split=split)
     root = Path(cfg["dataset.path"])
@@ -120,15 +122,14 @@ def _build_split(cfg: ExperimentConfig, split: str) -> LabeledImageDataset:
     pattern = "data_batch_*.bin" if split == "train" else "test_batch.bin"
     files = sorted(root.glob(pattern))
     if not files:
-        raise StageError(f"no {pattern} under {root}")
+        raise StageError(f"dataset.path {root} holds no {pattern}")
     return load_cifar10(files, split=split)
 
 
-def _codec_config(cfg: ExperimentConfig, data: LabeledImageDataset) -> CodecConfig:
-    """Sized from the loaded images: CIFAR-10 is 32x32 whatever dataset.height/width say."""
+def _codec_config(cfg: ExperimentConfig) -> CodecConfig:
     return CodecConfig(
-        height=data.height,
-        width=data.width,
+        height=cfg["dataset.height"],
+        width=cfg["dataset.width"],
         f_s=cfg["codec.f_s"],
         f_n=cfg["codec.f_n"],
         width_es=cfg["codec.width"],
@@ -136,12 +137,8 @@ def _codec_config(cfg: ExperimentConfig, data: LabeledImageDataset) -> CodecConf
 
 
 def _load_classifier(cfg: ExperimentConfig, out: Path) -> ClassifierModel:
-    params, _, meta = _read(cfg, out, "classifier.ckpt", "pretrain-classifier", load_checkpoint, expected_kind="classifier")
-    return ClassifierModel(
-        params=params,
-        class_count=int(meta["class_count"]),
-        in_hw=(int(meta["height"]), int(meta["width"])),
-    )
+    params, _, _ = _read(cfg, out, "classifier.ckpt", "pretrain-classifier", load_checkpoint, expected_kind="classifier")
+    return ClassifierModel(params=params, class_count=len(params["head.b"]), in_hw=(cfg["dataset.height"], cfg["dataset.width"]))
 
 
 # -- commands ----------------------------------------------------------------
@@ -150,9 +147,8 @@ def _load_classifier(cfg: ExperimentConfig, out: Path) -> ClassifierModel:
 def cmd_pretrain_classifier(cfg, out, args):
     train = _load_split(cfg, out, "train")
     model = pretrain_classifier(train, TrainClassifierConfig(**cfg.section("classifier")))
-    shape = {"class_count": model.class_count, "height": model.in_hw[0], "width": model.in_hw[1]}
     path = out / "classifier.ckpt"
-    save_checkpoint(model.params, "classifier", path, meta={**shape, **_provenance(cfg, path.name)})
+    save_checkpoint(model.params, "classifier", path, meta=_provenance(cfg, path.name))
     print(f"wrote {path} (theta {model.theta_hash()[:12]})")
     return 0
 
@@ -180,7 +176,7 @@ def cmd_train(cfg, out, args):
     weight_cache = _read(cfg, out, "weights.cache", "extract-weights", load_weight_cache) if mode == "sp" else None
     options = cfg.section("train")
     tcfg = TrainConfig(loss_mode=mode, batch_size=options.pop("batch"), **options)
-    enc, dec, log = train_jscc(tcfg, train, weight_cache, None, _codec_config(cfg, train))
+    enc, dec, log = train_jscc(tcfg, train, weight_cache, None, _codec_config(cfg))
     codec, trainlog = out / f"codec_{mode}.ckpt", out / f"trainlog_{mode}.csv"
     save_checkpoint(enc.params, f"codec-{mode}", codec, meta=_provenance(cfg, codec.name))
     log.to_csv(trainlog, _provenance(cfg, trainlog.name))
@@ -194,7 +190,7 @@ def cmd_evaluate(cfg, out, args):
     mode = args.loss
     test = _load_split(cfg, out, "test")
     classifier = _load_classifier(cfg, out)
-    codec_cfg = _codec_config(cfg, test)
+    codec_cfg = _codec_config(cfg)
     params, _, _ = _read(cfg, out, f"codec_{mode}.ckpt", f"train --loss {mode}", load_checkpoint, expected_kind=f"codec-{mode}")
     enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
     reports = evaluate(enc, dec, classifier, test, cfg["eval.snr_grid"], cfg["eval.seeds"], run_id=mode)

@@ -1,8 +1,9 @@
 """Flat key=value experiment configuration with a fixed schema.
 
 Files hold `section.key = value` lines; `#` starts a comment. Unknown keys
-and malformed values are rejected. Each artifact records the values of the
-keys it was built from (`cli._RECORDED_KEYS`).
+and malformed values are rejected, as are keys that only the synthetic
+shapes read written beside a `dataset.path`. Each artifact records the values
+of the keys it was built from (`cli._RECORDED_KEYS`).
 """
 
 from __future__ import annotations
@@ -64,13 +65,6 @@ def _learning_rate(raw: str) -> float:
     return val
 
 
-def _dataset_kind(raw: str) -> str:
-    """The dataset a run reads: generated shapes, or the CIFAR-10 binary batches under dataset.path."""
-    if raw not in ("synthetic", "cifar10"):
-        raise ValueError(f"must be synthetic or cifar10, got {raw!r}")
-    return raw
-
-
 def _image_side(raw: str) -> int:
     """An image height or width: three 2x2 pools in the classifier need a multiple of 8, and the synthetic shapes 16 pixels."""
     val = int(raw)
@@ -102,8 +96,7 @@ def _nonempty_list(parse, written=str):
 
 # key -> (parser, default)
 SCHEMA = {
-    "dataset.kind": (_dataset_kind, "synthetic"),
-    "dataset.path": (str, ""),  # directory of CIFAR-10 binary batches
+    "dataset.path": (str, ""),  # directory of CIFAR-10 binary batches; empty: the synthetic shapes
     "dataset.seed": (_at_least(0), 7),
     "dataset.train_count": (_at_least(10), 2000),
     "dataset.test_count": (_at_least(10), 500),
@@ -130,6 +123,9 @@ SCHEMA = {
     "eval.seeds": (_nonempty_list(_at_least(0)), (101, 102, 103, 104, 105)),
 }
 
+# read by the synthetic shapes only; so beside a dataset.path they keep their defaults, 32x32 as in CIFAR-10
+_SHAPES_ONLY = ("dataset.seed", "dataset.train_count", "dataset.test_count", "dataset.height", "dataset.width")
+
 
 @dataclass
 class ExperimentConfig:
@@ -145,6 +141,7 @@ class ExperimentConfig:
 
 def parse_config(text: str) -> ExperimentConfig:
     values = {k: (list(d) if isinstance(d, tuple) and not isinstance(d, str) else d) for k, (_, d) in SCHEMA.items()}
+    written = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -160,6 +157,11 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = parser(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+        written[key] = lineno
+    if values["dataset.path"]:
+        for key in _SHAPES_ONLY:
+            if key in written:
+                raise ConfigError(f"line {written[key]}: {key} is read only by the synthetic shapes, not beside dataset.path")
     low, high = values["train.snr_low"], values["train.snr_high"]
     if low > high:
         raise ConfigError(f"train.snr_low {low:g} is above train.snr_high {high:g}")
@@ -169,6 +171,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text)

@@ -5,6 +5,7 @@ import io
 import itertools
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ def test_config_bad_value_rejected():
 def test_config_learning_rates_reach_1():
     cfg = parse_config("classifier.lr = 1\ntrain.lr = 1\n")
     assert (cfg["classifier.lr"], cfg["train.lr"]) == (1.0, 1.0)
+
+
+def test_readme_config_table_names_exactly_the_schema_keys():
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| section | keys |") + 2  # past the header and its | --- | row
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        section, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        section = section.strip("`")
+        rows[section] = sorted(f"{section}.{k}" for k in re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", keys)))
+    assert rows == {name: sorted(k for k in SCHEMA if k.startswith(name + ".")) for name in {k.split(".")[0] for k in SCHEMA}}
 
 
 def test_provenance_stable_and_sensitive():
@@ -490,7 +502,7 @@ def _cifar_batches(root):
 def test_cli_cifar_path_with_space_and_non_ascii_is_cached(tmp_path, capsys, monkeypatch):
     root = tmp_path / "cifar batches" / "données"
     _cifar_batches(root)
-    cfg = f"dataset.kind = cifar10\ndataset.path = {root}\n"
+    cfg = f"dataset.path = {root}\nclassifier.epochs = 1\ntrain.epochs = 1\neval.snr_grid = 5\neval.seeds = 1\n"
     assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1  # caches written, classifier missing
     meta = load_checkpoint(tmp_path / "run" / "dataset_train.cache")[2]
     assert meta["dataset.path"] == str(root)
@@ -502,18 +514,73 @@ def test_cli_cifar_path_with_space_and_non_ascii_is_cached(tmp_path, capsys, mon
     capsys.readouterr()
     assert _run(tmp_path, "a.cfg", cfg, "extract-weights") == 1
     assert "pretrain-classifier" in capsys.readouterr().err
-
-
-def test_cli_cifar_codec_is_sized_from_the_images_not_the_config(tmp_path, capsys):
-    """CIFAR-10 images are 32x32 whatever dataset.height/width say."""
-    root = tmp_path / "cifar"
-    _cifar_batches(root)  # record 0 is all black
-    cfg = (
-        f"dataset.kind = cifar10\ndataset.path = {root}\ndataset.height = 64\ndataset.width = 64\n"
-        "classifier.epochs = 1\ntrain.epochs = 1\neval.snr_grid = 5\neval.seeds = 1\n"
-    )
+    # the 32x32 CIFAR-10 images run every stage, sized by the config's defaults
+    monkeypatch.undo()  # evaluate reads the test batch
     for argv in (["pretrain-classifier"], ["train", "--loss", "mse"], ["evaluate", "--loss", "mse"]):
         assert _run(tmp_path, "a.cfg", cfg, *argv) == 0, capsys.readouterr().err
+
+
+_SHAPES_ONLY_LINES = ("dataset.seed = 8", "dataset.train_count = 20", "dataset.test_count = 20", "dataset.height = 64", "dataset.width = 64")
+
+
+@pytest.mark.parametrize("line", _SHAPES_ONLY_LINES, ids=[line.split(" =")[0] for line in _SHAPES_ONLY_LINES])
+def test_cli_refuses_a_key_only_the_shapes_read_beside_a_dataset_path(tmp_path, capsys, line):
+    """Beside CIFAR-10 batches such a key would be recorded and never read: refused before --out is made."""
+    root = tmp_path / "cifar"
+    _cifar_batches(root)
+    key = line.split(" =")[0]
+    assert _run(tmp_path, "a.cfg", f"classifier.epochs = 1\n{line}\ndataset.path = {root}\n", "pretrain-classifier") == 1
+    err = capsys.readouterr().err
+    assert f"line 2: {key} is read only by the synthetic shapes, not beside dataset.path" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def _not_a_directory(tmp_path):
+    (tmp_path / "batches").write_bytes(b"")
+    return tmp_path / "batches", ["pretrain-classifier"], "is not a directory of CIFAR-10 binary batches"
+
+
+def _an_empty_directory(tmp_path):
+    (tmp_path / "batches").mkdir()
+    return tmp_path / "batches", ["pretrain-classifier"], "holds no data_batch_*.bin"
+
+
+def _train_batches_only(tmp_path):
+    _cifar_batches(tmp_path / "batches")
+    (tmp_path / "batches" / "test_batch.bin").unlink()
+    return tmp_path / "batches", ["evaluate", "--loss", "mse"], "holds no test_batch.bin"
+
+
+@pytest.mark.parametrize("make_path", [_not_a_directory, _an_empty_directory, _train_batches_only])
+def test_cli_a_dataset_path_without_the_batches_a_stage_reads_names_the_key(tmp_path, capsys, make_path):
+    root, argv, reason = make_path(tmp_path)
+    assert _run(tmp_path, "a.cfg", f"dataset.path = {root}\n", *argv) == 1
+    err = capsys.readouterr().err
+    assert f"dataset.path {root} {reason}" in err and "Traceback" not in err, err
+
+
+def test_every_dataset_key_a_cache_records_changes_the_split_built(tmp_path):
+    """A recorded key that the source never reads would make a stage rebuild, or refuse, an artifact that is still current."""
+    _cifar_batches(tmp_path / "cifar")
+    # a value other than its default for each key a dataset cache may record
+    changed = {
+        "dataset.path": str(tmp_path / "cifar"),
+        "dataset.seed": "8",
+        "dataset.train_count": "10",
+        "dataset.test_count": "10",
+        "dataset.height": "16",
+        "dataset.width": "16",
+    }
+    for split in ("train", "test"):
+        default = cli._build_split(parse_config(""), split)
+        for key in cli._RECORDED_KEYS[f"dataset_{split}.cache"]:
+            assert key in changed, f"{key} is recorded by dataset_{split}.cache but has no changed value here"
+            built = cli._build_split(parse_config(f"{key} = {changed[key]}\n"), split)
+            assert (
+                built.images.shape != default.images.shape
+                or not np.array_equal(built.images, default.images)
+                or not np.array_equal(built.labels, default.labels)
+            ), f"{split} split built without reading {key}"
 
 
 _SMALL = "dataset.train_count = 20\ndataset.test_count = 10\nclassifier.epochs = 1\ntrain.epochs = 1\neval.snr_grid = 5\neval.seeds = 1\n"
@@ -925,13 +992,20 @@ def test_cli_refuses_an_snr_range_that_is_upside_down(tmp_path, capsys):
     assert _run(tmp_path, "a.cfg", _SMALL + "train.snr_low = 0\ntrain.snr_high = -0.0\n", "train", "--loss", "mse") == 0
 
 
-def test_cli_refuses_a_dataset_kind_it_cannot_read_before_writing_anything(tmp_path, capsys):
-    assert parse_config("dataset.kind = cifar10\n")["dataset.kind"] == "cifar10"
-    with pytest.raises(ConfigError, match=re.escape("bad value for dataset.kind: must be synthetic or cifar10, got 'CIFAR10'")):
-        parse_config("dataset.kind = CIFAR10\n")
-    assert _run(tmp_path, "a.cfg", _SMALL + "dataset.kind = CIFAR10\n", "pretrain-classifier") == 1
+def test_cli_refuses_dataset_kind_as_an_unknown_key_before_writing_anything(tmp_path, capsys):
+    """dataset.path alone picks the source: a path means CIFAR-10 batches, none the synthetic shapes."""
+    assert _run(tmp_path, "a.cfg", _SMALL + "dataset.kind = cifar10\n", "pretrain-classifier") == 1
     err = capsys.readouterr().err
-    assert "line 7: bad value for dataset.kind" in err and "Traceback" not in err, err
+    assert "line 7: unknown key 'dataset.kind'" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_refuses_a_config_that_is_not_utf8_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_bytes(b"train.epochs = 1 # caf\xe9\n")
+    assert main(["train", "--loss", "mse", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xe9" in err and "Traceback" not in err, err
     assert not (tmp_path / "run").exists()
 
 

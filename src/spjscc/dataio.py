@@ -112,18 +112,25 @@ def load_cifar10(paths: Sequence[str | Path], split: str = "train") -> LabeledIm
 # ---------------------------------------------------------------------------
 
 
+# float64 values drawn per block of images (4 MB); a block holds at least one image
+_SHAPES_BLOCK = 1 << 19
+
+
 def _erode(mask: np.ndarray) -> np.ndarray:
-    """3x3 binary erosion (logical AND over the 8-neighborhood)."""
-    padded = np.pad(mask, 1, constant_values=False)
+    """3x3 binary erosion (logical AND over the 8-neighborhood) of each mask of an (m, H, W) stack."""
+    _, h, w = mask.shape
+    padded = np.pad(mask, ((0, 0), (1, 1), (1, 1)), constant_values=False)
     out = mask.copy()
     for dy in (-1, 0, 1):
         for dx in (-1, 0, 1):
-            out &= padded[1 + dy : 1 + dy + mask.shape[0], 1 + dx : 1 + dx + mask.shape[1]]
+            out &= padded[:, 1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
     return out
 
 
-def _shape_region(kind: str, h: int, w: int, cy: float, cx: float, r: float) -> np.ndarray:
+def _shape_region(kind: str, h: int, w: int, cy: np.ndarray, cx: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(m, h, w) masks of m shapes of one kind, centred at (cy, cx) with size r, each an (m,) array."""
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    cy, cx, r = cy[:, None, None], cx[:, None, None], r[:, None, None]
     dy, dx = yy - cy, xx - cx
     if kind == "circle":
         return dy * dy + dx * dx <= r * r
@@ -139,8 +146,18 @@ def _shape_region(kind: str, h: int, w: int, cy: float, cx: float, r: float) -> 
         return inside & ((np.abs(dy) <= t) | (np.abs(dx) <= t))
     if kind == "ring":
         d2 = dy * dy + dx * dx
-        return (d2 <= r * r) & (d2 >= (0.55 * r) ** 2)
+        # squared by Python's float pow, as one image at a time did: numpy's `** 2` is x * x,
+        # which differs from C pow in the last bit for about 1 value in 1000
+        inner = np.array([(0.55 * x) ** 2 for x in r.ravel().tolist()])[:, None, None]
+        return (d2 <= r * r) & (d2 >= inner)
     raise ValueError(f"unknown shape kind {kind!r}")
+
+
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Scale draws of `Generator.random` in place into what `Generator.uniform(low, high)` draws from them."""
+    u *= high - low
+    u += low
+    return u
 
 
 def generate_shapes(seed: int, count: int, height: int, width: int, split: str = "train") -> LabeledImageDataset:
@@ -148,6 +165,15 @@ def generate_shapes(seed: int, count: int, height: int, width: int, split: str =
 
     Class c = 2 * shape_kind + fill_style. Labels cycle 0..9 so per-class
     counts differ by at most one. Same seed reproduces the dataset bitwise.
+
+    Image i takes 9 + 6·H·W uniform draws from one PCG64 stream, in this
+    order: background base color (3), background noise (3·H·W), centre row,
+    centre column, size, shape color (3), shape jitter (3·H·W). A block of
+    m images draws them as one `rng.random((m, 9 + 6·H·W))`, row i being
+    image i's draws: `Generator.uniform(low, high)` of a double u is
+    `low + (high - low) * u` from the same stream, so scaling each slice in
+    place gives what drawing image by image gave, bit for bit. Masks and
+    pixels are then computed for the whole block at once.
     """
     n_classes = len(SHAPE_KINDS) * len(FILL_STYLES)
     if height < 16 or width < 16:
@@ -156,28 +182,35 @@ def generate_shapes(seed: int, count: int, height: int, width: int, split: str =
         raise DataError(f"need count >= {n_classes}, got {count}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     images = np.empty((count, 3, height, width), dtype=np.float32)
-    labels = np.empty(count, dtype=np.int64)
+    labels = np.arange(count, dtype=np.int64) % n_classes
     foreground = np.empty((count, height, width), dtype=bool)
-    for i in range(count):
-        label = i % n_classes
-        kind = SHAPE_KINDS[label // 2]
-        style = FILL_STYLES[label % 2]
-        base = rng.uniform(0.05, 0.30, size=3)
-        noise = rng.uniform(-0.08, 0.08, size=(3, height, width))
-        img = np.clip(base[:, None, None] + noise, 0.0, 1.0)
-        cy = height / 2 + rng.uniform(-height / 8, height / 8)
-        cx = width / 2 + rng.uniform(-width / 8, width / 8)
-        r = rng.uniform(0.30, 0.45) * min(height, width) / 2
-        region = _shape_region(kind, height, width, cy, cx, r)
-        if style == "outline":
-            region = region & ~_erode(_erode(region))
-        color = rng.uniform(0.60, 1.00, size=3)
-        jitter = rng.uniform(-0.05, 0.05, size=(3, height, width))
-        fg = np.clip(color[:, None, None] + jitter, 0.0, 1.0)
-        img = np.where(region[None, :, :], fg, img)
-        images[i] = img.astype(np.float32)
-        labels[i] = label
-        foreground[i] = region
+    hw3 = 3 * height * width
+    block = max(1, _SHAPES_BLOCK // (9 + 2 * hw3))
+    for start in range(0, count, block):
+        m = min(block, count - start)
+        draws = rng.random((m, 9 + 2 * hw3))
+        base = _uniform(draws[:, 0:3], 0.05, 0.30)
+        img = _uniform(draws[:, 3 : 3 + hw3], -0.08, 0.08)
+        cy = height / 2 + _uniform(draws[:, 3 + hw3], -height / 8, height / 8)
+        cx = width / 2 + _uniform(draws[:, 4 + hw3], -width / 8, width / 8)
+        r = _uniform(draws[:, 5 + hw3], 0.30, 0.45) * min(height, width) / 2
+        color = _uniform(draws[:, 6 + hw3 : 9 + hw3], 0.60, 1.00)
+        fg = _uniform(draws[:, 9 + hw3 :], -0.05, 0.05)
+        # pixels stay (m, 3·H·W) rows, which numpy runs 2-4x faster than (m, 3, H, W) views
+        for pixels, offset in ((img, base), (fg, color)):
+            rows = pixels.reshape(m, 3, -1)
+            rows += offset[:, :, None]
+            np.clip(pixels, 0.0, 1.0, out=pixels)
+        block_labels = labels[start : start + m]
+        region = foreground[start : start + m]
+        for k, kind in enumerate(SHAPE_KINDS):
+            sel = block_labels // len(FILL_STYLES) == k
+            if sel.any():
+                region[sel] = _shape_region(kind, height, width, cy[sel], cx[sel], r[sel])
+        outline = block_labels % len(FILL_STYLES) == FILL_STYLES.index("outline")
+        region[outline] &= ~_erode(_erode(region[outline]))
+        np.copyto(img.reshape(m, 3, -1), fg.reshape(m, 3, -1), where=region.reshape(m, 1, -1))
+        images.reshape(count, hw3)[start : start + m] = img
     return LabeledImageDataset(
         images=images,
         labels=labels,

@@ -115,7 +115,14 @@ def _build_split(cfg: ExperimentConfig, split: str) -> LabeledImageDataset:
     """The synthetic shapes if dataset.path is empty, else the CIFAR-10 binary batches under it."""
     if not cfg["dataset.path"]:
         seed = cfg["dataset.seed"] + (1 if split == "test" else 0)
-        return generate_shapes(seed, cfg[f"dataset.{split}_count"], cfg["dataset.height"], cfg["dataset.width"], split=split)
+        count, h, w = cfg[f"dataset.{split}_count"], cfg["dataset.height"], cfg["dataset.width"]
+        try:
+            return generate_shapes(seed, count, h, w, split=split)
+        except MemoryError:
+            raise StageError(
+                f"dataset.{split}_count {count} images of dataset.height × dataset.width {h}x{w} "
+                f"need {count * (13 * h * w + 8):.3g} bytes (pixels, masks and labels), more than can be allocated"
+            ) from None
     root = Path(cfg["dataset.path"])
     if not root.is_dir():
         raise StageError(f"dataset.path {root} is not a directory of CIFAR-10 binary batches")

@@ -1,10 +1,15 @@
 """Dataset loaders: CIFAR-10 binary fixtures, shapes generator, batching, cache."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from spjscc import dataio
 from spjscc.dataio import (
     CIFAR_RECORD_BYTES,
+    FILL_STYLES,
+    SHAPE_KINDS,
     DataError,
     batch_iter,
     generate_shapes,
@@ -97,6 +102,107 @@ def test_shapes_pixels_and_labels_in_range():
     per_img = ds.foreground.reshape(len(ds), -1).sum(axis=1)
     assert per_img.min() > 0
     assert per_img.max() < 32 * 32
+
+
+# The generator as it drew one image per iteration, kept verbatim as the
+# reference that the block form must reproduce byte for byte.
+
+
+def _erode_one(mask):
+    padded = np.pad(mask, 1, constant_values=False)
+    out = mask.copy()
+    for dy in (-1, 0, 1):
+        for dx in (-1, 0, 1):
+            out &= padded[1 + dy : 1 + dy + mask.shape[0], 1 + dx : 1 + dx + mask.shape[1]]
+    return out
+
+
+def _shape_region_one(kind, h, w, cy, cx, r):
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    dy, dx = yy - cy, xx - cx
+    if kind == "circle":
+        return dy * dy + dx * dx <= r * r
+    if kind == "square":
+        return np.maximum(np.abs(dy), np.abs(dx)) <= 0.9 * r
+    if kind == "triangle":
+        top = cy - r
+        halfwidth = (yy - top) / 2.0
+        return (yy >= top) & (yy <= cy + r) & (np.abs(dx) <= halfwidth)
+    if kind == "cross":
+        t = 0.35 * r
+        inside = (np.abs(dy) <= r) & (np.abs(dx) <= r)
+        return inside & ((np.abs(dy) <= t) | (np.abs(dx) <= t))
+    if kind == "ring":
+        d2 = dy * dy + dx * dx
+        return (d2 <= r * r) & (d2 >= (0.55 * r) ** 2)
+    raise ValueError(f"unknown shape kind {kind!r}")
+
+
+def _shapes_one_at_a_time(seed, count, height, width):
+    n_classes = len(SHAPE_KINDS) * len(FILL_STYLES)
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    images = np.empty((count, 3, height, width), dtype=np.float32)
+    labels = np.empty(count, dtype=np.int64)
+    foreground = np.empty((count, height, width), dtype=bool)
+    for i in range(count):
+        label = i % n_classes
+        kind = SHAPE_KINDS[label // 2]
+        style = FILL_STYLES[label % 2]
+        base = rng.uniform(0.05, 0.30, size=3)
+        noise = rng.uniform(-0.08, 0.08, size=(3, height, width))
+        img = np.clip(base[:, None, None] + noise, 0.0, 1.0)
+        cy = height / 2 + rng.uniform(-height / 8, height / 8)
+        cx = width / 2 + rng.uniform(-width / 8, width / 8)
+        r = rng.uniform(0.30, 0.45) * min(height, width) / 2
+        region = _shape_region_one(kind, height, width, cy, cx, r)
+        if style == "outline":
+            region = region & ~_erode_one(_erode_one(region))
+        color = rng.uniform(0.60, 1.00, size=3)
+        jitter = rng.uniform(-0.05, 0.05, size=(3, height, width))
+        fg = np.clip(color[:, None, None] + jitter, 0.0, 1.0)
+        img = np.where(region[None, :, :], fg, img)
+        images[i] = img.astype(np.float32)
+        labels[i] = label
+        foreground[i] = region
+    return images, labels, foreground
+
+
+def _bytes(ds):
+    return ds.images.tobytes(), ds.labels.tobytes(), ds.foreground.tobytes()
+
+
+@pytest.mark.parametrize("args", [(3, 10, 16, 16), (5, 130, 17, 33), (4, 333, 24, 40)])
+def test_shapes_are_byte_identical_to_one_image_at_a_time(args):
+    images, labels, foreground = _shapes_one_at_a_time(*args)
+    assert _bytes(generate_shapes(*args)) == (images.tobytes(), labels.tobytes(), foreground.tobytes())
+
+
+@pytest.mark.parametrize("args", [(3, 10, 16, 16), (5, 130, 17, 33)])
+def test_shapes_do_not_depend_on_the_block_size(monkeypatch, args):
+    _, count, height, width = args
+    per_image = 9 + 6 * height * width
+    results = []
+    for images_per_block in (1, 3, count):
+        monkeypatch.setattr(dataio, "_SHAPES_BLOCK", images_per_block * per_image)
+        results.append(_bytes(generate_shapes(*args)))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((7, 2000, 32, 32, "train"), "55083e3b946c742c"),
+        ((8, 500, 32, 32, "test"), "45e3daa2a66915ec"),
+        ((5, 130, 17, 33), "93e24c6d6d40ac41"),
+    ],
+)
+def test_shapes_keep_their_recorded_digests(args, digest):
+    """sha256 over images, then labels, then foreground: it moves if the reference and the generator move together,
+    or on a platform whose `Generator.uniform` fuses its multiply-add."""
+    h = hashlib.sha256()
+    for part in _bytes(generate_shapes(*args)):
+        h.update(part)
+    assert h.hexdigest()[:16] == digest
 
 
 def test_batch_iter_sizes_and_partial_batch():

@@ -559,6 +559,15 @@ def test_cli_a_dataset_path_without_the_batches_a_stage_reads_names_the_key(tmp_
     assert f"dataset.path {root} {reason}" in err and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("split, argv", [("train", ["pretrain-classifier"]), ("test", ["evaluate", "--loss", "sp"])])
+def test_cli_an_image_count_that_cannot_be_allocated_names_the_key(tmp_path, capsys, split, argv):
+    """10**12 images are 10.9 PiB of pixels, more than a process can map: the first allocation fails, touching nothing."""
+    assert _run(tmp_path, "a.cfg", f"dataset.{split}_count = {10**12}\n", *argv) == 1
+    err = capsys.readouterr().err
+    assert f"dataset.{split}_count 1000000000000 images" in err and "dataset.height" in err and "Traceback" not in err, err
+    assert list((tmp_path / "run").iterdir()) == []
+
+
 def test_every_dataset_key_a_cache_records_changes_the_split_built(tmp_path):
     """A recorded key that the source never reads would make a stage rebuild, or refuse, an artifact that is still current."""
     _cifar_batches(tmp_path / "cifar")

@@ -18,12 +18,20 @@ except its own line, so an edited manifest fails like a damaged blob. The
 `meta` lines carry an artifact's provenance (its config values), which
 `check_meta` compares against `expected_meta`; a CSV records them on line 1.
 save -> load -> save is byte-identical.
+
+The tensors lie end to end in the blob, in manifest order, and are streamed:
+`save_checkpoint` hashes and writes each from its own contiguous buffer, and
+`load_checkpoint` reads each into its own array, hashing as it reads. Neither
+holds the blob as one `bytes` object beside the tensors, so saving allocates
+next to nothing and loading about the tensors' own bytes (a 25.4 MB dataset
+cache: 50.8 MB traced peak to save, before, and 50.8 MB to load).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -59,25 +67,26 @@ def save_checkpoint(params: dict[str, np.ndarray], kind: str, path: str | Path, 
         if "\n" in value or "\r" in value:
             raise CheckpointError(f"meta value for {key!r} must not contain a line break")
         lines.append(f"meta {key} {value}")
-    blobs, offset = [], 0
+    arrays, offset = [], 0
     for name in sorted(params):
         arr = np.asarray(params[name])
         dtype = arr.dtype.newbyteorder("<").str
         if dtype not in DTYPES:
             raise CheckpointError(f"tensor {name} has dtype {arr.dtype}; the container holds only {', '.join(DTYPES)}")
-        blobs.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        arrays.append(np.ascontiguousarray(arr, dtype=dtype))  # a copy only if arr is strided or big-endian
         dims = ",".join(str(d) for d in arr.shape)
-        lines.append(f"tensor {name} {dtype} {dims} {offset} {len(blobs[-1])}")
-        offset += len(blobs[-1])
+        lines.append(f"tensor {name} {dtype} {dims} {offset} {arrays[-1].nbytes}")
+        offset += arrays[-1].nbytes
     lines.append(f"blob {offset}")
     manifest = ("\n".join(lines) + "\n").encode("utf-8")
-    blob = b"".join(blobs)
     digest = hashlib.sha256(manifest)
-    digest.update(blob)
+    for arr in arrays:
+        digest.update(arr)
     with open(path, "wb") as fh:
         fh.write(manifest)
         fh.write(f"hash {digest.hexdigest()}\n".encode("ascii"))
-        fh.write(blob)
+        for arr in arrays:
+            fh.write(arr)
 
 
 def load_checkpoint(
@@ -87,54 +96,71 @@ def load_checkpoint(
 
     Verifies, in order: the format version, the blob length, the hash over
     manifest and blob, the kind, and that every `expected_meta` value equals
-    the recorded one (StaleArtifactError names the key and both values).
+    the recorded one (StaleArtifactError names the key and both values). A
+    tensor line whose offset is not the end of the tensor before it, or a
+    blob line that is not the tensors' total, is a malformed manifest line.
     """
-    raw = Path(path).read_bytes()
-    first = raw[: raw.find(b"\n")]
-    if first != FORMAT_LINE.encode("ascii"):
-        raise CheckpointError(f"{path}: format version mismatch: {first[:40]!r} (want {FORMAT_LINE!r})")
-    hash_start = raw.find(b"\nhash ") + 1  # meta values hold no line break, so this is the hash line
-    blob_start = raw.find(b"\n", hash_start) + 1
-    if hash_start == 0 or blob_start == 0:
-        raise CheckpointError(f"{path}: header never terminated")
-    kind = None
-    meta: dict[str, str] = {}
-    tensors = []
-    blob_len = None
-    for line in raw[: hash_start - 1].split(b"\n")[1:]:
-        try:
-            tag, _, rest = line.decode("utf-8").partition(" ")
-            if tag == "kind":
-                kind = rest
-            elif tag == "meta":
-                key, _, value = rest.partition(" ")
-                meta[key] = value
-            elif tag == "tensor":
-                name, dtype, dims, offset, nbytes = rest.split(" ")
-                if dtype not in DTYPES:
-                    raise ValueError(f"dtype {dtype!r}")
-                shape = tuple(int(d) for d in dims.split(",") if d)
-                tensors.append((name, dtype, shape, int(offset), int(nbytes)))
-            elif tag == "blob":
-                blob_len = int(rest)
-            else:
-                raise ValueError(f"tag {tag!r}")
-        except ValueError:  # also UnicodeDecodeError
-            raise CheckpointError(f"{path}: malformed manifest line {line!r}") from None
-    blob = memoryview(raw)[blob_start:]
-    if blob_len is None or len(blob) != blob_len:
-        raise CheckpointError(f"{path}: blob truncated at byte {len(raw)} (expected {blob_len} blob bytes, got {len(blob)})")
-    digest = hashlib.sha256(raw[:hash_start])
-    digest.update(blob)
-    if raw[hash_start : blob_start - 1] != f"hash {digest.hexdigest()}".encode("ascii"):
+    with open(path, "rb") as fh:
+        first = fh.readline()[:-1]
+        if first != FORMAT_LINE.encode("ascii"):
+            raise CheckpointError(f"{path}: format version mismatch: {first[:40]!r} (want {FORMAT_LINE!r})")
+        digest = hashlib.sha256(first + b"\n")
+        header = []
+        while True:  # meta values hold no line break, so the first line starting "hash " is the hash line
+            line = fh.readline()
+            if not line.endswith(b"\n"):
+                raise CheckpointError(f"{path}: header never terminated")
+            if line.startswith(b"hash "):
+                break
+            digest.update(line)
+            header.append(line[:-1])
+        kind = None
+        meta: dict[str, str] = {}
+        tensors = []
+        blob_len, end = None, 0
+        for entry in header:
+            try:
+                tag, _, rest = entry.decode("utf-8").partition(" ")
+                if tag == "kind":
+                    kind = rest
+                elif tag == "meta":
+                    key, _, value = rest.partition(" ")
+                    meta[key] = value
+                elif tag == "tensor":
+                    name, dtype, dims, offset, nbytes = rest.split(" ")
+                    if dtype not in DTYPES:
+                        raise ValueError(f"dtype {dtype!r}")
+                    if blob_len is not None or int(offset) != end or int(nbytes) < 0:
+                        raise ValueError("tensors must lie end to end, in order, before the blob line")
+                    shape = tuple(int(d) for d in dims.split(",") if d)
+                    tensors.append((name, dtype, shape, int(nbytes)))
+                    end += int(nbytes)
+                elif tag == "blob":
+                    blob_len = int(rest)
+                    if blob_len != end:
+                        raise ValueError("blob length is not the tensors' total")
+                else:
+                    raise ValueError(f"tag {tag!r}")
+            except ValueError:  # also UnicodeDecodeError
+                raise CheckpointError(f"{path}: malformed manifest line {entry!r}") from None
+        size = os.fstat(fh.fileno()).st_size
+        got = size - fh.tell()
+        if blob_len is None or got != blob_len:
+            raise CheckpointError(f"{path}: blob truncated at byte {size} (expected {blob_len} blob bytes, got {got})")
+        blobs = []
+        for *_, nbytes in tensors:  # each tensor is read into its own buffer and hashed there
+            blobs.append(np.empty(nbytes, dtype=np.uint8))
+            fh.readinto(blobs[-1])
+            digest.update(blobs[-1])
+    if line[:-1] != f"hash {digest.hexdigest()}".encode("ascii"):
         raise CheckpointError(f"{path}: hash mismatch; the file is damaged or was edited")
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"{path}: checkpoint kind {kind!r} is not {expected_kind!r}")
     check_meta(path, meta, expected_meta)
     params = {}
-    for name, dtype, shape, offset, nbytes in tensors:
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=dtype)
-        if arr.size != int(np.prod(shape)):
-            raise CheckpointError(f"{path}: tensor {name} has {arr.size} values for shape {shape}")
-        params[name] = arr.reshape(shape).copy()
+    for (name, dtype, shape, nbytes), blob in zip(tensors, blobs):
+        itemsize = np.dtype(dtype).itemsize
+        if nbytes != itemsize * int(np.prod(shape)):
+            raise CheckpointError(f"{path}: tensor {name} has {nbytes // itemsize} values for shape {shape}")
+        params[name] = blob.view(dtype).reshape(shape)
     return params, kind, meta

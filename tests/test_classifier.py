@@ -70,6 +70,19 @@ def test_perceive_duplicate_images_identical_rows():
     np.testing.assert_array_equal(res.logits[0], res.logits[2])
 
 
+@pytest.mark.parametrize("batch", [2, 7, 32, 256])
+def test_perceive_predictions_do_not_depend_on_the_batch(batch):
+    """classify_accuracy's batch may change: logits move only by float32 rounding (the dense
+    layer's GEMMs round a row by how many rows they run; 500 images read 6.0e-7 apart in
+    batches of 32 and 256), and no prediction moves."""
+    images = generate_shapes(4, 300, 32, 32).images
+    model = init_classifier(10, (32, 32), 2)
+    whole = perceive(model, images)
+    parts = [perceive(model, images[i : i + batch]) for i in range(0, len(images), batch)]
+    np.testing.assert_array_equal(np.concatenate([p.predicted for p in parts]), whole.predicted)
+    np.testing.assert_allclose(np.concatenate([p.logits for p in parts]), whole.logits, rtol=0, atol=1e-5)
+
+
 def test_perceive_rejects_wrong_shape():
     model = init_classifier(10, (32, 32), 0)
     with pytest.raises(ShapeError):

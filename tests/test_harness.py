@@ -5,6 +5,7 @@ import io
 import itertools
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,44 @@ def test_checkpoint_expected_meta_names_file_key_and_values(tmp_path):
         load_checkpoint(path, expected_meta={"dataset.kind": "synthetic", "dataset.seed": "99"})
     with pytest.raises(StaleArtifactError, match="dataset.train_count .*None"):
         load_checkpoint(path, expected_meta={"dataset.train_count": "20"})
+
+
+@pytest.mark.parametrize(
+    "old, new", [(b" 12 48\n", b" 16 48\n"), (b" 12 48\n", b" 8 48\n"), (b"blob 60", b"blob 64")], ids=["gap", "overlap", "blob"]
+)
+def test_checkpoint_tensors_not_end_to_end_are_a_malformed_line(tmp_path, old, new):
+    save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt")
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    assert blob.count(old) == 1
+    (tmp_path / "m.ckpt").write_bytes(blob.replace(old, new))
+    with pytest.raises(CheckpointError, match="malformed manifest line"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_streams_its_tensors(tmp_path):
+    rng = np.random.default_rng(0)
+    params = {
+        "images": rng.uniform(size=(200, 3, 32, 32)).astype(np.float32),
+        "labels": rng.integers(0, 10, size=200),
+        "foreground": rng.uniform(size=(200, 32, 32)) < 0.1,
+    }
+    tensor_bytes = sum(a.nbytes for a in params.values())
+    save_peak, _ = _traced_peak(lambda: save_checkpoint(params, "toy", tmp_path / "m.ckpt"))
+    assert save_peak < 0.1 * tensor_bytes, f"saving a {tensor_bytes}-byte blob peaked at {save_peak} bytes"
+    load_peak, (loaded, _, _) = _traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt"))
+    assert load_peak <= 1.1 * tensor_bytes, f"loading {tensor_bytes} bytes of tensors peaked at {load_peak} bytes"
+    for name, arr in params.items():
+        assert loaded[name].tobytes() == arr.tobytes(), name
 
 
 _PROVENANCE = {"dataset.seed": "3", "dataset.path": "/a b/é"}

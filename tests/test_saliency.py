@@ -1,11 +1,13 @@
 """Semantic weight maps: gradients, the one-pass class average, normalization, caching."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spjscc.classifier import ClassifierModel, init_classifier
+from spjscc.classifier import ClassifierModel, TrainClassifierConfig, init_classifier, pretrain_classifier
 from spjscc.dataio import generate_shapes
 from spjscc.harness.checkpoint import StaleArtifactError
 from spjscc.numcore import Tape
@@ -149,6 +151,40 @@ def test_weight_maps_take_one_backward_per_batch(monkeypatch):
     model = init_classifier(10, (32, 32), seed=6)
     compute_weight_maps(model, generate_shapes(5, 12, 32, 32).images[:5])
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("count, batch", [(64, 2), (64, 5), (64, 32), (71, 32)])
+def test_weight_maps_at_smaller_batches_keep_the_bytes_of_the_former_batch_of_64(monkeypatch, count, batch):
+    """Pinned at the sizes the benchmark's set-ups use, not a law: on OpenBLAS the dense
+    layer's GEMMs round a row by how many rows they run, so 37 images in batches of 2
+    differ in the last bit from one batch of 37."""
+    model = init_classifier(10, (32, 32), seed=6)
+    imgs = generate_shapes(5, count, 32, 32).images
+    monkeypatch.setattr("spjscc.saliency.WEIGHT_MAP_BATCH", 64)
+    before = compute_weight_maps(model, imgs)
+    monkeypatch.setattr("spjscc.saliency.WEIGHT_MAP_BATCH", batch)
+    maps, fallback = compute_weight_maps(model, imgs)
+    assert maps.tobytes() == before[0].tobytes() and fallback.tobytes() == before[1].tobytes()
+
+
+def _traced_peak(fn):
+    """Traced allocation high-water mark of fn() above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_weight_maps_peak_no_higher_than_a_pretraining_epoch_at_the_training_batch():
+    # 64 images: extraction at a batch of 64 peaked at 55.9 MB, a batch-32 pretraining epoch at 34.7 MB
+    ds = generate_shapes(1, 64, 32, 32)
+    model = init_classifier(ds.class_count, (32, 32), seed=2)
+    maps_peak = _traced_peak(lambda: compute_weight_maps(model, ds.images))
+    train_peak = _traced_peak(lambda: pretrain_classifier(ds, TrainClassifierConfig(epochs=1, batch=32, seed=2)))
+    assert maps_peak <= train_peak, f"weight maps peak {maps_peak / 2**20:.1f} MB, pretraining {train_peak / 2**20:.1f} MB"
 
 
 @pytest.mark.slow

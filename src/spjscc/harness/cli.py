@@ -8,7 +8,8 @@ under --out, and `_RECORDED_KEYS` is the one table of them: each file but the
 SVGs records the config keys it was built from, a binary one in its manifest,
 a CSV on its first line. A stage rebuilds a stale artifact that it writes
 itself (`_load_or_build`) and refuses one that another stage writes
-(`_read`), naming the file, the key and the stage to rerun.
+(`_read`), naming the file, the key and the stage to rerun; a binary one
+of an older container version is stale too, and a damaged one never rebuilt.
 `evaluate --loss M` is the one stage that writes `results_M.csv`, for exactly
 `eval.snr_grid` × `eval.seeds`, and `compare` only reads the two modes'
 files, refusing one that is missing, stale, or holds other cells; it loads
@@ -100,7 +101,7 @@ def _load_or_build(cfg: ExperimentConfig, out: Path, name: str, load, save, buil
         try:
             return load(path, expected_meta=provenance), False
         except StaleArtifactError:
-            pass  # built from other config values: rebuild below
+            pass  # built from other config values, or in another container version: rebuild below
     value = build()
     save(value, path, meta=provenance)
     return value, True
@@ -202,36 +203,36 @@ def cmd_evaluate(cfg, out, args):
     enc, dec = EncoderModel(params=params, config=codec_cfg), DecoderModel(params=params, config=codec_cfg)
     reports = evaluate(enc, dec, classifier, test, cfg["eval.snr_grid"], cfg["eval.seeds"], run_id=mode)
     path = out / f"results_{mode}.csv"
-    write_results_csv(path, [(mode, r) for r in reports], _provenance(cfg, path.name))
+    write_results_csv(path, reports, _provenance(cfg, path.name))
     print(f"wrote {path} ({len(reports)} rows)")
     return 0
 
 
 def _results(cfg, out, mode):
-    """`mode`'s (mode, report) pairs from the `results_{mode}.csv` that `evaluate --loss {mode}` wrote under this config.
+    """`mode`'s reports from the `results_{mode}.csv` that `evaluate --loss {mode}` wrote under this config.
 
     The file must hold exactly `mode`'s (SNR, seed) cells of `eval.snr_grid`
     × `eval.seeds`, in `evaluate`'s SNR-major, seed-minor order; one that
     does not is damaged.
     """
     name = f"results_{mode}.csv"
-    pairs = _read(cfg, out, name, f"evaluate --loss {mode}", read_results_csv)
+    reports = _read(cfg, out, name, f"evaluate --loss {mode}", read_results_csv)
     cells = [(mode, snr_as_written(snr), seed) for snr in cfg["eval.snr_grid"] for seed in cfg["eval.seeds"]]
-    if [(m, snr_as_written(r.snr_db), r.seed) for m, r in pairs] != cells:
+    if [(r.run_id, snr_as_written(r.snr_db), r.seed) for r in reports] != cells:
         raise StageError(
             f"{out / name}: does not hold the {len(cells)} {mode} rows of eval.snr_grid × eval.seeds in order; "
             f"delete it or run evaluate --loss {mode}"
         )
-    return pairs
+    return reports
 
 
 def cmd_compare(cfg, out, args):
     results = {mode: _results(cfg, out, mode) for mode in ("sp", "mse")}
     path = out / "compare.csv"
-    rows = [pair for pairs in results.values() for pair in pairs]
+    rows = results["sp"] + results["mse"]
     write_results_csv(path, rows, _provenance(cfg, path.name))
     print(f"wrote {path} ({len(rows)} rows)")
-    means = {mode: mean_over_seeds([r for _, r in pairs]) for mode, pairs in results.items()}
+    means = {mode: mean_over_seeds(reports) for mode, reports in results.items()}
     for mode, per_snr in means.items():
         for snr, m in per_snr.items():
             print(

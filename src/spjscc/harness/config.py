@@ -1,9 +1,9 @@
 """Flat key=value experiment configuration with a fixed schema.
 
-Files hold `section.key = value` lines; `#` starts a comment. Unknown keys
-and malformed values are rejected, as are keys that only the synthetic
-shapes read written beside a `dataset.path`. Each artifact records the values
-of the keys it was built from (`cli._RECORDED_KEYS`).
+Files hold `section.key = value` lines; `#` starts a comment. Unknown keys,
+malformed values, a key set on two lines, and keys that only the synthetic
+shapes read written beside a `dataset.path` are rejected. Each artifact
+records the values of the keys it was built from (`cli._RECORDED_KEYS`).
 """
 
 from __future__ import annotations
@@ -157,6 +157,8 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = parser(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
+        if key in written:
+            raise ConfigError(f"line {lineno}: {key} is already set on line {written[key]}")
         written[key] = lineno
     if values["dataset.path"]:
         for key in _SHAPES_ONLY:

@@ -1,16 +1,15 @@
 """The results CSV, and deterministic SVG plots from it (no plotting dependency).
 
-A results CSV starts with its provenance line (`checkpoint.meta_line`), then
-a header and one row per (loss mode, SNR, seed) cell; it is read back as the
-(loss_mode, EvalReport) pairs it was written from. One SVG per metric: the
-metric's per-SNR mean over seeds (`metrics.mean_over_seeds`, as `compare`
-prints it) on the y axis, SNR in dB on the x axis, one polyline per loss
-mode. Identical CSV input produces byte-identical SVG output.
+A results CSV is its provenance line (`checkpoint.meta_line`), a header and
+one row per (loss mode, SNR, seed) cell, each an EvalReport whose `run_id`
+is the loss mode. One SVG per metric: the metric's per-SNR mean over seeds
+(`metrics.mean_over_seeds`, as `compare` prints it) on the y axis, SNR in dB
+on the x axis, one polyline per loss mode. Identical CSV input produces
+byte-identical SVG output.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
@@ -19,8 +18,8 @@ from ..metrics import EvalReport, mean_over_seeds
 from .checkpoint import check_meta, meta_line
 from .config import snr_as_written
 
-RESULTS_COLUMNS = ("run_id", "loss_mode", "snr_db", "seed", "cpp", "acc", "f1", "psnr_db", "ssim")
 _NUMERIC = {"snr_db": float, "seed": int, "cpp": float, "acc": float, "f1": float, "psnr_db": float, "ssim": float}
+RESULTS_COLUMNS = ("loss_mode", *_NUMERIC)
 PLOT_METRICS = ("acc", "f1", "psnr_db", "ssim", "cpp")
 _MODE_COLORS = {"sp": "#c23b22", "mse": "#1f5fa8"}
 
@@ -29,59 +28,58 @@ _ML, _MR, _MT, _MB = 70, 30, 40, 50
 
 
 class PlotError(ValueError):
-    """Results CSV missing, empty, lacking a required column, or with a malformed row."""
+    """Results CSV missing, empty, with another header, or with a malformed row."""
 
 
-def write_results_csv(path: str | Path, mode_reports, meta: dict[str, str]) -> None:
-    """`mode_reports` is a list of (loss_mode, EvalReport) pairs; `meta` is the provenance the first line records."""
+def write_results_csv(path: str | Path, reports: list[EvalReport], meta: dict[str, str]) -> None:
+    """One row per report, its `run_id` (sp or mse) as the loss_mode; `meta` is the provenance the first line records."""
     lines = [meta_line(meta), ",".join(RESULTS_COLUMNS)]
-    for mode, r in mode_reports:
+    for r in reports:
         lines.append(
-            f"{r.run_id},{mode},{snr_as_written(r.snr_db)},{r.seed},"
+            f"{r.run_id},{snr_as_written(r.snr_db)},{r.seed},"
             f"{r.cpp:.9g},{r.acc:.9g},{r.f1:.9g},{r.psnr_db:.9g},{r.ssim:.9g}"
         )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_results_csv(path: str | Path, expected_meta: dict[str, str] | None = None) -> list[tuple[str, EvalReport]]:
-    """The (loss_mode, EvalReport) pairs `write_results_csv` wrote; `#` comment lines are skipped.
+def read_results_csv(path: str | Path, expected_meta: dict[str, str] | None = None) -> list[EvalReport]:
+    """The EvalReports `write_results_csv` wrote, laid out as it lays them out.
 
-    A file without a header and a data row, or with a row that lacks a column,
-    has a loss mode other than sp or mse, or a numeric field that does not
-    parse or is not finite, is damaged: PlotError names the file and line.
+    A file without its header and a data row, or with a row that lacks a
+    column, has a loss mode other than sp or mse, or a numeric field that does
+    not parse or is not finite, is damaged: PlotError names the file and line.
     Only then, one whose first line does not record `expected_meta` is stale.
     """
     lines = Path(path).read_text().splitlines()
-    numbered = [(i, l) for i, l in enumerate(lines, start=1) if l and not l.startswith("#")]
-    if not numbered:
+    if len(lines) < 2:
         raise PlotError(f"{path}: empty results file")
-    header, *body = csv.reader(l for _, l in numbered)
-    for col in RESULTS_COLUMNS:
-        if col not in header:
-            raise PlotError(f"{path}: missing column {col!r}")
-    if not body:
+    if lines[1] != ",".join(RESULTS_COLUMNS):
+        raise PlotError(f"{path}: line 2: header is not {','.join(RESULTS_COLUMNS)}")
+    if len(lines) < 3:
         raise PlotError(f"{path}: no data rows")
-    pairs = []
-    for (lineno, _), fields in zip(numbered[1:], body):
-        if len(fields) != len(header):
-            raise PlotError(f"{path}: line {lineno}: {len(fields)} fields, expected {len(header)}")
-        row = dict(zip(header, fields))
-        if row["loss_mode"] not in _MODE_COLORS:
-            raise PlotError(f"{path}: line {lineno}: loss_mode {row['loss_mode']!r} is not sp or mse")
-        for col, parse in _NUMERIC.items():
+    reports = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        fields = line.split(",")
+        if len(fields) != len(RESULTS_COLUMNS):
+            raise PlotError(f"{path}: line {lineno}: {len(fields)} fields, expected {len(RESULTS_COLUMNS)}")
+        mode, *numbers = fields
+        if mode not in _MODE_COLORS:
+            raise PlotError(f"{path}: line {lineno}: loss_mode {mode!r} is not sp or mse")
+        row = {}
+        for (col, parse), field in zip(_NUMERIC.items(), numbers):
             try:
-                row[col] = parse(row[col])
+                row[col] = parse(field)
             except ValueError as exc:
                 raise PlotError(f"{path}: line {lineno}: bad {col}: {exc}") from None
             if not math.isfinite(row[col]):
                 raise PlotError(f"{path}: line {lineno}: bad {col}: {row[col]} is not finite")
-        pairs.append((row["loss_mode"], EvalReport(run_id=row["run_id"], **{col: row[col] for col in _NUMERIC})))
+        reports.append(EvalReport(run_id=mode, **row))
     try:
         recorded = json.loads(lines[0].removeprefix("# "))
     except (ValueError, RecursionError):  # a hand-edited line nested past the parser's depth is no object either
         recorded = None
     check_meta(path, recorded if isinstance(recorded, dict) else {}, expected_meta)
-    return pairs
+    return reports
 
 
 def _ticks(lo, hi, n=5):
@@ -142,10 +140,8 @@ def _svg_for_metric(metric, series):
 
 def emit_plots(results_csv: str | Path, out_dir: str | Path, expected_meta: dict[str, str]) -> list[Path]:
     """Write one SVG per metric from a results CSV that records `expected_meta`; returns the paths written."""
-    by_mode: dict[str, list[EvalReport]] = {}
-    for mode, report in read_results_csv(results_csv, expected_meta):
-        by_mode.setdefault(mode, []).append(report)
-    means = {mode: mean_over_seeds(reports) for mode, reports in sorted(by_mode.items())}
+    reports = read_results_csv(results_csv, expected_meta)
+    means = {mode: mean_over_seeds([r for r in reports if r.run_id == mode]) for mode in sorted({r.run_id for r in reports})}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []

@@ -114,11 +114,18 @@ def test_checkpoint_truncated_blob_rejected_with_offset(tmp_path):
 
 
 def test_checkpoint_version_mismatch_rejected(tmp_path):
+    """Another container version is stale, naming both versions; any other first line is damaged."""
     save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt")
     blob = (tmp_path / "m.ckpt").read_bytes()
-    (tmp_path / "m.ckpt").write_bytes(blob.replace(FORMAT_LINE.encode(), b"spjscc-checkpoint v9", 1))
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(tmp_path / "m.ckpt")
+    for other in (b"v2", b"v9", b"v10"):
+        (tmp_path / "m.ckpt").write_bytes(blob.replace(FORMAT_LINE.encode(), b"spjscc-checkpoint " + other, 1))
+        with pytest.raises(StaleArtifactError, match=rf"m\.ckpt: format version differs \(artifact has {other.decode()}, expected v3\)"):
+            load_checkpoint(tmp_path / "m.ckpt")
+    for first in (b"spjscc-checkpoint", b"spjscc-checkpoint v03", b"spjscc-checkpoint v3 ", b"PK\x03\x04"):
+        (tmp_path / "m.ckpt").write_bytes(blob.replace(FORMAT_LINE.encode(), first, 1))
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: format version mismatch") as info:
+            load_checkpoint(tmp_path / "m.ckpt")
+        assert not isinstance(info.value, StaleArtifactError), first
 
 
 def test_checkpoint_corrupted_blob_hash_rejected(tmp_path):
@@ -160,7 +167,7 @@ def test_checkpoint_other_dtypes_refused(tmp_path):
 
 @pytest.mark.parametrize(
     "old, new",
-    [(b" 4,3 ", b" 3,4 "), (b"kind toy", b"kind classifier"), (b"meta note x", b"meta note y")],
+    [(b" 4,3\n", b" 3,4\n"), (b"kind toy", b"kind classifier"), (b"meta note x", b"meta note y")],
     ids=["swapped-dims", "kind", "meta"],
 )
 def test_checkpoint_edited_manifest_rejected_by_hash(tmp_path, old, new):
@@ -191,15 +198,22 @@ def test_checkpoint_expected_meta_names_file_key_and_values(tmp_path):
         load_checkpoint(path, expected_meta={"dataset.train_count": "20"})
 
 
-@pytest.mark.parametrize(
-    "old, new", [(b" 12 48\n", b" 16 48\n"), (b" 12 48\n", b" 8 48\n"), (b"blob 60", b"blob 64")], ids=["gap", "overlap", "blob"]
-)
-def test_checkpoint_tensors_not_end_to_end_are_a_malformed_line(tmp_path, old, new):
+@pytest.mark.parametrize("dims", [b"4,4", b"4,2", b"4", b"4,3,1000000000000", b"1000000000000,1000000000000"])
+def test_checkpoint_dims_that_disagree_with_the_file_length_are_refused_before_allocating(tmp_path, dims):
+    """The length check needs no allocation, so even a forged dim of 10**12 is refused by name, not a MemoryError."""
     save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt")
     blob = (tmp_path / "m.ckpt").read_bytes()
-    assert blob.count(old) == 1
-    (tmp_path / "m.ckpt").write_bytes(blob.replace(old, new))
-    with pytest.raises(CheckpointError, match="malformed manifest line"):
+    (tmp_path / "m.ckpt").write_bytes(blob.replace(b"tensor layer.w <f4 4,3\n", b"tensor layer.w <f4 " + dims + b"\n", 1))
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: tensor bytes (truncated|extended) at byte \d+ \(the dims imply \d+ tensor bytes, got 60\)"):
+        load_checkpoint(tmp_path / "m.ckpt")
+
+
+@pytest.mark.parametrize("dims", [b"4,-3", b"-4,-3", b"4,3.0", b"4,x", b"4,,3", b"4,3 48"])
+def test_checkpoint_negative_or_non_integer_dims_are_a_malformed_line(tmp_path, dims):
+    save_checkpoint(_toy_params(), "toy", tmp_path / "m.ckpt")
+    blob = (tmp_path / "m.ckpt").read_bytes()
+    (tmp_path / "m.ckpt").write_bytes(blob.replace(b"tensor layer.w <f4 4,3\n", b"tensor layer.w <f4 " + dims + b"\n", 1))
+    with pytest.raises(CheckpointError, match=r"m\.ckpt: malformed manifest line"):
         load_checkpoint(tmp_path / "m.ckpt")
 
 
@@ -268,6 +282,17 @@ def test_every_artifact_kind_save_load_save_byte_identical(tmp_path, kind):
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["dataset", "weights", "classifier", "codec"])
+def test_every_artifact_kind_manifest_holds_only_kind_meta_tensor_and_hash_lines(tmp_path, kind):
+    """No line records what dtype and dims already imply: no offset, byte count or total."""
+    _artifact(kind, tmp_path / "a")
+    first, *manifest = (tmp_path / "a").read_bytes().split(b"\nhash ", 1)[0].decode("utf-8").split("\n")
+    assert first == FORMAT_LINE and manifest[0].startswith("kind ")
+    for line in manifest[1:]:
+        tag, *fields = line.split(" ")
+        assert tag == "meta" or (tag == "tensor" and len(fields) == 3), line
+
+
 def test_weight_cache_flipped_payload_byte_names_the_file(tmp_path):
     path = tmp_path / "weights.cache"
     _artifact("weights", path)
@@ -299,18 +324,18 @@ def test_cli_extract_weights_refuses_a_damaged_cache_naming_the_file(tmp_path, c
 
 _META = {"eval.seeds": "[1, 2]", "train.seed": "3"}
 _CSV = meta_line(_META) + """
-run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim
-r,sp,0,1,0.5,0.30,0.28,12.0,0.40
-r,sp,0,2,0.5,0.32,0.30,12.2,0.41
-r,sp,5,1,0.5,0.50,0.47,14.0,0.55
-r,sp,10,1,0.5,0.66,0.64,16.0,0.66
-r,sp,15,1,0.5,0.71,0.69,17.0,0.71
-r,sp,20,1,0.5,0.74,0.72,18.0,0.74
-r,mse,0,1,0.5,0.28,0.27,12.1,0.41
-r,mse,5,1,0.5,0.44,0.42,14.1,0.56
-r,mse,10,1,0.5,0.60,0.58,16.1,0.67
-r,mse,15,1,0.5,0.66,0.64,17.1,0.72
-r,mse,20,1,0.5,0.69,0.67,18.1,0.75
+loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim
+sp,0,1,0.5,0.30,0.28,12.0,0.40
+sp,0,2,0.5,0.32,0.30,12.2,0.41
+sp,5,1,0.5,0.50,0.47,14.0,0.55
+sp,10,1,0.5,0.66,0.64,16.0,0.66
+sp,15,1,0.5,0.71,0.69,17.0,0.71
+sp,20,1,0.5,0.74,0.72,18.0,0.74
+mse,0,1,0.5,0.28,0.27,12.1,0.41
+mse,5,1,0.5,0.44,0.42,14.1,0.56
+mse,10,1,0.5,0.60,0.58,16.1,0.67
+mse,15,1,0.5,0.66,0.64,17.1,0.72
+mse,20,1,0.5,0.69,0.67,18.1,0.75
 """
 
 
@@ -347,9 +372,9 @@ def test_plots_missing_column_named(tmp_path):
 def test_results_csv_round_trip_and_provenance_check(tmp_path):
     report = EvalReport(run_id="sp", snr_db=-5.0, seed=3, cpp=0.5, acc=0.25, f1=0.2, psnr_db=12.5, ssim=0.3)
     path = tmp_path / "r.csv"
-    write_results_csv(path, [("sp", report)], {**_META, "dataset.path": "données"})
+    write_results_csv(path, [report], {**_META, "dataset.path": "données"})
     assert path.read_text(encoding="ascii").splitlines()[0] == '# {"dataset.path": "donn\\u00e9es", "eval.seeds": "[1, 2]", "train.seed": "3"}'
-    assert read_results_csv(path, _META) == [("sp", report)]
+    assert read_results_csv(path, _META) == [report]
     with pytest.raises(StaleArtifactError, match=re.escape("r.csv: eval.seeds differs (artifact has '[1, 2]', expected '[1, 3]')")):
         read_results_csv(path, {**_META, "eval.seeds": "[1, 3]"})
     # a first line that holds no JSON object, such as a whole-config hash, records nothing: stale, naming the first key
@@ -367,7 +392,7 @@ def test_plots_empty_csv_rejected(tmp_path):
     (tmp_path / "r0.csv").write_text("")
     with pytest.raises(PlotError, match=r"r0\.csv: empty results file"):
         read_results_csv(tmp_path / "r0.csv", _META)
-    (tmp_path / "r2.csv").write_text("run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n")
+    (tmp_path / "r2.csv").write_text(meta_line(_META) + "\nloss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n")
     with pytest.raises(PlotError, match="no data rows"):
         read_results_csv(tmp_path / "r2.csv")
 
@@ -437,7 +462,7 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     assert compare.exists()
     rows = read_results_csv(compare)
     assert len(rows) == 8  # 2 modes x 2 snr x 2 seeds
-    assert {mode for mode, _ in rows} == {"sp", "mse"}
+    assert {r.run_id for r in rows} == {"sp", "mse"}
     for name in ("acc.svg", "f1.svg", "psnr_db.svg", "ssim.svg", "cpp.svg"):
         assert (tmp_path / "run" / "plots" / name).exists()
 
@@ -471,7 +496,7 @@ def test_cli_full_pipeline_and_determinism(tmp_path, capsys):
     assert main(["plot", "--config", cfg, "--out", out]) == 0
     assert {p.name: p.read_bytes() for p in plots.iterdir()} == svgs
     other = tmp_path / "other.cfg"
-    other.write_text(TINY_CFG + "eval.seeds = 1,2,3\n")
+    other.write_text(_with(TINY_CFG, "eval.seeds = 1,2,3"))
     capsys.readouterr()
     assert main(["plot", "--config", str(other), "--out", out]) == 1
     err = capsys.readouterr().err
@@ -488,6 +513,14 @@ def _run(tmp_path, name, text, *argv):
     cfg = tmp_path / name
     cfg.write_text(text, encoding="utf-8")
     return main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
+def _with(base, line):
+    """Config text `base` with `line` in place of the line that sets the same key, or appended if none does."""
+    pattern = rf"^{re.escape(line.split(' =')[0])} =.*$"
+    if re.search(pattern, base, flags=re.M):
+        return re.sub(pattern, lambda _: line, base, flags=re.M)
+    return base + line + "\n"
 
 
 def test_cli_stale_dataset_rebuilt_and_stale_classifier_refused(tmp_path, capsys):
@@ -515,6 +548,51 @@ def test_cli_stale_codec_refused(tmp_path, capsys):
         assert _run(tmp_path, "b.cfg", base + f"{key} = {value}\n", "evaluate", "--loss", "mse") == 1
         err = capsys.readouterr().err
         assert "codec_mse.ckpt" in err and key in err and "run train --loss mse" in err
+
+
+def _with_first_line(path, first):
+    """Rewrites the container at `path` with `first` in place of its format line; returns the bytes written."""
+    blob = first + path.read_bytes().removeprefix(FORMAT_LINE.encode())
+    path.write_bytes(blob)
+    return blob
+
+
+def test_cli_extract_weights_rebuilds_caches_of_an_older_container_version(tmp_path, capsys):
+    for argv in (["pretrain-classifier"], ["extract-weights"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    run = tmp_path / "run"
+    current = {name: (run / name).read_bytes() for name in ("dataset_train.cache", "weights.cache")}
+    for name in current:
+        _with_first_line(run / name, b"spjscc-checkpoint v2")
+    capsys.readouterr()
+    assert _run(tmp_path, "a.cfg", _SMALL, "extract-weights") == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == f"wrote {run / 'weights.cache'} (20 maps, 0 uniform fallbacks)\n"
+    assert {name: (run / name).read_bytes() for name in current} == current
+
+
+def test_cli_names_the_stage_to_rerun_for_a_classifier_of_an_older_container_version(tmp_path, capsys):
+    assert _run(tmp_path, "a.cfg", _SMALL, "pretrain-classifier") == 0
+    path = tmp_path / "run" / "classifier.ckpt"
+    blob = _with_first_line(path, b"spjscc-checkpoint v2")
+    capsys.readouterr()
+    assert _run(tmp_path, "a.cfg", _SMALL, "extract-weights") == 1
+    err = capsys.readouterr().err
+    assert f"{path}: format version differs (artifact has v2, expected v3); run pretrain-classifier" in err, err
+    assert "Traceback" not in err and path.read_bytes() == blob
+    assert not (tmp_path / "run" / "weights.cache").exists()
+
+
+@pytest.mark.parametrize("name", ["dataset_train.cache", "weights.cache"])
+def test_cli_a_cache_whose_first_line_is_no_format_line_is_damaged_not_rebuilt(tmp_path, capsys, name):
+    for argv in (["pretrain-classifier"], ["extract-weights"]):
+        assert _run(tmp_path, "a.cfg", _SMALL, *argv) == 0, capsys.readouterr().err
+    path = tmp_path / "run" / name
+    blob = _with_first_line(path, b"spjscc-checkpoint 2")
+    capsys.readouterr()
+    assert _run(tmp_path, "a.cfg", _SMALL, "extract-weights") == 1
+    err = capsys.readouterr().err
+    assert f"{path}: format version mismatch" in err and "Traceback" not in err, err
+    assert path.read_bytes() == blob
 
 
 def test_cli_damaged_dataset_cache_is_an_error_naming_the_file(tmp_path, capsys):
@@ -637,7 +715,7 @@ _SMALL = "dataset.train_count = 20\ndataset.test_count = 10\nclassifier.epochs =
 def test_cli_classifier_built_with_other_classifier_keys_refused(tmp_path, capsys):
     assert _run(tmp_path, "a.cfg", _SMALL, "pretrain-classifier") == 0
     capsys.readouterr()
-    assert _run(tmp_path, "b.cfg", _SMALL + "classifier.epochs = 3\n", "extract-weights") == 1
+    assert _run(tmp_path, "b.cfg", _with(_SMALL, "classifier.epochs = 3"), "extract-weights") == 1
     err = capsys.readouterr().err
     assert "classifier.ckpt" in err and "classifier.epochs" in err and "run pretrain-classifier" in err
     assert not (tmp_path / "run" / "weights.cache").exists()
@@ -690,11 +768,11 @@ def test_cli_test_count_and_eval_keys_retrain_nothing(tmp_path, capsys):
     trained = {name: (run / name).read_bytes() for name in ("classifier.ckpt", "weights.cache", "codec_sp.ckpt", "codec_mse.ckpt")}
     for change in ("dataset.test_count = 12", "eval.seeds = 3,4", "eval.snr_grid = -5,0,10"):
         for argv in (["extract-weights"], ["evaluate", "--loss", "sp"], ["evaluate", "--loss", "mse"], ["compare"]):
-            assert _run(tmp_path, "b.cfg", _SMALL + change + "\n", *argv) == 0, (change, capsys.readouterr().err)
+            assert _run(tmp_path, "b.cfg", _with(_SMALL, change), *argv) == 0, (change, capsys.readouterr().err)
         assert {name: (run / name).read_bytes() for name in trained} == trained, change
     rows = read_results_csv(run / "compare.csv")
-    assert {(m, r.snr_db) for m, r in rows} == {(m, s) for m in ("sp", "mse") for s in (-5.0, 0.0, 10.0)}
-    changed = _SMALL + "dataset.test_count = 12\n"
+    assert {(r.run_id, r.snr_db) for r in rows} == {(m, s) for m in ("sp", "mse") for s in (-5.0, 0.0, 10.0)}
+    changed = _with(_SMALL, "dataset.test_count = 12")
     assert _run(tmp_path, "b.cfg", changed, "evaluate", "--loss", "sp") == 0, capsys.readouterr().err
     assert len(load_cache(run / "dataset_test.cache", expected_meta={"dataset.test_count": "12"})) == 12
 
@@ -726,7 +804,7 @@ def test_cli_training_stages_read_only_the_train_split(tmp_path, capsys):
 
 
 # two SNRs and two seeds, so the order of a results CSV's cells can be checked
-_GRID = _SMALL + "eval.snr_grid = 5,15\neval.seeds = 1,2\n"
+_GRID = _with(_with(_SMALL, "eval.snr_grid = 5,15"), "eval.seeds = 1,2")
 
 
 @pytest.fixture(scope="module")
@@ -801,7 +879,7 @@ def test_cli_compare_refuses_a_missing_results_csv_naming_the_evaluate_that_writ
 
 _EDGE_VALUES = ("0", "1", "-1", "1e300", "nan", "inf", "-inf", "-0.0", "abc")
 # the smallest run the config admits, so that a value the config accepts runs its stage in well under a second
-_TINIEST = _SMALL + "dataset.train_count = 10\ndataset.height = 16\ndataset.width = 16\n"
+_TINIEST = _with(_SMALL, "dataset.train_count = 10") + "dataset.height = 16\ndataset.width = 16\n"
 
 
 @pytest.fixture(scope="module")
@@ -829,7 +907,7 @@ def test_cli_an_edge_value_of_any_key_runs_or_is_refused_naming_the_key(tmp_path
     if stage[0] == "evaluate":
         shutil.copytree(tiniest_mse_run, run)
     cfg = tmp_path / "edge.cfg"
-    cfg.write_text(_TINIEST + f"{key} = {value}\n", encoding="utf-8")
+    cfg.write_text(_with(_TINIEST, f"{key} = {value}"), encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = main([*stage, "--config", str(cfg), "--out", str(run)])
@@ -846,13 +924,13 @@ def test_cli_train_whose_rate_gradient_overflows_adam_exits_1_before_writing_a_c
 
 
 def _sp_results_under_other_seeds(tmp_path):
-    assert _run(tmp_path, "b.cfg", _GRID + "eval.seeds = 1,3\n", "evaluate", "--loss", "sp") == 0
+    assert _run(tmp_path, "b.cfg", _with(_GRID, "eval.seeds = 1,3"), "evaluate", "--loss", "sp") == 0
     return "eval.seeds differs (artifact has '[1, 3]', expected '[1, 2]')"
 
 
 def _sp_results_of_another_test_split(tmp_path):
     """The same cells, written under another dataset.test_count."""
-    assert _run(tmp_path, "b.cfg", _GRID + "dataset.test_count = 12\n", "evaluate", "--loss", "sp") == 0
+    assert _run(tmp_path, "b.cfg", _with(_GRID, "dataset.test_count = 12"), "evaluate", "--loss", "sp") == 0
     return "dataset.test_count differs (artifact has '12', expected '10')"
 
 
@@ -904,10 +982,10 @@ def test_cli_compare_refuses_results_that_do_not_hold_this_configs_cells(tmp_pat
 def test_cli_compare_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, monkeypatch, trained_run, mode):
     run = _evaluated_run(tmp_path, trained_run)
     path = run / f"results_{mode}.csv"
-    path.write_text(path.read_text().replace(f"{mode},{mode},15,1,", f"{mode},{mode},15,1,abc,", 1))
+    path.write_text(path.read_text().replace(f"{mode},15,1,", f"{mode},15,1,abc,", 1))
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
     assert rc == 1
-    assert f"{path}: line 5: 10 fields, expected 9" in err and "Traceback" not in err
+    assert f"{path}: line 5: 9 fields, expected 8" in err and "Traceback" not in err
     assert calls == [] and not (run / "compare.csv").exists()
 
 
@@ -928,7 +1006,7 @@ def _with_mse_cpp_moved_by(run, delta):
 def test_cli_compare_exits_1_naming_each_snr_where_the_modes_ran_at_different_rates(tmp_path, capsys, monkeypatch, trained_run):
     """Within 0.02 the rates are the same; past it compare keeps the edited file, writes compare.csv and the plots, and exits 1."""
     run = _evaluated_run(tmp_path, trained_run)
-    sp_cpp = {r.snr_db: r.cpp for _, r in read_results_csv(run / "results_sp.csv")}
+    sp_cpp = {r.snr_db: r.cpp for r in read_results_csv(run / "results_sp.csv")}
     _with_mse_cpp_moved_by(run, -0.015)
     rc, out, err, calls = _compare(tmp_path, capsys, monkeypatch, run)
     assert rc == 0 and calls == [], err
@@ -1048,6 +1126,14 @@ def test_cli_refuses_dataset_kind_as_an_unknown_key_before_writing_anything(tmp_
     assert not (tmp_path / "run").exists()
 
 
+def test_cli_refuses_a_key_set_on_two_lines_before_writing_anything(tmp_path, capsys):
+    """The last line does not silently win: both lines are named."""
+    assert _run(tmp_path, "a.cfg", _SMALL + "train.epochs = 10\n", "train", "--loss", "mse") == 1
+    err = capsys.readouterr().err
+    assert "line 7: train.epochs is already set on line 4" in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_refuses_a_config_that_is_not_utf8_naming_the_file(tmp_path, capsys):
     cfg = tmp_path / "a.cfg"
     cfg.write_bytes(b"train.epochs = 1 # caf\xe9\n")
@@ -1092,11 +1178,11 @@ def test_codec_and_train_dataclasses_refuse_what_the_config_refuses(build, kwarg
 @pytest.mark.parametrize(
     "last_row, reason",
     [
-        ("mse,mse,10", "3 fields, expected 9"),
-        ("mse,mse,10,1,0.5,abc,0.5,20.0,0.5", "bad acc"),
-        ("x,x,10,1,0.5,0.5,0.5,20.0,0.5", "loss_mode 'x' is not sp or mse"),
-        ("mse,mse,10,1,nan,0.5,0.5,20.0,0.5", "bad cpp: nan is not finite"),
-        ("mse,mse,10,1,0.5,0.5,0.5,inf,0.5", "bad psnr_db: inf is not finite"),
+        ("mse,10", "2 fields, expected 8"),
+        ("mse,10,1,0.5,abc,0.5,20.0,0.5", "bad acc"),
+        ("x,10,1,0.5,0.5,0.5,20.0,0.5", "loss_mode 'x' is not sp or mse"),
+        ("mse,10,1,nan,0.5,0.5,20.0,0.5", "bad cpp: nan is not finite"),
+        ("mse,10,1,0.5,0.5,0.5,inf,0.5", "bad psnr_db: inf is not finite"),
     ],
 )
 def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, capsys, last_row, reason):
@@ -1106,8 +1192,8 @@ def test_cli_plot_names_the_file_and_line_of_a_damaged_results_csv(tmp_path, cap
     results.parent.mkdir()
     results.write_text(
         f"{meta_line(cli._provenance(load_config(cfg), 'results_mse.csv'))}\n"
-        "run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n"
-        "mse,mse,5,1,0.5,0.5,0.5,20.0,0.5\n"
+        "loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n"
+        "mse,5,1,0.5,0.5,0.5,20.0,0.5\n"
         f"{last_row}\n"
     )
     assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1

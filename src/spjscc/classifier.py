@@ -3,7 +3,10 @@
 Architecture is fixed so weight maps and accuracies reproduce exactly:
 three blocks of conv3x3 + ReLU + 2x2 mean-pool with 32/64/128 channels,
 then a dense layer to the class logits. No dropout or batch norm, so
-inference is stateless and input gradients are well defined.
+inference is stateless and input gradients are well defined. Each block's
+ReLU and pool are the tape's one `relu-mean-pool` op, so no tape holds the
+rectified map: the traced peak of a batch-32 pretraining epoch on 64 32x32
+images fell 34.7 -> 21.7 MB, with every parameter and logit bit unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ CONV_CHANNELS = (32, 64, 128)
 # Images per forward pass in classify_accuracy: the training batch. A forward
 # tape keeps every activation: on 500 32x32 images a batch of 256 peaked at
 # 126.5 MB traced and took 354 ms, a batch of 32 16.4 MB and 257 ms (one BLAS
-# thread). Logits move by float32 rounding only; the predictions do not.
+# thread); with relu and the pool as one op, 10.4 MB. Logits move by float32
+# rounding only; the predictions do not.
 ACCURACY_BATCH = 32
 
 
@@ -76,7 +80,7 @@ def logits_graph(tape: Tape, params: dict[str, np.ndarray], x_node):
     """
     h = x_node
     for i in range(len(CONV_CHANNELS)):
-        h = tape.mean_pool(tape.relu(conv_layer(tape, params, f"conv{i}", h)))
+        h = tape.relu_mean_pool(conv_layer(tape, params, f"conv{i}", h))
     return tape.dense(h, param(tape, params, "head.w"), param(tape, params, "head.b"))
 
 

@@ -15,11 +15,13 @@ import math
 from pathlib import Path
 
 from ..metrics import EvalReport, mean_over_seeds
-from .checkpoint import check_meta, meta_line
+from .checkpoint import StaleArtifactError, check_meta, meta_line
 from .config import snr_as_written
 
 _NUMERIC = {"snr_db": float, "seed": int, "cpp": float, "acc": float, "f1": float, "psnr_db": float, "ssim": float}
 RESULTS_COLUMNS = ("loss_mode", *_NUMERIC)
+# the header before each file recorded its mode once: such a file is stale, not damaged
+_RUN_ID_HEADER = ",".join(("run_id", *RESULTS_COLUMNS))
 PLOT_METRICS = ("acc", "f1", "psnr_db", "ssim", "cpp")
 _MODE_COLORS = {"sp": "#c23b22", "mse": "#1f5fa8"}
 
@@ -45,16 +47,21 @@ def write_results_csv(path: str | Path, reports: list[EvalReport], meta: dict[st
 def read_results_csv(path: str | Path, expected_meta: dict[str, str] | None = None) -> list[EvalReport]:
     """The EvalReports `write_results_csv` wrote, laid out as it lays them out.
 
-    A file without its header and a data row, or with a row that lacks a
-    column, has a loss mode other than sp or mse, or a numeric field that does
-    not parse or is not finite, is damaged: PlotError names the file and line.
-    Only then, one whose first line does not record `expected_meta` is stale.
+    A file with the earlier `run_id,loss_mode,…` header is stale
+    (StaleArtifactError names the file and both headers). Otherwise a file
+    without its header and a data row, or with a row that lacks a column, has
+    a loss mode other than sp or mse, or a numeric field that does not parse
+    or is not finite, is damaged: PlotError names the file and line. Only
+    then, one whose first line does not record `expected_meta` is stale.
     """
     lines = Path(path).read_text().splitlines()
+    header = ",".join(RESULTS_COLUMNS)
     if len(lines) < 2:
         raise PlotError(f"{path}: empty results file")
-    if lines[1] != ",".join(RESULTS_COLUMNS):
-        raise PlotError(f"{path}: line 2: header is not {','.join(RESULTS_COLUMNS)}")
+    if lines[1] == _RUN_ID_HEADER:
+        raise StaleArtifactError(f"{path}: header differs (artifact has {lines[1]!r}, expected {header!r})")
+    if lines[1] != header:
+        raise PlotError(f"{path}: line 2: header is not {header}")
     if len(lines) < 3:
         raise PlotError(f"{path}: no data rows")
     reports = []

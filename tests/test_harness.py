@@ -1219,3 +1219,47 @@ def test_cli_plot_without_a_results_csv_says_to_run_evaluate(tmp_path, capsys):
     assert main(["plot", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert f"no results CSV under {tmp_path / 'run'}; run evaluate first" in err and "Traceback" not in err
+
+
+def _results_with_header(tmp_path, name, header):
+    """`name` under --out with this config's provenance line, `header` and one row of as many fields."""
+    cfg = load_config(tmp_path / "a.cfg")
+    path = tmp_path / "run" / name
+    path.parent.mkdir(exist_ok=True)
+    row = ",".join(["sp"] * (header.count(",") - 6) + ["5", "1", "0.5", "0.5", "0.5", "20.0", "0.5"])
+    path.write_text(f"{meta_line(cli._provenance(cfg, name))}\n{header}\n{row}\n")
+    return path
+
+
+_RUN_ID_HEADER = "run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim"
+
+
+@pytest.mark.parametrize(
+    "stage, name, rerun",
+    [("compare", "results_sp.csv", "evaluate --loss sp"), ("plot", "compare.csv", "compare"), ("plot", "results_mse.csv", "evaluate --loss mse")],
+)
+def test_cli_refuses_a_results_csv_with_the_run_id_header_as_stale_naming_the_stage_to_rerun(tmp_path, capsys, stage, name, rerun):
+    """A results CSV written before each file recorded its mode once is stale: both headers and the stage that writes it are named."""
+    (tmp_path / "a.cfg").write_text(_SMALL, encoding="utf-8")
+    for written in ("results_sp.csv", "results_mse.csv") if stage == "compare" else (name,):
+        _results_with_header(tmp_path, written, _RUN_ID_HEADER)
+    path = tmp_path / "run" / name
+    assert main([stage, "--config", str(tmp_path / "a.cfg"), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    expected = "loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim"
+    assert f"{path}: header differs (artifact has '{_RUN_ID_HEADER}', expected '{expected}'); run {rerun}\n" in err, err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run" / "plots").exists() and (stage == "plot" or not (tmp_path / "run" / "compare.csv").exists())
+
+
+@pytest.mark.parametrize("stage, name", [("compare", "results_sp.csv"), ("plot", "results_mse.csv")])
+@pytest.mark.parametrize(
+    "header", ["run_id,loss_mode,snr_db,seed,cpp,acc,f1,psnr_db", "run_id,snr_db,seed,cpp,acc,f1,psnr_db,ssim", "mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim"]
+)
+def test_cli_refuses_a_results_csv_with_any_other_header_as_damaged(tmp_path, capsys, stage, name, header):
+    (tmp_path / "a.cfg").write_text(_SMALL, encoding="utf-8")
+    path = _results_with_header(tmp_path, name, header)
+    assert main([stage, "--config", str(tmp_path / "a.cfg"), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: line 2: header is not loss_mode,snr_db,seed,cpp,acc,f1,psnr_db,ssim\n" in err, err
+    assert "differs" not in err and "; run" not in err and "Traceback" not in err

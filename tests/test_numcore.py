@@ -225,6 +225,36 @@ def test_prelu_refuses_a_slope_that_is_not_one_per_channel():
             t.prelu(x, t.leaf(slope))
 
 
+def test_relu_mean_pool_is_bit_equal_to_relu_then_the_2x2_mean_in_float32():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(3, 4, 6, 8)).astype(np.float32)
+    x[0, :, 0, :] = 0.0
+    x[1, 1, :, 1] = -0.0
+    g = rng.normal(size=(3, 4, 3, 4)).astype(np.float32)
+    t = Tape()
+    xt = t.leaf(x)
+    y = t.relu_mean_pool(xt)
+    (gx,) = t.backward(y, seed=g, wrt=(xt,))
+    # the unfused rules: relu, then the 2x2 mean of the rectified map in quadrant order
+    r = np.maximum(x, 0)
+    pooled = r[:, :, ::2, ::2] + r[:, :, ::2, 1::2]
+    pooled += r[:, :, 1::2, ::2]
+    pooled += r[:, :, 1::2, 1::2]
+    pooled *= 0.25
+    # backward: the mean's gradient repeated over each 2x2 block, then relu's mask
+    unfused_gx = np.repeat(np.repeat(g / 4, 2, axis=2), 2, axis=3) * (x > 0)
+    assert y.value.dtype == gx.dtype == np.float32
+    assert y.value.tobytes() == pooled.tobytes()
+    assert gx.tobytes() == unfused_gx.tobytes()
+
+
+def test_relu_mean_pool_refuses_odd_height_or_width():
+    t = Tape()
+    for shape in ((1, 2, 3, 4), (1, 2, 4, 5)):
+        with pytest.raises(ShapeError, match=r"even H and W.*" + re.escape(str(shape))):
+            t.relu_mean_pool(t.leaf(np.zeros(shape)))
+
+
 # ---------------------------------------------------------------------------
 # backward pruning: only gradients on a path from wrt to the output
 # ---------------------------------------------------------------------------
@@ -346,8 +376,9 @@ def _fd_cases(rng):
                   lambda t, x, w, b: red(t, t.tconv2d(x, w, b, stride=1))))
     cases.append(("dense", [n(size=(3, 2, 2, 2)), n(size=(8, 5)), n(size=(5,))],
                   lambda t, x, w, b: red(t, t.dense(x, w, b))))
-    cases.append(("mean-pool", [n(size=(2, 3, 4, 4))],
-                  lambda t, a: red(t, t.mean_pool(a))))
+    x = n(size=(2, 3, 4, 4))
+    cases.append(("relu-mean-pool", [x + 0.05 * np.sign(x)],  # every entry at least 0.05 off the kink
+                  lambda t, a: red(t, t.relu_mean_pool(a))))
     cases.append(("mean-spatial", [n(size=(2, 3, 4, 4))],
                   lambda t, a: red(t, t.reduce_mean(a, axis=(2, 3)))))
     cases.append(("concat", [n(size=(2, 3)), n(size=(2, 2))],
@@ -602,6 +633,35 @@ def test_kernel_geometries_reach_every_form(monkeypatch):
         y = (t.conv2d if kind == "conv2d" else t.tconv2d)(*leaves, stride=stride)
         t.backward(y, seed=np.ones(y.shape), wrt=leaves)
     assert reached == {(name, form) for name in channels for form in ("offsets", "columns", "taps")}
+
+
+@pytest.mark.parametrize(
+    "kind,x_shape,w_shape,stride", KERNEL_GEOMETRIES,
+    ids=[_geometry_id(g) for g in KERNEL_GEOMETRIES],
+)
+def test_conv_gradient_helpers_read_an_nhwc_view_to_the_same_bits_as_a_copy(kind, x_shape, w_shape, stride):
+    """conv2d hands its upstream gradient to _scatter_add and _weight_grad as g.transpose(0, 2, 3, 1).
+
+    In float32, at batch 1 and at the geometry's batch, both helpers give the
+    bits they give for the contiguous _nhwc(g) rows, in every form.
+    """
+    if kind == "transposed-conv2d":  # the helpers then run the stride-s conv2d it is the adjoint of
+        x_shape = (x_shape[0], w_shape[1], x_shape[2] * stride, x_shape[3] * stride)
+    rng = np.random.default_rng(sum(x_shape) + sum(w_shape) + stride)
+    kh, kw = w_shape[2:]
+    for n in (1, x_shape[0]):
+        x = rng.normal(size=(n, *x_shape[1:])).astype(np.float32)
+        taps = tape_mod._taps(rng.normal(size=w_shape).astype(np.float32))
+        xp = tape_mod._nhwc(x, kh // 2, kw // 2)
+        ho, wo = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+        g = rng.normal(size=(n, w_shape[0], ho, wo)).astype(np.float32)
+        view, rows = g.transpose(0, 2, 3, 1), tape_mod._nhwc(g)
+        assert not view.flags.c_contiguous and rows.flags.c_contiguous
+        for helper in (
+            lambda r: tape_mod._scatter_add(r, taps, stride, x_shape[2], x_shape[3]),
+            lambda r: tape_mod._weight_grad(xp, r, kh, kw, stride),
+        ):
+            assert helper(view).tobytes() == helper(rows).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["conv2d", "transposed-conv2d"])

@@ -187,6 +187,19 @@ def test_weight_maps_peak_no_higher_than_a_pretraining_epoch_at_the_training_bat
     assert maps_peak <= train_peak, f"weight maps peak {maps_peak / 2**20:.1f} MB, pretraining {train_peak / 2**20:.1f} MB"
 
 
+def test_classifier_stage_peaks_stay_below_the_bounds_measured_since_backward_keeps_only_what_it_reads():
+    """64 images, batch 32: traced peaks 17.8 MB (weight maps) and 21.7 MB (a pretraining epoch).
+
+    They read 28.8 and 34.7 MB while the tape kept relu's rectified map beside
+    each pool and conv backward copied its upstream gradient to NHWC.
+    """
+    ds = generate_shapes(1, 64, 32, 32)
+    model = init_classifier(ds.class_count, (32, 32), seed=2)
+    maps_peak = _traced_peak(lambda: compute_weight_maps(model, ds.images)) / 2**20
+    train_peak = _traced_peak(lambda: pretrain_classifier(ds, TrainClassifierConfig(epochs=1, batch=32, seed=2))) / 2**20
+    assert maps_peak < 20 and train_peak < 23, f"weight maps peak {maps_peak:.1f} MB, pretraining {train_peak:.1f} MB"
+
+
 @pytest.mark.slow
 def test_weight_cache_round_trip_and_invariants(tmp_path, shapes_classifier):
     ds, model = shapes_classifier

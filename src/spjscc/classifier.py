@@ -127,10 +127,11 @@ def pretrain_classifier(train_set: LabeledImageDataset, config: TrainClassifierC
     for epoch in range(config.epochs):
         for b in batch_iter(train_set, config.batch, config.seed, epoch):
             try:
-                tape, _, logits = perceive_with_tape(model, b.images)
+                tape, x, logits = perceive_with_tape(model, b.images)
                 loss = tape.cross_entropy(logits, b.labels)
                 grads = tape.grad_by_name(loss)
                 adam_step(model.params, grads, state, lr=config.lr)
             except NonFiniteError as exc:
                 raise FloatingPointError(f"classifier training diverged at epoch {epoch}: {exc}") from exc
+            del tape, x, logits, loss, grads  # free this batch's activations before the next forward
     return model

@@ -18,7 +18,8 @@ traced peak on 64 32x32 images fell 55.9 -> 28.8 MB (2000 images: 87.4 ->
 51.5 MB), below a `pretrain_classifier` epoch at batch 32 (then 34.7 MB).
 Since the classifier's relu and pool are one op and conv backward reads its
 upstream gradient in place, those peaks are 17.8 MB (2000 images: 40.5 MB,
-23.4 MB of it the maps themselves) and 21.7 MB. The maps
+23.4 MB of it the maps themselves) and 21.7 MB; since pretraining too drops
+each batch's tape before the next forward, the epoch's is 17.9 MB. The maps
 of 64, 71 and 2000 images kept their bytes. That is measured, not a law: on
 OpenBLAS the dense layer's GEMMs round a row by how many rows they run, so a
 batch can move a map's last bit (37 images in batches of 2 do).

@@ -5,7 +5,6 @@ import io
 import itertools
 import re
 import shutil
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,17 +216,7 @@ def test_checkpoint_negative_or_non_integer_dims_are_a_malformed_line(tmp_path, 
         load_checkpoint(tmp_path / "m.ckpt")
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return tracemalloc.get_traced_memory()[1] - start, result
-    finally:
-        tracemalloc.stop()
-
-
-def test_checkpoint_streams_its_tensors(tmp_path):
+def test_checkpoint_streams_its_tensors(tmp_path, traced_peak):
     rng = np.random.default_rng(0)
     params = {
         "images": rng.uniform(size=(200, 3, 32, 32)).astype(np.float32),
@@ -235,9 +224,9 @@ def test_checkpoint_streams_its_tensors(tmp_path):
         "foreground": rng.uniform(size=(200, 32, 32)) < 0.1,
     }
     tensor_bytes = sum(a.nbytes for a in params.values())
-    save_peak, _ = _traced_peak(lambda: save_checkpoint(params, "toy", tmp_path / "m.ckpt"))
+    save_peak, _ = traced_peak(lambda: save_checkpoint(params, "toy", tmp_path / "m.ckpt"))
     assert save_peak < 0.1 * tensor_bytes, f"saving a {tensor_bytes}-byte blob peaked at {save_peak} bytes"
-    load_peak, (loaded, _, _) = _traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt"))
+    load_peak, (loaded, _, _) = traced_peak(lambda: load_checkpoint(tmp_path / "m.ckpt"))
     assert load_peak <= 1.1 * tensor_bytes, f"loading {tensor_bytes} bytes of tensors peaked at {load_peak} bytes"
     for name, arr in params.items():
         assert loaded[name].tobytes() == arr.tobytes(), name

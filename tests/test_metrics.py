@@ -357,3 +357,16 @@ def test_evaluate_refuses_a_non_finite_snr_before_any_cell(bad):
     cfg = CodecConfig()
     with pytest.raises(ValueError, match=f"SNR must be finite, got {bad!r}"):
         evaluate(init_encoder(cfg, 0), init_decoder(cfg, 1), None, None, [5.0, bad], [1])
+
+
+def test_evaluate_frees_the_encode_and_decode_tapes_once_read(traced_peak):
+    """Random-init codec and classifier, 32 32x32 test images, SNR {0, 10, 20} x 3 seeds.
+
+    Traced peak 16.3 MB. It read 31.0 MB while the encode tape lived across
+    every seed's decode and each decode tape across its `perceive`.
+    """
+    cfg = CodecConfig()
+    test = generate_shapes(2, 32, 32, 32, split="test")
+    enc, dec, clf = init_encoder(cfg, 3), init_decoder(cfg, 4), init_classifier(test.class_count, (32, 32), 5)
+    peak, _ = traced_peak(lambda: evaluate(enc, dec, clf, test, [0.0, 10.0, 20.0], [1, 2, 3]))
+    assert peak / 2**20 < 20, f"evaluate peaked at {peak / 2**20:.1f} MB"

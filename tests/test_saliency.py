@@ -1,7 +1,5 @@
 """Semantic weight maps: gradients, the one-pass class average, normalization, caching."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,36 +165,27 @@ def test_weight_maps_at_smaller_batches_keep_the_bytes_of_the_former_batch_of_64
     assert maps.tobytes() == before[0].tobytes() and fallback.tobytes() == before[1].tobytes()
 
 
-def _traced_peak(fn):
-    """Traced allocation high-water mark of fn() above what was allocated when it started."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-
-
-def test_weight_maps_peak_no_higher_than_a_pretraining_epoch_at_the_training_batch():
+def test_weight_maps_peak_no_higher_than_a_pretraining_epoch_at_the_training_batch(traced_peak):
     # 64 images: extraction at a batch of 64 peaked at 55.9 MB, a batch-32 pretraining epoch at 34.7 MB
     ds = generate_shapes(1, 64, 32, 32)
     model = init_classifier(ds.class_count, (32, 32), seed=2)
-    maps_peak = _traced_peak(lambda: compute_weight_maps(model, ds.images))
-    train_peak = _traced_peak(lambda: pretrain_classifier(ds, TrainClassifierConfig(epochs=1, batch=32, seed=2)))
+    maps_peak, _ = traced_peak(lambda: compute_weight_maps(model, ds.images))
+    train_peak, _ = traced_peak(lambda: pretrain_classifier(ds, TrainClassifierConfig(epochs=1, batch=32, seed=2)))
     assert maps_peak <= train_peak, f"weight maps peak {maps_peak / 2**20:.1f} MB, pretraining {train_peak / 2**20:.1f} MB"
 
 
-def test_classifier_stage_peaks_stay_below_the_bounds_measured_since_backward_keeps_only_what_it_reads():
+def test_classifier_stage_peaks_stay_below_the_bounds_measured_since_backward_keeps_only_what_it_reads(traced_peak):
     """64 images, batch 32: traced peaks 17.8 MB (weight maps) and 21.7 MB (a pretraining epoch).
 
     They read 28.8 and 34.7 MB while the tape kept relu's rectified map beside
-    each pool and conv backward copied its upstream gradient to NHWC.
+    each pool and conv backward copied its upstream gradient to NHWC. The
+    pretraining epoch reads 17.9 MB since it drops each batch's tape before
+    the next forward; its bound stays.
     """
     ds = generate_shapes(1, 64, 32, 32)
     model = init_classifier(ds.class_count, (32, 32), seed=2)
-    maps_peak = _traced_peak(lambda: compute_weight_maps(model, ds.images)) / 2**20
-    train_peak = _traced_peak(lambda: pretrain_classifier(ds, TrainClassifierConfig(epochs=1, batch=32, seed=2))) / 2**20
+    maps_peak = traced_peak(lambda: compute_weight_maps(model, ds.images))[0] / 2**20
+    train_peak = traced_peak(lambda: pretrain_classifier(ds, TrainClassifierConfig(epochs=1, batch=32, seed=2)))[0] / 2**20
     assert maps_peak < 20 and train_peak < 23, f"weight maps peak {maps_peak:.1f} MB, pretraining {train_peak:.1f} MB"
 
 

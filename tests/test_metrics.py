@@ -1,5 +1,6 @@
 """Metric fixtures and the evaluation protocol."""
 
+import os
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from spjscc.classifier import classify_accuracy, init_classifier, perceive
 from spjscc.dataio import LabeledImageDataset, generate_shapes
 from spjscc.jscc import CodecConfig, decode, encode, init_decoder, init_encoder
 from spjscc.metrics import cpp, evaluate, f1_macro, mean_over_seeds, psnr, ssim
-from spjscc.numcore import AdamState, ShapeError, adam_step
+from spjscc.numcore import AdamState, NonFiniteError, ShapeError, adam_step
 from spjscc.training import loss_mse
 
 
@@ -328,7 +329,9 @@ def test_negative_and_positive_snr_cells_draw_different_noise():
 
 
 def test_evaluate_encodes_once_per_snr_and_batch(random_codec_grid, monkeypatch):
+    """In one process: monkeypatched counters see only the process they run in."""
     (enc, dec, clf), test = random_codec_grid
+    monkeypatch.setattr(metrics, "_worker_count", lambda cells: 1)
     calls = {"encode": 0, "decode": 0, "perceive": 0}
 
     def counted(name, f):
@@ -359,14 +362,103 @@ def test_evaluate_refuses_a_non_finite_snr_before_any_cell(bad):
         evaluate(init_encoder(cfg, 0), init_decoder(cfg, 1), None, None, [5.0, bad], [1])
 
 
-def test_evaluate_frees_the_encode_and_decode_tapes_once_read(traced_peak):
-    """Random-init codec and classifier, 32 32x32 test images, SNR {0, 10, 20} x 3 seeds.
+def test_evaluate_frees_the_encode_and_decode_tapes_once_read(traced_peak, monkeypatch):
+    """Random-init codec and classifier, 32 32x32 test images, SNR {0, 10, 20} x 3 seeds, in one process.
 
     Traced peak 16.3 MB. It read 31.0 MB while the encode tape lived across
     every seed's decode and each decode tape across its `perceive`.
+    tracemalloc sees only the process it runs in, so no cell goes to a worker.
     """
+    monkeypatch.setattr(metrics, "_worker_count", lambda cells: 1)
     cfg = CodecConfig()
     test = generate_shapes(2, 32, 32, 32, split="test")
     enc, dec, clf = init_encoder(cfg, 3), init_decoder(cfg, 4), init_classifier(test.class_count, (32, 32), 5)
     peak, _ = traced_peak(lambda: evaluate(enc, dec, clf, test, [0.0, 10.0, 20.0], [1, 2, 3]))
     assert peak / 2**20 < 20, f"evaluate peaked at {peak / 2**20:.1f} MB"
+
+
+# ---------------------------------------------------------------------------
+# evaluate(): cells split between the caller and forked workers
+# ---------------------------------------------------------------------------
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("snr_grid, seeds", [([0.0, 10.0, -5.0], [1, 2]), ([0.0, 10.0, -5.0, 20.0, 5.0], [4])])
+def test_split_evaluation_equals_one_process(random_codec_grid, monkeypatch, workers, snr_grid, seeds):
+    """6 cells (3 + 3 or 2 + 2 + 2, the 10 dB cells split) and 5 cells (3 + 2 or 2 + 2 + 1) equal the one-process run."""
+    (enc, dec, clf), test = random_codec_grid
+    monkeypatch.setattr(metrics, "_worker_count", lambda cells: 1)
+    alone = evaluate(enc, dec, clf, test, snr_grid, seeds, run_id="x", batch=7)
+    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(workers, cells))
+    assert evaluate(enc, dec, clf, test, snr_grid, seeds, run_id="x", batch=7) == alone
+    _no_child_left()
+
+
+def test_each_process_encodes_once_per_snr_and_batch_it_holds(random_codec_grid, monkeypatch, tmp_path):
+    """3 SNRs x 3 seeds on 2 processes, one batch: the caller holds 0 dB and two 10 dB cells, the worker the rest."""
+    (enc, dec, clf), test = random_codec_grid
+    log, real = tmp_path / "encodes", metrics.encode
+
+    def logged(encoder, imgs, snr, **kwargs):
+        with open(log, "a") as fh:  # one short appended line per call: whole lines from both processes
+            fh.write(f"{os.getpid()} {snr}\n")
+        return real(encoder, imgs, snr, **kwargs)
+
+    monkeypatch.setattr(metrics, "encode", logged)
+    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(2, cells))
+    evaluate(enc, dec, clf, test, [0.0, 10.0, 20.0], [1, 2, 3], batch=len(test))
+    _no_child_left()
+    encodes = [line.split() for line in log.read_text().splitlines()]
+    assert len(encodes) == 4
+    caller = str(os.getpid())
+    assert [float(snr) for pid, snr in encodes if pid == caller] == [0.0, 10.0]
+    assert [float(snr) for pid, snr in encodes if pid != caller] == [10.0, 20.0]
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_an_exception_in_either_process_reaches_the_caller(random_codec_grid, monkeypatch, where):
+    (enc, dec, clf), test = random_codec_grid
+    caller, real = os.getpid(), metrics.perceive
+
+    def failing(model, x):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise NonFiniteError("op 'conv2d' produced non-finite values")
+        return real(model, x)
+
+    monkeypatch.setattr(metrics, "perceive", failing)
+    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(2, cells))
+    with pytest.raises(NonFiniteError, match="op 'conv2d' produced non-finite values"):
+        evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7)
+    _no_child_left()
+
+
+def test_a_worker_that_dies_without_a_result_is_named_with_its_exit_status(random_codec_grid, monkeypatch):
+    (enc, dec, clf), test = random_codec_grid
+    caller, real = os.getpid(), metrics.perceive
+
+    def dying(model, x):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(model, x)
+
+    monkeypatch.setattr(metrics, "perceive", dying)
+    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(2, cells))
+    with pytest.raises(RuntimeError, match="evaluation worker [0-9]+ ended with exit status 3 without a result"):
+        evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_evaluate_runs_in_one_process_without_fork_or_an_affinity_mask(random_codec_grid, monkeypatch, missing):
+    (enc, dec, clf), test = random_codec_grid
+    expected = evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7)
+    monkeypatch.delattr(os, missing)
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without an affinity mask"))
+    assert metrics._worker_count(4) == 1
+    assert evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7) == expected

@@ -180,7 +180,7 @@ def evaluate(
     the reports are bit-identical whatever the core count; with one CPU or
     one cell, or without `os.fork` or `os.sched_getaffinity`, everything
     runs in the caller. A worker shares the caller's pages until it writes
-    them: on 32 32x32 images, 3 SNRs x 3 seeds on 2 CPUs, it held 19-26 MB
+    them: on 32 32x32 images, 3 SNRs x 3 seeds on 2 CPUs, it held 26-30 MB
     of private pages at exit.
 
     No tape outlives its last read: the encode tape is dropped once its

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import os
 import pickle
 import signal
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,15 +141,56 @@ def _noise_generator(seed: int, snr_db: float) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), k] if k >= 0 else [int(seed), -k, 1]))
 
 
-def _worker_count(cells: int) -> int:
-    """Processes `evaluate` splits `cells` cells between: one per CPU in this process's affinity mask, at most one per cell.
+# Thread-count getters of the BLAS builds numpy links: OpenBLAS (numpy's own
+# scipy-openblas and the plain library, 64- and 32-bit integers), MKL, BLIS.
+_BLAS_THREAD_QUERIES = (
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+    "MKL_Get_Max_Threads",
+    "bli_thread_get_num_threads",
+)
 
-    One where `os.fork` or `os.sched_getaffinity` is missing (Windows has no
-    fork, macOS no affinity mask).
+
+@functools.cache
+def _blas_thread_query():
+    """The thread-count getter of the BLAS library this process has loaded, or None where none can be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split()[-1] for line in fh)
+    except OSError:
+        return None
+    for path in paths:
+        name = os.path.basename(path).lower()
+        if not path.startswith("/") or not any(k in name for k in ("blas", "mkl", "blis")):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_QUERIES:
+            query = getattr(lib, symbol, None)
+            if query is not None:
+                query.restype, query.argtypes = ctypes.c_int, []
+                return query
+    return None
+
+
+def _worker_count(cells: int) -> int:
+    """Processes `evaluate` splits `cells` cells between: the CPUs in this process's affinity mask over the BLAS's threads.
+
+    At most one per cell and at least one. One where `os.fork` or
+    `os.sched_getaffinity` is missing (Windows has no fork, macOS no affinity
+    mask), or where the loaded BLAS cannot be asked its thread count: it may
+    run one thread per CPU, as OpenBLAS does by default.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    return max(1, min(cells, len(os.sched_getaffinity(0))))
+    query = _blas_thread_query()
+    if query is None:
+        return 1
+    return max(1, min(cells, len(os.sched_getaffinity(0)) // max(1, query())))
 
 
 def evaluate(
@@ -171,17 +214,28 @@ def evaluate(
     every seed decodes on a fresh tape whose leaves are the encoded
     coefficients and their transmit scale.
 
-    The cells, in that order, are split into contiguous runs, one per CPU in
-    the process's affinity mask and at most one per cell; earlier runs take
-    the one cell more where the count does not divide. The caller computes
-    the first run; each other run goes to one `os.fork`ed worker, which sends
-    its reports, or its exception, back over a pipe. Every process encodes each
-    (snr, batch) it holds a cell of once. Since no cell depends on another,
-    the reports are bit-identical whatever the core count; with one CPU or
-    one cell, or without `os.fork` or `os.sched_getaffinity`, everything
-    runs in the caller. A worker shares the caller's pages until it writes
-    them: on 32 32x32 images, 3 SNRs x 3 seeds on 2 CPUs, it held 26-30 MB
-    of private pages at exit.
+    The cells, in that order, are split into contiguous runs, one per
+    process; earlier runs take the one cell more where the count does not
+    divide. The process count is the one rule for parallel evaluation
+    (`_worker_count`): the CPUs in the caller's affinity mask divided by the
+    threads its BLAS runs, at most one per cell and at least one. So at
+    OpenBLAS's default of one thread per CPU everything runs in the caller,
+    and with one BLAS thread there is one process per CPU. Processes that
+    each run a BLAS thread per CPU would oversubscribe the cores: a 200-image,
+    15-cell evaluation on 2 CPUs at 2 OpenBLAS threads took 24 s split in two
+    and 3.9 s in one process. A program that runs evaluations side by side
+    should give each its own CPUs (`os.sched_setaffinity`), or each forks
+    workers of its own.
+
+    The caller computes the first run; each other run goes to one
+    `os.fork`ed worker, which sends its reports, or its exception and
+    traceback, back over a pipe. Every process encodes each (snr, batch) it
+    holds a cell of once. Since no cell depends on another, the reports are
+    bit-identical whatever the process count; without `os.fork` or
+    `os.sched_getaffinity`, everything runs in the caller. A worker shares
+    the caller's pages until it writes them: on 32 32x32 images, 3 SNRs x 3
+    seeds on 2 CPUs, it held 26-30 MB of private pages at exit, memory that
+    a measure of the largest single process does not see.
 
     No tape outlives its last read: the encode tape is dropped once its
     coefficients, active symbols and transmit scale are copied out, before
@@ -227,8 +281,9 @@ def evaluate(
 def _fork_worker(run, cells: range):
     """Fork a worker that computes `run(cells)`; return its pid and the pipe its pickled result comes back on.
 
-    The worker sends its reports, or the exception it raised, and leaves
-    through `os._exit` with status 0 once that is written, 1 otherwise.
+    The worker sends its reports, or the exception it raised with its
+    formatted traceback, and leaves through `os._exit` with status 0 once
+    that is written, 1 otherwise.
     """
     rfd, wfd = os.pipe()
     try:
@@ -242,9 +297,9 @@ def _fork_worker(run, cells: range):
         try:
             os.close(rfd)
             try:
-                result = run(cells)
+                result = run(cells), None
             except BaseException as exc:
-                result = _picklable(exc)
+                result = _picklable(exc), traceback.format_exc()
             with os.fdopen(wfd, "wb") as fh:
                 pickle.dump(result, fh)
             code = 0
@@ -263,15 +318,22 @@ def _picklable(exc: BaseException) -> BaseException:
     return exc
 
 
+class WorkerTraceback(Exception):
+    """An evaluation worker's formatted traceback, chained as the cause of the exception it sent back."""
+
+    def __str__(self) -> str:
+        return f"in evaluation worker {self.args[0]}:\n{self.args[1]}"
+
+
 def _worker_result(pid: int, payload: bytes, status: int) -> list[EvalReport]:
     """The reports a reaped worker sent back; raise the exception it sent, or an error naming how it ended."""
     if status != 0 or not payload:
         code = os.waitstatus_to_exitcode(status)
         how = f"was killed by signal {-code}" if code < 0 else f"ended with exit status {code}"
         raise RuntimeError(f"evaluation worker {pid} {how} without a result")
-    result = pickle.loads(payload)
-    if isinstance(result, BaseException):
-        raise result
+    result, worker_traceback = pickle.loads(payload)
+    if worker_traceback is not None:
+        raise result from WorkerTraceback(pid, worker_traceback)
     return result
 
 

@@ -432,9 +432,12 @@ def test_an_exception_in_either_process_reaches_the_caller(random_codec_grid, mo
 
     monkeypatch.setattr(metrics, "perceive", failing)
     monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(2, cells))
-    with pytest.raises(NonFiniteError, match="op 'conv2d' produced non-finite values"):
+    with pytest.raises(NonFiniteError, match="op 'conv2d' produced non-finite values") as raised:
         evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7)
     _no_child_left()
+    if where == "worker":  # the worker's own frames come back as the cause
+        assert isinstance(raised.value.__cause__, metrics.WorkerTraceback)
+        assert "in failing" in str(raised.value.__cause__)
 
 
 def test_a_worker_that_dies_without_a_result_is_named_with_its_exit_status(random_codec_grid, monkeypatch):
@@ -451,6 +454,19 @@ def test_a_worker_that_dies_without_a_result_is_named_with_its_exit_status(rando
     with pytest.raises(RuntimeError, match="evaluation worker [0-9]+ ended with exit status 3 without a result"):
         evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7)
     _no_child_left()
+
+
+@pytest.mark.parametrize("blas_threads, cells, workers", [(1, 9, 4), (1, 3, 3), (2, 9, 2), (3, 9, 1), (4, 9, 1), (8, 9, 1)])
+def test_worker_count_is_the_cpus_over_the_blas_threads(monkeypatch, blas_threads, cells, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(metrics, "_blas_thread_query", lambda: lambda: blas_threads)
+    assert metrics._worker_count(cells) == workers
+
+
+def test_worker_count_is_one_where_the_blas_cannot_be_asked(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(metrics, "_blas_thread_query", lambda: None)
+    assert metrics._worker_count(9) == 1
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])

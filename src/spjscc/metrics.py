@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
-import os
-import pickle
-import signal
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import split
 from .channel import ComplexSymbolVector, awgn_transmit
 from .classifier import ClassifierModel, perceive
 from .dataio import LabeledImageDataset
@@ -141,58 +136,6 @@ def _noise_generator(seed: int, snr_db: float) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), k] if k >= 0 else [int(seed), -k, 1]))
 
 
-# Thread-count getters of the BLAS builds numpy links: OpenBLAS (numpy's own
-# scipy-openblas and the plain library, 64- and 32-bit integers), MKL, BLIS.
-_BLAS_THREAD_QUERIES = (
-    "scipy_openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
-    "MKL_Get_Max_Threads",
-    "bli_thread_get_num_threads",
-)
-
-
-@functools.cache
-def _blas_thread_query():
-    """The thread-count getter of the BLAS library this process has loaded, or None where none can be found."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = dict.fromkeys(line.split()[-1] for line in fh)
-    except OSError:
-        return None
-    for path in paths:
-        name = os.path.basename(path).lower()
-        if not path.startswith("/") or not any(k in name for k in ("blas", "mkl", "blis")):
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_THREAD_QUERIES:
-            query = getattr(lib, symbol, None)
-            if query is not None:
-                query.restype, query.argtypes = ctypes.c_int, []
-                return query
-    return None
-
-
-def _worker_count(cells: int) -> int:
-    """Processes `evaluate` splits `cells` cells between: the CPUs in this process's affinity mask over the BLAS's threads.
-
-    At most one per cell and at least one. One where `os.fork` or
-    `os.sched_getaffinity` is missing (Windows has no fork, macOS no affinity
-    mask), or where the loaded BLAS cannot be asked its thread count: it may
-    run one thread per CPU, as OpenBLAS does by default.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    query = _blas_thread_query()
-    if query is None:
-        return 1
-    return max(1, min(cells, len(os.sched_getaffinity(0)) // max(1, query())))
-
-
 def evaluate(
     encoder: EncoderModel,
     decoder: DecoderModel,
@@ -214,28 +157,13 @@ def evaluate(
     every seed decodes on a fresh tape whose leaves are the encoded
     coefficients and their transmit scale.
 
-    The cells, in that order, are split into contiguous runs, one per
-    process; earlier runs take the one cell more where the count does not
-    divide. The process count is the one rule for parallel evaluation
-    (`_worker_count`): the CPUs in the caller's affinity mask divided by the
-    threads its BLAS runs, at most one per cell and at least one. So at
-    OpenBLAS's default of one thread per CPU everything runs in the caller,
-    and with one BLAS thread there is one process per CPU. Processes that
-    each run a BLAS thread per CPU would oversubscribe the cores: a 200-image,
-    15-cell evaluation on 2 CPUs at 2 OpenBLAS threads took 24 s split in two
-    and 3.9 s in one process. A program that runs evaluations side by side
-    should give each its own CPUs (`os.sched_setaffinity`), or each forks
-    workers of its own.
-
-    The caller computes the first run; each other run goes to one
-    `os.fork`ed worker, which sends its reports, or its exception and
-    traceback, back over a pipe. Every process encodes each (snr, batch) it
-    holds a cell of once. Since no cell depends on another, the reports are
-    bit-identical whatever the process count; without `os.fork` or
-    `os.sched_getaffinity`, everything runs in the caller. A worker shares
-    the caller's pages until it writes them: on 32 32x32 images, 3 SNRs x 3
-    seeds on 2 CPUs, it held 26-30 MB of private pages at exit, memory that
-    a measure of the largest single process does not see.
+    The cells, in that order, are split into contiguous runs by
+    `split.forked_map`, which holds the process-count rule: the caller
+    computes the first run and one forked worker each other run. Every
+    process encodes each (snr, batch) it holds a cell of once. Since no cell
+    depends on another, the reports are bit-identical whatever the process
+    count. On 32 32x32 images, 3 SNRs x 3 seeds on 2 CPUs, a worker held
+    26-30 MB of private pages at exit.
 
     No tape outlives its last read: the encode tape is dropped once its
     coefficients, active symbols and transmit scale are copied out, before
@@ -250,91 +178,8 @@ def evaluate(
             raise ValueError(f"evaluation SNR must be finite, got {snr_db!r}")
     grid, seeds = [float(snr_db) for snr_db in snr_grid], list(seeds)
     cells = len(grid) * len(seeds)
-    workers = _worker_count(cells)
-    edges = [k * (cells // workers) + min(k, cells % workers) for k in range(workers + 1)]
-    runs = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
     run = functools.partial(_evaluate_cells, encoder, decoder, classifier, test_set, grid, seeds, run_id, batch)
-    if len(runs) == 1:
-        return run(runs[0])
-    children = {}  # pid -> its result pipe, until the worker is reaped
-    try:
-        for cells_held in runs[1:]:
-            pid, pipe = _fork_worker(run, cells_held)
-            children[pid] = pipe
-        reports = run(runs[0])
-        for pid, pipe in list(children.items()):
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            reports += _worker_result(pid, payload, status)
-        return reports
-    finally:
-        for pid, pipe in children.items():  # only on an error: stop and reap the workers not joined
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-
-
-def _fork_worker(run, cells: range):
-    """Fork a worker that computes `run(cells)`; return its pid and the pipe its pickled result comes back on.
-
-    The worker sends its reports, or the exception it raised with its
-    formatted traceback, and leaves through `os._exit` with status 0 once
-    that is written, 1 otherwise.
-    """
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(rfd)
-            try:
-                result = run(cells), None
-            except BaseException as exc:
-                result = _picklable(exc), traceback.format_exc()
-            with os.fdopen(wfd, "wb") as fh:
-                pickle.dump(result, fh)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return pid, os.fdopen(rfd, "rb")
-
-
-def _picklable(exc: BaseException) -> BaseException:
-    """`exc`, or a RuntimeError naming its type and message if it does not survive a pickle round trip."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"evaluation worker raised {type(exc).__name__}: {exc}")
-    return exc
-
-
-class WorkerTraceback(Exception):
-    """An evaluation worker's formatted traceback, chained as the cause of the exception it sent back."""
-
-    def __str__(self) -> str:
-        return f"in evaluation worker {self.args[0]}:\n{self.args[1]}"
-
-
-def _worker_result(pid: int, payload: bytes, status: int) -> list[EvalReport]:
-    """The reports a reaped worker sent back; raise the exception it sent, or an error naming how it ended."""
-    if status != 0 or not payload:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"was killed by signal {-code}" if code < 0 else f"ended with exit status {code}"
-        raise RuntimeError(f"evaluation worker {pid} {how} without a result")
-    result, worker_traceback = pickle.loads(payload)
-    if worker_traceback is not None:
-        raise result from WorkerTraceback(pid, worker_traceback)
-    return result
+    return [report for part in split.forked_map(run, cells) for report in part]
 
 
 def _evaluate_cells(encoder, decoder, classifier, test_set, grid, seeds, run_id, batch, cells: range) -> list[EvalReport]:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spjscc import metrics
+from spjscc import metrics, split
 from spjscc.channel import awgn_transmit
 from spjscc.classifier import classify_accuracy, init_classifier, perceive
 from spjscc.dataio import LabeledImageDataset, generate_shapes
@@ -331,7 +331,7 @@ def test_negative_and_positive_snr_cells_draw_different_noise():
 def test_evaluate_encodes_once_per_snr_and_batch(random_codec_grid, monkeypatch):
     """In one process: monkeypatched counters see only the process they run in."""
     (enc, dec, clf), test = random_codec_grid
-    monkeypatch.setattr(metrics, "_worker_count", lambda cells: 1)
+    monkeypatch.setattr(split, "_worker_count", lambda cells: 1)
     calls = {"encode": 0, "decode": 0, "perceive": 0}
 
     def counted(name, f):
@@ -369,7 +369,7 @@ def test_evaluate_frees_the_encode_and_decode_tapes_once_read(traced_peak, monke
     every seed's decode and each decode tape across its `perceive`.
     tracemalloc sees only the process it runs in, so no cell goes to a worker.
     """
-    monkeypatch.setattr(metrics, "_worker_count", lambda cells: 1)
+    monkeypatch.setattr(split, "_worker_count", lambda cells: 1)
     cfg = CodecConfig()
     test = generate_shapes(2, 32, 32, 32, split="test")
     enc, dec, clf = init_encoder(cfg, 3), init_decoder(cfg, 4), init_classifier(test.class_count, (32, 32), 5)
@@ -382,25 +382,24 @@ def test_evaluate_frees_the_encode_and_decode_tapes_once_read(traced_peak, monke
 # ---------------------------------------------------------------------------
 
 
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("snr_grid, seeds", [([0.0, 10.0, -5.0], [1, 2]), ([0.0, 10.0, -5.0, 20.0, 5.0], [4])])
-def test_split_evaluation_equals_one_process(random_codec_grid, monkeypatch, workers, snr_grid, seeds):
-    """6 cells (3 + 3 or 2 + 2 + 2, the 10 dB cells split) and 5 cells (3 + 2 or 2 + 2 + 1) equal the one-process run."""
+def test_split_evaluation_equals_one_process(
+    random_codec_grid, monkeypatch, one_blas_thread, no_child_left, workers, snr_grid, seeds
+):
+    """6 cells (3 + 3 or 2 + 2 + 2, the 10 dB cells split) and 5 cells (2 + 3 or 1 + 2 + 2) equal the one-process run."""
     (enc, dec, clf), test = random_codec_grid
-    monkeypatch.setattr(metrics, "_worker_count", lambda cells: 1)
+    monkeypatch.setattr(split, "_worker_count", lambda cells: 1)
     alone = evaluate(enc, dec, clf, test, snr_grid, seeds, run_id="x", batch=7)
-    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(workers, cells))
+    monkeypatch.setattr(split, "_worker_count", lambda cells: min(workers, cells))
     assert evaluate(enc, dec, clf, test, snr_grid, seeds, run_id="x", batch=7) == alone
-    _no_child_left()
+    no_child_left()
 
 
-def test_each_process_encodes_once_per_snr_and_batch_it_holds(random_codec_grid, monkeypatch, tmp_path):
-    """3 SNRs x 3 seeds on 2 processes, one batch: the caller holds 0 dB and two 10 dB cells, the worker the rest."""
+def test_each_process_encodes_once_per_snr_and_batch_it_holds(
+    random_codec_grid, monkeypatch, tmp_path, one_blas_thread, no_child_left
+):
+    """3 SNRs x 3 seeds on 2 processes, one batch: the caller holds the 0 dB cells and one 10 dB cell, the worker the rest."""
     (enc, dec, clf), test = random_codec_grid
     log, real = tmp_path / "encodes", metrics.encode
 
@@ -410,9 +409,9 @@ def test_each_process_encodes_once_per_snr_and_batch_it_holds(random_codec_grid,
         return real(encoder, imgs, snr, **kwargs)
 
     monkeypatch.setattr(metrics, "encode", logged)
-    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(2, cells))
+    monkeypatch.setattr(split, "_worker_count", lambda cells: min(2, cells))
     evaluate(enc, dec, clf, test, [0.0, 10.0, 20.0], [1, 2, 3], batch=len(test))
-    _no_child_left()
+    no_child_left()
     encodes = [line.split() for line in log.read_text().splitlines()]
     assert len(encodes) == 4
     caller = str(os.getpid())
@@ -421,7 +420,9 @@ def test_each_process_encodes_once_per_snr_and_batch_it_holds(random_codec_grid,
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
-def test_an_exception_in_either_process_reaches_the_caller(random_codec_grid, monkeypatch, where):
+def test_an_exception_in_either_process_reaches_the_caller(
+    random_codec_grid, monkeypatch, one_blas_thread, no_child_left, where
+):
     (enc, dec, clf), test = random_codec_grid
     caller, real = os.getpid(), metrics.perceive
 
@@ -431,16 +432,18 @@ def test_an_exception_in_either_process_reaches_the_caller(random_codec_grid, mo
         return real(model, x)
 
     monkeypatch.setattr(metrics, "perceive", failing)
-    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(2, cells))
+    monkeypatch.setattr(split, "_worker_count", lambda cells: min(2, cells))
     with pytest.raises(NonFiniteError, match="op 'conv2d' produced non-finite values") as raised:
         evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7)
-    _no_child_left()
+    no_child_left()
     if where == "worker":  # the worker's own frames come back as the cause
-        assert isinstance(raised.value.__cause__, metrics.WorkerTraceback)
+        assert isinstance(raised.value.__cause__, split.WorkerTraceback)
         assert "in failing" in str(raised.value.__cause__)
 
 
-def test_a_worker_that_dies_without_a_result_is_named_with_its_exit_status(random_codec_grid, monkeypatch):
+def test_a_worker_that_dies_without_a_result_is_named_with_its_exit_status(
+    random_codec_grid, monkeypatch, one_blas_thread, no_child_left
+):
     (enc, dec, clf), test = random_codec_grid
     caller, real = os.getpid(), metrics.perceive
 
@@ -450,23 +453,23 @@ def test_a_worker_that_dies_without_a_result_is_named_with_its_exit_status(rando
         return real(model, x)
 
     monkeypatch.setattr(metrics, "perceive", dying)
-    monkeypatch.setattr(metrics, "_worker_count", lambda cells: min(2, cells))
-    with pytest.raises(RuntimeError, match="evaluation worker [0-9]+ ended with exit status 3 without a result"):
+    monkeypatch.setattr(split, "_worker_count", lambda cells: min(2, cells))
+    with pytest.raises(RuntimeError, match="metrics._evaluate_cells worker [0-9]+ ended with exit status 3 without a result"):
         evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7)
-    _no_child_left()
+    no_child_left()
 
 
 @pytest.mark.parametrize("blas_threads, cells, workers", [(1, 9, 4), (1, 3, 3), (2, 9, 2), (3, 9, 1), (4, 9, 1), (8, 9, 1)])
 def test_worker_count_is_the_cpus_over_the_blas_threads(monkeypatch, blas_threads, cells, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(metrics, "_blas_thread_query", lambda: lambda: blas_threads)
-    assert metrics._worker_count(cells) == workers
+    monkeypatch.setattr(split, "_blas_thread_query", lambda: lambda: blas_threads)
+    assert split._worker_count(cells) == workers
 
 
 def test_worker_count_is_one_where_the_blas_cannot_be_asked(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    monkeypatch.setattr(metrics, "_blas_thread_query", lambda: None)
-    assert metrics._worker_count(9) == 1
+    monkeypatch.setattr(split, "_blas_thread_query", lambda: None)
+    assert split._worker_count(9) == 1
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
@@ -476,5 +479,5 @@ def test_evaluate_runs_in_one_process_without_fork_or_an_affinity_mask(random_co
     monkeypatch.delattr(os, missing)
     if hasattr(os, "fork"):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without an affinity mask"))
-    assert metrics._worker_count(4) == 1
+    assert split._worker_count(4) == 1
     assert evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2], batch=7) == expected

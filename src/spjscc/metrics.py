@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,12 +157,10 @@ def evaluate(
     every seed decodes on a fresh tape whose leaves are the encoded
     coefficients and their transmit scale.
 
-    The cells, in that order, are split into contiguous runs by
-    `split.forked_map`, which holds the process-count rule: the caller
-    computes the first run and one forked worker each other run. Every
-    process encodes each (snr, batch) it holds a cell of once. Since no cell
-    depends on another, the reports are bit-identical whatever the process
-    count. On 32 32x32 images, 3 SNRs x 3 seeds on 2 CPUs, a worker held
+    `split.forked_map` splits the (snr, seed) cells, in that order, between
+    processes, and each process encodes each (snr, batch) it holds a cell of
+    once. Since no cell depends on another, the reports are bit-identical
+    whatever the process count. On 32 32x32 images, 3 SNRs x 3 seeds on 2 CPUs, a worker held
     26-30 MB of private pages at exit.
 
     No tape outlives its last read: the encode tape is dropped once its
@@ -176,21 +174,18 @@ def evaluate(
     for snr_db in snr_grid:
         if not math.isfinite(snr_db):
             raise ValueError(f"evaluation SNR must be finite, got {snr_db!r}")
-    grid, seeds = [float(snr_db) for snr_db in snr_grid], list(seeds)
-    cells = len(grid) * len(seeds)
-    run = functools.partial(_evaluate_cells, encoder, decoder, classifier, test_set, grid, seeds, run_id, batch)
-    return [report for part in split.forked_map(run, cells) for report in part]
+    cells = [(float(snr_db), seed) for snr_db in snr_grid for seed in seeds]
+    parts = split.forked_map(_evaluate_cells, cells, encoder, decoder, classifier, test_set, run_id, batch)
+    return [report for part in parts for report in part]
 
 
-def _evaluate_cells(encoder, decoder, classifier, test_set, grid, seeds, run_id, batch, cells: range) -> list[EvalReport]:
-    """Reports of the grid's cells `cells`, numbered SNR-major, seed-minor from 0."""
+def _evaluate_cells(encoder, decoder, classifier, test_set, run_id, batch, cells) -> list[EvalReport]:
+    """Reports of `cells`, (snr, seed) pairs in SNR-major order."""
     cfg = encoder.config
     n = len(test_set)
-    m = len(seeds)
     reports = []
-    for i in range(cells.start // m, -(-cells.stop // m)):
-        snr = grid[i]
-        held = seeds[max(cells.start - i * m, 0) : cells.stop - i * m]
+    for snr, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+        held = [seed for _, seed in group]
         rngs = [_noise_generator(seed, snr) for seed in held]
         preds = np.empty((len(held), n), dtype=np.int64)
         psnrs = np.empty((len(held), n))

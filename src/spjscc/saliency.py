@@ -24,14 +24,13 @@ of 64, 71 and 2000 images kept their bytes. That is measured, not a law: on
 OpenBLAS the dense layer's GEMMs round a row by how many rows they run, so a
 batch can move a map's last bit (37 images in batches of 2 do).
 
-`split.forked_map`, which holds the process-count rule, splits the batches
-into contiguous runs, one per process; the later runs take the one batch
-more, so 71 images on 2 processes run 32 | 39 and the short final batch
-lands on a worker. Run boundaries fall on batch boundaries, so each batch
-runs the same GEMMs on the same rows as in one process and every map keeps
-its bytes whatever the process count; a run that cut a batch could move
-them, by the rounding above. The caller writes its own run into the result
-and copies each worker's part in as it joins that worker. On 2 CPUs at 1
+`compute_weight_maps` hands `split.forked_map` the first row of every batch,
+so each process runs whole batches: 71 images on 2 processes run 32 | 39,
+the short final batch on a worker. Each batch runs the same GEMMs on the
+same rows as in one process, so every map keeps its bytes whatever the
+process count; a split that cut a batch could move them, by the rounding
+above. The caller writes its own batches' maps into the result and copies
+each worker's part in as it joins that worker. On 2 CPUs at 1
 OpenBLAS thread, the maps of 64 images took 116 -> 83 ms (medians of 6
 alternating runs on a busy shared host; 82 -> 51 ms on a quieter one), and
 `extract-weights` on 2000 images 3.90 -> 2.47 s. A worker held 13.7-14.2 MB
@@ -42,7 +41,6 @@ memory that a measure of the largest single process does not see.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,30 +101,30 @@ def compute_weight_maps(model: ClassifierModel, images: np.ndarray) -> tuple[np.
 
     One forward and one backward pass per batch, the backward seeded with 1/C
     on every logit (see the module docstring). The batches are split between
-    processes by `split.forked_map`; the caller writes its own run's maps
-    straight into the result, and each worker's part is copied in as that
-    worker is joined.
+    processes by `split.forked_map`; the caller writes its own maps straight
+    into the result, and each worker's part is copied in as that worker is
+    joined.
     """
     n = len(images)
     maps = np.empty((n,) + images.shape[1:], dtype=np.float32)
     fallback = np.zeros(n, dtype=bool)
-    run = functools.partial(_weight_map_batches, model, images, maps, fallback)
-    for rows, part_maps, part_fallback in split.forked_map(run, -(-n // WEIGHT_MAP_BATCH)):
+    parts = split.forked_map(_weight_map_batches, range(0, n, WEIGHT_MAP_BATCH), model, images, maps, fallback)
+    for rows, part_maps, part_fallback in parts:
         maps[rows], fallback[rows] = part_maps, part_fallback  # a no-op on the caller's own rows
         del part_maps, part_fallback  # free a worker's part before the next is read
     return maps, fallback
 
 
-def _weight_map_batches(model, images, maps, fallback, batches: range):
-    """Write the maps of batches `batches` (numbered from 0) into `maps` and `fallback`; return their rows and them."""
-    rows = slice(batches.start * WEIGHT_MAP_BATCH, min(batches.stop * WEIGHT_MAP_BATCH, len(images)))
-    for start in range(rows.start, rows.stop, WEIGHT_MAP_BATCH):
+def _weight_map_batches(model, images, maps, fallback, starts: range):
+    """Write the maps of the batches that begin at rows `starts` into `maps` and `fallback`; return their rows and them."""
+    for start in starts:
         tape, x, logits = perceive_with_tape(model, images[start : start + WEIGHT_MAP_BATCH])
         seed = np.full(logits.shape, 1.0 / model.class_count, dtype=np.float32)
         (grad,) = tape.backward(logits, seed=seed, wrt=(x,))
         del tape, x, logits  # free this batch's activations before the next forward
         for j, w in enumerate(grad):
             maps[start + j], fallback[start + j] = normalize_weights(w)
+    rows = slice(starts.start, starts.stop)  # a short final batch's stop lies past the last row, where slicing ends
     return rows, maps[rows], fallback[rows]
 
 

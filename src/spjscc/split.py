@@ -1,10 +1,12 @@
-"""Independent runs of work split between the caller and forked worker processes.
+"""Independent work items split between the caller and forked worker processes.
 
-`forked_map(run, count)` cuts `range(count)` into contiguous runs, one per
-process, and yields `run(r)` for each run in order: the caller computes the
-first run itself, and one `os.fork`ed worker computes each of the others and
-sends its result back over a pipe. `metrics.evaluate` splits its (SNR, seed)
-cells this way and `saliency.compute_weight_maps` its batches.
+`forked_map(fn, items, *args)` cuts the sequence `items` into contiguous
+slices, one per process, and yields `fn(*args, part)` for each slice `part` in
+order: the caller computes the first slice itself, and one `os.fork`ed worker
+computes each of the others and sends its result back over a pipe.
+`metrics.evaluate` splits its (SNR, seed) cells this way and
+`saliency.compute_weight_maps` the first rows of its batches. `fn` is a
+module-level function, whose `module.function` name a worker's errors carry.
 
 This module is the one home of the process-count rule (`_worker_count`): the
 CPUs in the caller's affinity mask divided by the threads its BLAS runs, at
@@ -18,7 +20,7 @@ BLAS cannot be asked its thread count, everything runs in the caller. A
 program that runs such stages side by side should give each its own CPUs
 (`os.sched_setaffinity`), or each forks workers of its own.
 
-Where the count does not divide, the later runs take one item more, so a
+Where the count does not divide, the later slices take one item more, so a
 short tail lands on a worker and not on the caller, which also forks and
 joins. A worker shares the caller's pages until it writes them; what it
 writes is memory that a measure of the largest single process does not see.
@@ -95,28 +97,30 @@ def _worker_count(items: int) -> int:
     return max(1, min(items, len(os.sched_getaffinity(0)) // max(1, query())))
 
 
-def forked_map(run, count: int):
-    """Yield `run(r)` for contiguous ranges `r` that cover `range(count)` in order, one range per process.
+def forked_map(fn, items, *args):
+    """Yield `fn(*args, part)` for contiguous slices `part` that cover the sequence `items` in order, one slice per process.
 
-    The caller computes the first range while the workers compute the
+    The caller computes the first slice while the workers compute the
     others, and each worker's result is read as it is joined, so a consumer
     can store one before the next arrives. A worker's exception comes back
     with its formatted traceback chained as its cause (`WorkerTraceback`).
     Consume the generator in one loop: its workers are killed and reaped as
     soon as it raises or is closed.
     """
+    count = len(items)
     workers = _worker_count(count)
     edges = [k * (count // workers) + max(0, k - workers + count % workers) for k in range(workers + 1)]
-    runs = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    if len(runs) == 1:
-        yield run(runs[0])
+    parts = [items[lo:hi] for lo, hi in zip(edges, edges[1:])]
+    stage = f"{fn.__module__.rpartition('.')[2]}.{fn.__qualname__}"
+    if len(parts) == 1:
+        yield fn(*args, parts[0])
         return
     children = {}  # pid -> its result pipe, until the worker is reaped
     try:
-        for held in runs[1:]:
-            pid, pipe = _fork_worker(run, held)
+        for held in parts[1:]:
+            pid, pipe = _fork_worker(stage, fn, *args, held)
             children[pid] = pipe
-        yield run(runs[0])
+        yield fn(*args, parts[0])
         for pid, pipe in list(children.items()):
             with pipe:
                 try:
@@ -125,7 +129,7 @@ def forked_map(run, count: int):
                     payload = None
             _, status = os.waitpid(pid, 0)
             del children[pid]
-            yield _worker_result(f"{_stage(run)} worker {pid}", payload, status)
+            yield _worker_result(f"{stage} worker {pid}", payload, status)
     finally:
         for pid, pipe in children.items():  # only on an error or early close: stop and reap the workers not joined
             pipe.close()
@@ -135,14 +139,8 @@ def forked_map(run, count: int):
                 os.waitpid(pid, 0)
 
 
-def _stage(run) -> str:
-    """`module.function` that `run` calls, naming its workers in errors."""
-    function = getattr(run, "func", run)
-    return f"{function.__module__.rpartition('.')[2]}.{function.__qualname__}"
-
-
-def _fork_worker(run, held: range):
-    """Fork a worker that computes `run(held)`; return its pid and the pipe its pickled result comes back on.
+def _fork_worker(stage: str, fn, *args):
+    """Fork a worker that computes `fn(*args)`; return its pid and the pipe its pickled result comes back on.
 
     The worker sends `(result, None)`, or the exception it raised with its
     formatted traceback, and leaves through `os._exit` with status 0 once
@@ -160,9 +158,9 @@ def _fork_worker(run, held: range):
         try:
             os.close(rfd)
             try:
-                result = run(held), None
+                result = fn(*args), None
             except BaseException as exc:
-                result = _picklable(exc, _stage(run)), traceback.format_exc()
+                result = _picklable(exc, stage), traceback.format_exc()
             with os.fdopen(wfd, "wb") as fh:
                 pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
             code = 0

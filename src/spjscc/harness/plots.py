@@ -14,11 +14,11 @@ import json
 import math
 from pathlib import Path
 
-from ..metrics import EvalReport, mean_over_seeds
+from ..metrics import CELL_METRICS, EvalReport, mean_over_seeds
 from .checkpoint import StaleArtifactError, check_meta, meta_line
 from .config import snr_as_written
 
-_NUMERIC = {"snr_db": float, "seed": int, "cpp": float, "acc": float, "f1": float, "psnr_db": float, "ssim": float}
+_NUMERIC = {"snr_db": float, "seed": int, **dict.fromkeys(CELL_METRICS, float)}
 RESULTS_COLUMNS = ("loss_mode", *_NUMERIC)
 # the header before each file recorded its mode once: such a file is stale, not damaged
 _RUN_ID_HEADER = ",".join(("run_id", *RESULTS_COLUMNS))
@@ -37,10 +37,7 @@ def write_results_csv(path: str | Path, reports: list[EvalReport], meta: dict[st
     """One row per report, its `run_id` (sp or mse) as the loss_mode; `meta` is the provenance the first line records."""
     lines = [meta_line(meta), ",".join(RESULTS_COLUMNS)]
     for r in reports:
-        lines.append(
-            f"{r.run_id},{snr_as_written(r.snr_db)},{r.seed},"
-            f"{r.cpp:.9g},{r.acc:.9g},{r.f1:.9g},{r.psnr_db:.9g},{r.ssim:.9g}"
-        )
+        lines.append(",".join([r.run_id, snr_as_written(r.snr_db), str(r.seed), *(f"{getattr(r, m):.9g}" for m in CELL_METRICS)]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -33,6 +33,10 @@ class EvalReport:
     ssim: float
 
 
+# EvalReport's per-cell metrics, in its field order: the results CSV's columns after the seed
+CELL_METRICS = ("cpp", "acc", "f1", "psnr_db", "ssim")
+
+
 def _image_pair(name: str, x, x_prime) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
     x_prime = np.asarray(x_prime, dtype=np.float64)
@@ -231,12 +235,5 @@ def mean_over_seeds(reports: list[EvalReport]) -> dict[float, dict[str, float]]:
         by_snr.setdefault(r.snr_db, []).append(r)
     out = {}
     for snr_db, rows in sorted(by_snr.items()):
-        out[snr_db] = {
-            "count": len(rows),
-            "cpp": float(np.mean([r.cpp for r in rows])),
-            "acc": float(np.mean([r.acc for r in rows])),
-            "f1": float(np.mean([r.f1 for r in rows])),
-            "psnr_db": float(np.mean([r.psnr_db for r in rows])),
-            "ssim": float(np.mean([r.ssim for r in rows])),
-        }
+        out[snr_db] = {"count": len(rows), **{m: float(np.mean([getattr(r, m) for r in rows])) for m in CELL_METRICS}}
     return out

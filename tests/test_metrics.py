@@ -1,5 +1,6 @@
 """Metric fixtures and the evaluation protocol."""
 
+import dataclasses
 import os
 import warnings
 
@@ -346,6 +347,11 @@ def test_evaluate_encodes_once_per_snr_and_batch(random_codec_grid, monkeypatch)
     evaluate(enc, dec, clf, test, [0.0, 10.0], [1, 2, 3], batch=7)
     # 2 snrs x 3 batches encode once each; every one of 3 seeds decodes and classifies each
     assert calls == {"encode": 6, "decode": 18, "perceive": 18}
+
+
+def test_cell_metrics_are_the_eval_report_fields_after_the_seed():
+    """`mean_over_seeds` and the results CSV take their metrics from this one tuple."""
+    assert [f.name for f in dataclasses.fields(metrics.EvalReport)] == ["run_id", "snr_db", "seed", *metrics.CELL_METRICS]
 
 
 def test_evaluate_requires_seeds():

@@ -42,13 +42,19 @@ def noise_variance(snr_db: float) -> float:
 
 
 def normalize_power(raw: Tensor, active: np.ndarray) -> ComplexSymbolVector:
-    """Scale active symbols to unit mean power; zero the inactive ones.
+    """Scale active symbols to unit mean power; inactive ones must arrive exactly zero.
 
     gamma = sqrt(s_active / sum_active |e_k|^2) per row, kept on the tape so
     training gradients flow through the scaling. A row whose active
     coefficients are all zero is sent with gamma = 1: a 0/1 leaf lifts its
     power to 1 and 1 stands in for its s_active, so its gradients stay
     finite. Other rows add exactly 0.0 and are unchanged.
+
+    `jscc.encode` already zeroes a closed channel through its gate, so the
+    power is summed over `raw` as given, and input whose inactive
+    coefficients are not exactly zero is refused. Zeroing them once more
+    here would change no value, but would zero the straight-through gradient
+    of every closed gate.
     """
     tape = raw.tape
     n, width = raw.shape
@@ -58,15 +64,15 @@ def normalize_power(raw: Tensor, active: np.ndarray) -> ComplexSymbolVector:
     s_active = active.sum(axis=1, keepdims=True)
     if (s_active == 0).any():
         raise ValueError("every row needs at least one active symbol")
-    coeff_mask = np.repeat(active, 2, axis=1).astype(raw.value.dtype)
+    if (raw.value[~np.repeat(active, 2, axis=1)] != 0).any():
+        raise ValueError("inactive coefficients must arrive exactly zero")
 
-    masked = tape.mul(raw, tape.leaf(coeff_mask))
-    power = tape.reduce_sum(tape.mul(masked, masked), axis=(1,), keepdims=True)
+    power = tape.reduce_sum(tape.mul(raw, raw), axis=(1,), keepdims=True)
     silent = power.value == 0
     power = tape.add(power, tape.leaf(silent))
     s_active = np.where(silent, 1, s_active)
     gamma = tape.sqrt(tape.mul(tape.leaf(s_active.astype(raw.value.dtype)), tape.reciprocal(power)))
-    out = tape.mul(masked, gamma)
+    out = tape.mul(raw, gamma)
     return ComplexSymbolVector(coeffs=out, active=active.copy(), gamma=gamma)
 
 

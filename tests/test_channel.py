@@ -44,12 +44,23 @@ def test_normalize_identity_when_already_unit_power():
 
 
 def test_normalize_masked_symbols_zeroed_active_untouched():
-    # active symbols (1,0), (0,1) already unit mean power; masked (5,5), (5,5)
-    tape, raw, _ = _vector([1.0, 0.0, 0.0, 1.0, 5.0, 5.0, 5.0, 5.0])
+    # active symbols (1,0), (0,1) already unit mean power; masked symbols arrive zeroed, as encode sends them
+    tape, raw, _ = _vector([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     active = np.array([[True, True, False, False]])
     e = normalize_power(raw, active)
     np.testing.assert_allclose(e.coeffs.value, [[1, 0, 0, 1, 0, 0, 0, 0]])
     np.testing.assert_allclose(e.gamma.value, [[1.0]])
+
+
+def test_normalize_refuses_inactive_coefficients_that_are_not_exactly_zero():
+    active = np.array([[True, True, False, False]])
+    for masked in ([5.0, 5.0, 5.0, 5.0], [0.0, 0.0, 0.0, 1e-30], [0.0, np.nan, 0.0, 0.0]):
+        tape, raw, _ = _vector([1.0, 0.0, 0.0, 1.0, *masked])
+        with pytest.raises(ValueError, match="inactive coefficients must arrive exactly zero"):
+            normalize_power(raw, active)
+    # a negative feature through a closed gate arrives as -0.0, which is zero
+    tape, raw, _ = _vector([1.0, 0.0, 0.0, 1.0, -0.0, 0.0, -0.0, -0.0])
+    np.testing.assert_array_equal(normalize_power(raw, active).coeffs.value, [[1, 0, 0, 1, 0, 0, 0, 0]])
 
 
 def test_normalize_sends_all_zero_active_row_with_unit_gamma():
@@ -70,9 +81,11 @@ def test_normalize_sends_all_zero_active_row_with_unit_gamma():
 def test_normalize_invariant_after_scaling():
     rng = np.random.default_rng(0)
     tape = Tape(dtype=np.float64)
-    raw = tape.leaf(rng.normal(size=(5, 64)) * rng.uniform(0.1, 10))
+    values = rng.normal(size=(5, 64)) * rng.uniform(0.1, 10)
     active = rng.uniform(size=(5, 32)) < 0.7
     active[:, 0] = True
+    values[~np.repeat(active, 2, axis=1)] = 0.0  # inactive symbols arrive zeroed, as encode sends them
+    raw = tape.leaf(values)
     e = normalize_power(raw, active)
     np.testing.assert_allclose(_mean_active_power(e), 1.0, atol=1e-5)
     # inactive coefficients exactly zero
@@ -112,7 +125,7 @@ def test_awgn_deterministic_given_seed():
 
 
 def test_awgn_inactive_symbols_untouched():
-    tape, raw, _ = _vector(np.ones(16))
+    tape, raw, _ = _vector(np.r_[np.ones(8), np.zeros(8)])  # inactive symbols arrive zeroed, as encode sends them
     active = np.zeros((1, 8), dtype=bool)
     active[0, :4] = True
     e = normalize_power(raw, active)

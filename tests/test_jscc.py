@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from spjscc.channel import awgn_transmit
+from spjscc import jscc
+from spjscc.channel import awgn_transmit, normalize_power
+from spjscc.dataio import generate_shapes
 from spjscc.jscc import (
     CodecConfig,
     _encoder_features,
@@ -18,6 +20,7 @@ from spjscc.jscc import (
 )
 from spjscc.metrics import cpp
 from spjscc.numcore import ShapeError, Tape
+from spjscc.training import loss_mse
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,42 @@ def _forced_mask_encode(enc, x, snr, bias):
         return encode(enc, x, snr, mode="eval")
     finally:
         enc.params["enc.policy.b2"] = saved
+
+
+def _mask_gradient(enc, dec, x):
+    """Eval-mode encode and decode at 10 dB, no noise: the forward values and d loss_mse / d mask."""
+    r = encode(enc, x, 10.0, mode="eval")
+    xp = decode(dec, r.e, 10.0)
+    loss = loss_mse(r.tape, r.x, xp)
+    (grad,) = r.tape.backward(loss, wrt=(r.mask,))
+    return [v.value.tobytes() for v in (r.mask, r.e.coeffs, r.e.gamma, xp, loss)], r.mask.value, grad
+
+
+def test_a_closed_gate_sees_the_distortion_and_no_forward_value_moves(monkeypatch):
+    """Gates forced half open: each closed gate gets a nonzero straight-through gradient.
+
+    A reference that zeroes the inactive coefficients a second time, as
+    `normalize_power` did, computes the same bytes everywhere forward and on
+    the open gates, and exactly 0 on every closed gate.
+    """
+    cfg = CodecConfig(height=16, width=16, f_s=4, f_n=4, width_es=8)
+    enc, dec = init_encoder(cfg, 1), init_decoder(cfg, 2)
+    enc.params["enc.policy.b2"] = np.array([4.0, -4.0, 4.0, -4.0], np.float32)
+    x = generate_shapes(3, 10, 16, 16).images[:2]
+    forward, mask, grad = _mask_gradient(enc, dec, x)
+    np.testing.assert_array_equal(mask, [[1, 0, 1, 0]] * 2)
+    closed = mask == 0
+    assert np.all(grad[closed] != 0)
+
+    def zeroing_twice(raw, active):
+        tape = raw.tape
+        return normalize_power(tape.mul(raw, tape.leaf(np.repeat(active, 2, axis=1).astype(raw.value.dtype))), active)
+
+    monkeypatch.setattr(jscc, "normalize_power", zeroing_twice)
+    ref_forward, _, ref_grad = _mask_gradient(enc, dec, x)
+    assert forward == ref_forward
+    assert grad[~closed].tobytes() == ref_grad[~closed].tobytes()
+    assert np.all(ref_grad[closed] == 0)
 
 
 def test_all_ones_mask_gives_full_coefficient_count(codec):

@@ -37,7 +37,8 @@ def write_results_csv(path: str | Path, reports: list[EvalReport], meta: dict[st
     """One row per report, its `run_id` (sp or mse) as the loss_mode; `meta` is the provenance the first line records."""
     lines = [meta_line(meta), ",".join(RESULTS_COLUMNS)]
     for r in reports:
-        lines.append(",".join([r.run_id, snr_as_written(r.snr_db), str(r.seed), *(f"{getattr(r, m):.9g}" for m in CELL_METRICS)]))
+        metrics = (f"{getattr(r, m):.9g}" for m in CELL_METRICS)
+        lines.append(",".join([r.run_id, snr_as_written(r.snr_db), str(r.seed), *metrics]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

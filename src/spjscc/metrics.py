@@ -164,8 +164,8 @@ def evaluate(
     `split.forked_map` splits the (snr, seed) cells, in that order, between
     processes, and each process encodes each (snr, batch) it holds a cell of
     once. Since no cell depends on another, the reports are bit-identical
-    whatever the process count. On 32 32x32 images, 3 SNRs x 3 seeds on 2 CPUs, a worker held
-    26-30 MB of private pages at exit.
+    whatever the process count. On 32 32x32 images, 3 SNRs x 3 seeds on 2
+    CPUs, a worker held 26-30 MB of private pages at exit.
 
     No tape outlives its last read: the encode tape is dropped once its
     coefficients, active symbols and transmit scale are copied out, before

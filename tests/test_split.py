@@ -49,7 +49,9 @@ def _force_processes(monkeypatch, processes):
 @pytest.mark.parametrize("make", [lambda n: list(range(n)), range], ids=["list", "range"])
 @pytest.mark.parametrize("processes", [1, 2, 3])
 @pytest.mark.parametrize("count", [0, 1, 5, 9])
-def test_items_are_cut_into_ordered_slices_the_later_ones_one_item_longer(monkeypatch, no_child_left, make, processes, count):
+def test_items_are_cut_into_ordered_slices_the_later_ones_one_item_longer(
+    monkeypatch, no_child_left, make, processes, count
+):
     """5 items on 3 processes run 1 | 2 | 2 and 9 on 2 run 4 | 5; never more processes than items, and at least one."""
     _force_processes(monkeypatch, processes)
     results = list(split.forked_map(_pid_and_part, make(count)))
@@ -63,7 +65,8 @@ def test_items_are_cut_into_ordered_slices_the_later_ones_one_item_longer(monkey
 
 def test_an_exception_that_does_not_pickle_comes_back_as_a_runtime_error_naming_it(monkeypatch, no_child_left):
     _force_processes(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match=r"^test_split\._raise_unpicklable_in_a_worker worker raised Unpicklable: items \[2, 3\]$") as raised:
+    message = r"^test_split\._raise_unpicklable_in_a_worker worker raised Unpicklable: items \[2, 3\]$"
+    with pytest.raises(RuntimeError, match=message) as raised:
         list(split.forked_map(_raise_unpicklable_in_a_worker, [0, 1, 2, 3], os.getpid()))
     no_child_left()
     assert isinstance(raised.value.__cause__, split.WorkerTraceback)
@@ -72,7 +75,8 @@ def test_an_exception_that_does_not_pickle_comes_back_as_a_runtime_error_naming_
 
 def test_a_worker_killed_by_a_signal_is_named_with_it(monkeypatch, no_child_left):
     _force_processes(monkeypatch, 3)
-    with pytest.raises(RuntimeError, match=r"^test_split\._kill_a_worker worker [0-9]+ was killed by signal 9 without a result$"):
+    message = r"^test_split\._kill_a_worker worker [0-9]+ was killed by signal 9 without a result$"
+    with pytest.raises(RuntimeError, match=message):
         list(split.forked_map(_kill_a_worker, range(6), os.getpid()))
     no_child_left()
 
